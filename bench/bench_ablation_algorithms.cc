@@ -7,10 +7,13 @@
  * google-benchmark binary measures wall time of the three
  * algorithms against growing step counts and reports the resident
  * working set each needs (every step's feature vector for
- * k-means/DBSCAN versus three step records for OLS).
+ * k-means/DBSCAN, plus DBSCAN's steps^2/8-byte eps-neighbourhood
+ * graph, versus three step records for OLS).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
 
 #include "analyzer/dbscan.hh"
 #include "analyzer/features.hh"
@@ -73,9 +76,12 @@ BM_DbscanSweep(benchmark::State &state)
     for (auto _ : state) {
         benchmark::DoNotOptimize(dbscanSweep(features.rows()));
     }
+    // Feature vectors plus the sweep's shared eps-neighbourhood
+    // graph: one bit per pair of steps, rows padded to 64-bit words.
+    const std::size_t steps = features.rows().size();
     state.counters["working_set_bytes"] = static_cast<double>(
-        features.rows().size() * features.dimensions() *
-        sizeof(double));
+        steps * features.dimensions() * sizeof(double) +
+        steps * ((steps + 63) / 64) * sizeof(std::uint64_t));
 }
 
 void

@@ -368,6 +368,15 @@ bench_smoke() {
             return 1
         }
     done
+    # Figure 5 must not move: its table holds no timings, so the
+    # whole stdout is compared against the committed golden.
+    echo "== bench: Figure 5 DBSCAN noise table matches its golden"
+    "${build_dir}/bench/bench_fig05_dbscan_noise" \
+        > "${work}/fig05.txt"
+    cmp "${work}/fig05.txt" tests/golden/fig05_dbscan_noise.txt || {
+        echo "bench: bench_fig05_dbscan_noise table moved" >&2
+        return 1
+    }
     echo "== bench: serve ingest, restart recovery, shedding"
     "${build_dir}/bench/bench_serve" --json "${work}/serve.json"
     "${build_dir}/tools/tpupoint-validate-json" \

@@ -1,10 +1,15 @@
 /**
  * @file
  * DBSCAN (Ester et al., 1996) as TPUPoint-Analyzer's second phase
- * detector: sweep the minimum-samples requirement from 5 to 200,
+ * detector: sweep the minimum-samples requirement from 5 to 180,
  * measure the ratio of noise (unclustered) points, and pick the
  * elbow that minimizes noise while maximizing the requirement
  * (Section IV-A).
+ *
+ * Every clustering runs over an eps-neighbourhood graph: a bitset
+ * adjacency with one bit per pair (rows^2 / 8 bytes), built once per
+ * call and, in the sweep, shared read-only by every min-samples
+ * setting.
  */
 
 #ifndef TPUPOINT_ANALYZER_DBSCAN_HH
@@ -40,12 +45,15 @@ DbscanResult dbscanCluster(const std::vector<FeatureVector> &points,
                            double eps, std::size_t min_samples);
 
 /**
- * Row-major overload (the hot path: neighbourhood queries stride
+ * Row-major overload (the hot path: the graph build strides
  * contiguous rows). The vector-of-rows entry point packs its data
- * and delegates here, so both are bit-identical.
+ * and delegates here, so both are bit-identical. When @p pool is
+ * given the graph build fans out on it; the result is the same at
+ * any pool size.
  */
 DbscanResult dbscanCluster(const Matrix &points, double eps,
-                           std::size_t min_samples);
+                           std::size_t min_samples,
+                           ThreadPool *pool = nullptr);
 
 /**
  * Suggest an eps from the data: 1.5x the 90th percentile of each
@@ -54,8 +62,12 @@ DbscanResult dbscanCluster(const Matrix &points, double eps,
  */
 double suggestEps(const std::vector<FeatureVector> &points);
 
-/** Row-major overload (see dbscanCluster). */
-double suggestEps(const Matrix &points);
+/**
+ * Row-major overload (see dbscanCluster). Each pair is measured
+ * once; with @p pool the pairs fan out on it, with the same result
+ * at any pool size.
+ */
+double suggestEps(const Matrix &points, ThreadPool *pool = nullptr);
 
 /** The min-samples sweep plus elbow choice (Figure 5). */
 struct DbscanSweep
@@ -71,10 +83,13 @@ struct DbscanSweep
  * Sweep min_samples over [lo, hi] in the given stride (the paper
  * uses 5..180 step 25) at a fixed eps (0 = suggestEps()).
  *
- * eps is resolved once before the sweep and every min-samples
- * setting is clustered independently into a preassigned slot, so
- * when @p pool is given the settings fan out across its workers
- * with output bit-identical to the serial path.
+ * eps and the eps-neighbourhood graph are resolved once before the
+ * sweep, and every min-samples setting clusters that shared graph
+ * independently into a preassigned slot, so when @p pool is given
+ * the graph build and the settings fan out across its workers with
+ * output bit-identical to the serial path. An empty range (lo > hi),
+ * lo == 0, stride == 0 or a hi within one stride of SIZE_MAX is
+ * fatal.
  */
 DbscanSweep dbscanSweep(const std::vector<FeatureVector> &points,
                         double eps = 0.0, std::size_t lo = 5,

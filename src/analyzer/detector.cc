@@ -82,10 +82,10 @@ class DbscanDetector final : public PhaseDetector
         if (options.dbscan_fixed_min_samples > 0) {
             const double eps = options.dbscan_eps > 0
                 ? options.dbscan_eps
-                : suggestEps(features->matrix());
+                : suggestEps(features->matrix(), pool);
             out.dbscan.best = dbscanCluster(
                 features->matrix(), eps,
-                options.dbscan_fixed_min_samples);
+                options.dbscan_fixed_min_samples, pool);
             out.dbscan.elbow_min_samples =
                 options.dbscan_fixed_min_samples;
             out.dbscan.min_samples_values = {

@@ -400,8 +400,8 @@ class StreamingKMeans final : public StreamingDetector
 class BatchFallbackStreamingDetector final : public StreamingDetector
 {
   public:
-    explicit BatchFallbackStreamingDetector(PhaseAlgorithm alg)
-        : alg(alg)
+    explicit BatchFallbackStreamingDetector(PhaseAlgorithm algorithm)
+        : alg(algorithm)
     {
     }
 

@@ -217,6 +217,30 @@ TEST(GoldenOutput, PcaReducedAnalysis)
     }
 }
 
+TEST(GoldenOutput, DbscanPrimaryAnalysis)
+{
+    // DBSCAN as the primary detector, so its labels, sweep elbow and
+    // suggested eps reach the serialized phases.
+    const ProfiledRun &run = runV2();
+    AnalyzerOptions options;
+    options.algorithm = PhaseAlgorithm::Dbscan;
+    std::string json;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        options.threads = threads;
+        const AnalysisResult analysis =
+            TpuPointAnalyzer(options).analyze(run.records,
+                                              run.checkpoints);
+        const std::string produced = analysisJson(analysis);
+        if (threads == 1) {
+            json = produced;
+            expectGolden("analyze_dbscan.json", json);
+        } else {
+            EXPECT_EQ(produced, json)
+                << "DBSCAN output diverges at --threads " << threads;
+        }
+    }
+}
+
 TEST(GoldenOutput, CompareReport)
 {
     const AnalysisResult a =

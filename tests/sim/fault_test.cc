@@ -210,8 +210,9 @@ TEST(PreemptionPlanTest, PoissonScheduleIsDeterministic)
     for (std::size_t i = 0; i < a.events().size(); ++i) {
         EXPECT_EQ(a.events()[i].at, b.events()[i].at);
         EXPECT_EQ(a.events()[i].kind, b.events()[i].kind);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a.events()[i].at, a.events()[i - 1].at);
+        }
     }
     // Backoff jitter comes from the same seeded stream.
     for (int i = 0; i < 100; ++i)
