@@ -34,10 +34,11 @@ main()
         const AnalysisResult analysis =
             TpuPointAnalyzer(options).analyze(run.records);
 
+        const DbscanResult &best =
+            analysis.detections[0].dbscan.best;
         std::printf("%-16s %8d %7.1f%% %9.1f%%\n",
-                    workloadName(id),
-                    analysis.dbscan.best.clusters,
-                    100 * analysis.dbscan.best.noise_ratio,
+                    workloadName(id), best.clusters,
+                    100 * best.noise_ratio,
                     100 * analysis.top3_coverage);
     }
     std::printf("\nPaper: the unlabeled (noise) samples form a "

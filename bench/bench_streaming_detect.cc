@@ -126,13 +126,12 @@ bool
 olsBoundariesExact(const StreamingSnapshot &snapshot,
                    const AnalysisResult &batch)
 {
-    if (snapshot.phases.size() != batch.ols_groups.size())
+    const auto &groups = batch.detections[0].ols_groups;
+    if (snapshot.phases.size() != groups.size())
         return false;
     for (std::size_t i = 0; i < snapshot.phases.size(); ++i) {
-        if (snapshot.phases[i].steps !=
-                batch.ols_groups[i].steps ||
-            snapshot.phases[i].duration !=
-                batch.ols_groups[i].duration)
+        if (snapshot.phases[i].steps != groups[i].steps ||
+            snapshot.phases[i].duration != groups[i].duration)
             return false;
     }
     return true;

@@ -94,17 +94,21 @@ main(int argc, char **argv)
                 "%.1f%%\n",
                 analysis.table.size(), analysis.phases.size(),
                 100 * analysis.top3_coverage);
+    // detections is empty only when the run recorded no steps.
+    const DetectorResult detection = analysis.detections.empty()
+        ? DetectorResult{}
+        : analysis.detections.front();
     if (algorithm == PhaseAlgorithm::KMeans) {
         std::printf("k-means elbow: k = %d (SSD curve over "
                     "k=1..15)\n",
-                    analysis.kmeans.elbow_k);
+                    detection.kmeans.elbow_k);
     }
     if (algorithm == PhaseAlgorithm::Dbscan) {
         std::printf("DBSCAN elbow: min_samples = %zu, clusters = "
                     "%d, noise = %.1f%%\n",
-                    analysis.dbscan.elbow_min_samples,
-                    analysis.dbscan.best.clusters,
-                    100 * analysis.dbscan.best.noise_ratio);
+                    detection.dbscan.elbow_min_samples,
+                    detection.dbscan.best.clusters,
+                    100 * detection.dbscan.best.noise_ratio);
     }
     for (const auto &assoc : analysis.checkpoints) {
         std::printf("phase %d fast-forwards from checkpoint at "

@@ -392,11 +392,12 @@ bench_smoke() {
 
 sanitizers=${TPUPOINT_CI_SANITIZERS-"address thread undefined"}
 
-run_suite build "$@"
+# Every build is warning-free, so any new warning fails the gate.
+run_suite build -DTPUPOINT_WERROR=ON "$@"
 bench_smoke build
 for sanitizer in ${sanitizers}; do
     run_suite "build-${sanitizer}" \
-        -DTPUPOINT_SANITIZE="${sanitizer}" "$@"
+        -DTPUPOINT_SANITIZE="${sanitizer}" -DTPUPOINT_WERROR=ON "$@"
 done
 
 echo "== ci passed"

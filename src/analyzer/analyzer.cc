@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "analyzer/detector.hh"
-#include "analyzer/streaming.hh"
 #include "core/logging.hh"
 #include "core/thread_pool.hh"
 #include "obs/metrics.hh"
@@ -52,8 +51,8 @@ AnalysisSession::AnalysisSession(const AnalyzerOptions &options)
 {
 }
 
-// Out of line: Stream holds a unique_ptr to the incomplete
-// StreamingDetector at the point of declaration.
+// Out of line: DetectorSlot holds a unique_ptr to the incomplete
+// PhaseDetector at the point of declaration.
 AnalysisSession::~AnalysisSession() = default;
 AnalysisSession::AnalysisSession(AnalysisSession &&) noexcept =
     default;
@@ -61,27 +60,31 @@ AnalysisSession &
 AnalysisSession::operator=(AnalysisSession &&) noexcept = default;
 
 void
+AnalysisSession::makeDetectors()
+{
+    if (!detectors.empty())
+        return;
+    for (const PhaseAlgorithm algorithm :
+         requestedAlgorithms(opts)) {
+        DetectorSlot slot;
+        slot.detector = detectorFor(algorithm).make(opts);
+        if (opts.streaming) {
+            slot.step_us =
+                &obs::MetricsRegistry::global().histogram(
+                    std::string("analyzer.stream_step_us{"
+                                "detector=") +
+                    slot.detector->name() + "}");
+        }
+        detectors.push_back(std::move(slot));
+    }
+}
+
+void
 AnalysisSession::feedStreams(bool settle_all)
 {
     if (!opts.streaming)
         return;
-    if (!streams_ready) {
-        for (const PhaseAlgorithm algorithm :
-             requestedAlgorithms(opts)) {
-            Stream stream;
-            stream.detector =
-                makeStreamingDetector(algorithm, opts);
-            stream.step_us = &obs::MetricsRegistry::global()
-                                  .histogram(
-                                      std::string(
-                                          "analyzer.stream_step_"
-                                          "us{detector=") +
-                                      stream.detector->name() +
-                                      "}");
-            streams.push_back(std::move(stream));
-        }
-        streams_ready = true;
-    }
+    makeDetectors();
 
     // History rewritten below what the detectors already saw (an
     // out-of-order window, an attempt stitch, or a window overlap
@@ -98,8 +101,8 @@ AnalysisSession::feedStreams(bool settle_all)
     if (builder.touchedFloor() < observed_rows) {
         settle_margin = std::max(settle_margin,
                                  rows - builder.touchedFloor());
-        for (Stream &stream : streams)
-            stream.detector->reset();
+        for (DetectorSlot &slot : detectors)
+            slot.detector->reset();
         observed_rows = 0;
     }
     builder.clearTouchedFloor();
@@ -120,15 +123,15 @@ AnalysisSession::feedStreams(bool settle_all)
             builder.rowStepId(i), builder.rowSpan(i),
             builder.rowHostOps(i), builder.rowTpuOps(i)});
     }
-    for (Stream &stream : streams) {
+    for (DetectorSlot &slot : detectors) {
         const auto begin = std::chrono::steady_clock::now();
-        stream.detector->observeSteps(deltas);
+        slot.detector->observeSteps(deltas);
         const auto micros =
             std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - begin)
                 .count();
         // Amortized per-step cost of this feed.
-        stream.step_us->observe(static_cast<std::uint64_t>(
+        slot.step_us->observe(static_cast<std::uint64_t>(
             micros / static_cast<long long>(deltas.size())));
     }
     observed_rows = settled;
@@ -147,14 +150,17 @@ AnalysisSession::partialResult() const
     out.steps_behind = out.steps_aggregated > out.steps_observed
         ? out.steps_aggregated - out.steps_observed
         : 0;
-    out.snapshots.reserve(streams.size());
-    for (const Stream &stream : streams)
-        out.snapshots.push_back(stream.detector->snapshot());
+    if (!opts.streaming)
+        return out;
+    out.snapshots.reserve(detectors.size());
+    for (const DetectorSlot &slot : detectors)
+        out.snapshots.push_back(slot.detector->snapshot());
     return out;
 }
 
+template <typename Record>
 void
-AnalysisSession::ingest(const ProfileRecord &record)
+AnalysisSession::ingestRecord(const Record &record)
 {
     if (finalized)
         panic("AnalysisSession::ingest after finalize");
@@ -184,25 +190,15 @@ AnalysisSession::ingest(const ProfileRecord &record)
 }
 
 void
+AnalysisSession::ingest(const ProfileRecord &record)
+{
+    ingestRecord(record);
+}
+
+void
 AnalysisSession::ingest(const ColumnarRecord &record)
 {
-    if (finalized)
-        panic("AnalysisSession::ingest after finalize");
-    if (record.attempt + 1 > attempts_seen)
-        attempts_seen = record.attempt + 1;
-    dropped_events += record.events_dropped;
-    if (record.attempt_boundary) {
-        SimTime span = 0;
-        discarded_steps +=
-            builder.dropAfter(record.resume_step, &span);
-        discarded_time += span;
-        builder.markReplayed(record.resume_step,
-                             record.preempted_at_step);
-        feedStreams(/*settle_all=*/false);
-        return; // boundary markers carry no step data
-    }
-    builder.ingest(record);
-    feedStreams(/*settle_all=*/false);
+    ingestRecord(record);
 }
 
 AnalysisResult
@@ -242,16 +238,17 @@ AnalysisSession::finalize(
     if (result.table.size() == 0)
         return result;
 
-    const std::vector<PhaseAlgorithm> algorithms =
-        requestedAlgorithms(opts);
+    // A batch session observed nothing: its detectors are made
+    // here and do all of their work in finalize().
+    makeDetectors();
 
     // One shared feature pass: build the matrix once iff any
     // requested detector reads it, instead of each algorithm
     // re-deriving its own copy.
     std::unique_ptr<FeatureMatrix> features;
     bool need_features = false;
-    for (const PhaseAlgorithm algorithm : algorithms)
-        need_features |= detectorFor(algorithm).needsFeatures();
+    for (const DetectorSlot &slot : detectors)
+        need_features |= slot.detector->needsFeatures();
     if (need_features) {
         obs::TraceSpan feature_span("analyze.features");
         feature_span.arg("steps",
@@ -262,47 +259,33 @@ AnalysisSession::finalize(
     }
 
     // Detectors only read the table/features and write their own
-    // detections slot, so they run concurrently when the pool has
-    // workers; each also receives the pool for its internal
-    // sweeps (nested fan-out is safe — waiters help).
-    result.detections.resize(algorithms.size());
+    // state and detections entry, so they run concurrently when
+    // the pool has workers; each also receives the pool for its
+    // internal sweeps (nested fan-out is safe — waiters help).
+    result.detections.resize(detectors.size());
     auto run_detector = [&](std::size_t i) {
-        const PhaseDetector &detector =
-            detectorFor(algorithms[i]);
+        PhaseDetector &detector = *detectors[i].detector;
         obs::TraceSpan detect_span(std::string("analyze.") +
                                    detector.name());
         detect_span.arg("steps",
                         static_cast<std::uint64_t>(
                             result.table.size()));
-        // Streaming sessions finish through the incremental
-        // detectors (streams[i] is aligned with algorithms[i]):
-        // OLS completes its live scan, the sampled/fallback
-        // detectors delegate to the batch path — so finalize
-        // output is byte-identical either way.
-        result.detections[i] = opts.streaming
-            ? streams[i].detector->finalize(
-                  result.table, features.get(), opts, &pool)
-            : detector.detect(result.table, features.get(), opts,
-                              &pool);
+        result.detections[i] = detector.finalize(
+            result.table, features.get(), opts, &pool);
         detect_span.arg("phases",
                         static_cast<std::uint64_t>(
                             result.detections[i].phases.size()));
     };
-    if (algorithms.size() == 1)
+    if (detectors.size() == 1)
         run_detector(0);
     else
-        pool.forEach(algorithms.size(), run_detector,
+        pool.forEach(detectors.size(), run_detector,
                      "analyze.detector");
 
-    // The flat fields mirror the primary detector for backward
-    // compatibility with single-algorithm consumers.
+    // The flat fields mirror the primary detector.
     const DetectorResult &primary = result.detections.front();
     result.phases = primary.phases;
     result.top3_coverage = primary.top3_coverage;
-    result.kmeans = primary.kmeans;
-    result.dbscan = primary.dbscan;
-    result.ols_spans = primary.ols_spans;
-    result.ols_groups = primary.ols_groups;
 
     // Section IV-C: find the checkpoint with the smallest distance
     // to each phase's steps.

@@ -25,7 +25,7 @@
 namespace tpupoint {
 
 class ThreadPool;
-class StreamingDetector;
+class PhaseDetector;
 
 namespace obs {
 class Histogram;
@@ -45,9 +45,9 @@ struct AnalyzerOptions
     /**
      * Detectors to run in addition to `algorithm` over the same
      * aggregated table and shared feature pass. Each produces one
-     * AnalysisResult::detections entry; the flat result fields
-     * always mirror the primary `algorithm`. Duplicates of the
-     * primary (or of each other) are ignored.
+     * AnalysisResult::detections entry; the flat phases and
+     * top3_coverage always mirror the primary `algorithm`.
+     * Duplicates of the primary (or of each other) are ignored.
      */
     std::vector<PhaseAlgorithm> extra_algorithms;
 
@@ -80,13 +80,12 @@ struct AnalyzerOptions
     std::uint64_t seed = 0x414e4c5aULL; // "ANLZ"
 
     /**
-     * Maintain incremental detectors during ingest so
+     * Feed the detectors settled rows during ingest so
      * partialResult() answers phase queries mid-stream at bounded
      * per-step cost. Off (the default), ingest is aggregation only
-     * and finalize() is the historical batch path; on, finalize()
-     * is still bit-identical for batch detectors (k-means/DBSCAN
-     * re-detect over the full table) while OLS completes from its
-     * streaming state — the same fold, finished once.
+     * and the detectors see the whole table at finalize(); either
+     * way finalize() is bit-identical (k-means/DBSCAN cluster the
+     * full table, OLS finishes the same fold).
      */
     bool streaming = false;
 
@@ -124,8 +123,8 @@ struct StreamingSnapshot
 
     /**
      * The snapshot equals what the batch detector would produce
-     * over the observed steps (true for streaming OLS; false for
-     * sampled estimates and the batch-fallback adapter).
+     * over the observed steps (true for OLS; false for sampled
+     * k-means estimates and DBSCAN's empty snapshots).
      */
     bool exact = false;
 
@@ -193,22 +192,11 @@ struct AnalysisResult
     /** Coverage of execution by the 3 longest phases. */
     double top3_coverage = 0.0;
 
-    /** k-means sweep curve (Figure 4) when that algorithm ran. */
-    KMeansSweep kmeans;
-
-    /** DBSCAN sweep curve (Figure 5) when that algorithm ran. */
-    DbscanSweep dbscan;
-
-    /** OLS raw segments and aggregated phase groups. */
-    std::vector<OnlineLinearScan::Span> ols_spans;
-    std::vector<OnlineLinearScan::Group> ols_groups;
-
     /**
      * Every requested detector's output, primary algorithm first,
-     * then extra_algorithms in request order. The flat fields
-     * above (phases, top3_coverage, kmeans, dbscan, ols_*) mirror
-     * detections.front() so single-algorithm consumers need not
-     * care that others ran.
+     * then extra_algorithms in request order; the algorithm's
+     * sweep curves and OLS spans/groups live here. The flat
+     * phases and top3_coverage above mirror detections.front().
      */
     std::vector<DetectorResult> detections;
 
@@ -315,6 +303,16 @@ class AnalysisSession
 
   private:
     /**
+     * The shared body of both ingest() overloads: attempt
+     * accounting, the boundary stitch, then the fold.
+     */
+    template <typename Record>
+    void ingestRecord(const Record &record);
+
+    /** Create one detector per requested algorithm, once. */
+    void makeDetectors();
+
+    /**
      * Feed the streaming detectors every settled row the builder
      * has beyond what they observed. A row is settled once a
      * higher step id exists (windows of one step arrive before the
@@ -335,16 +333,15 @@ class AnalysisSession
     SimTime discarded_time = 0;
     std::uint64_t dropped_events = 0;
 
-    /** One incremental detector per requested algorithm (primary
-     * first), plus its per-step latency histogram — populated
-     * lazily on first ingest when opts.streaming. */
-    struct Stream
+    /** One detector per requested algorithm (primary first), plus
+     * its per-step latency histogram when opts.streaming — created
+     * on first ingest when streaming, else at finalize(). */
+    struct DetectorSlot
     {
-        std::unique_ptr<StreamingDetector> detector;
+        std::unique_ptr<PhaseDetector> detector;
         obs::Histogram *step_us = nullptr;
     };
-    std::vector<Stream> streams;
-    bool streams_ready = false;
+    std::vector<DetectorSlot> detectors;
 
     /** Builder rows the streaming detectors have consumed. */
     std::size_t observed_rows = 0;

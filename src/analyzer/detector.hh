@@ -1,23 +1,40 @@
 /**
  * @file
- * The pluggable phase-detector interface behind
- * AnalysisSession::finalize(). Each of TPUPoint-Analyzer's
- * algorithms (k-means, DBSCAN, OLS — Section IV-A) is one
- * registered PhaseDetector; finalize() builds the step table and
- * feature matrix once and hands the shared, read-only views to
- * every requested detector, instead of each algorithm re-deriving
- * its own inputs.
+ * The one phase-detector contract behind AnalysisSession. Each of
+ * TPUPoint-Analyzer's algorithms (k-means, DBSCAN, OLS — Section
+ * IV-A) is one PhaseDetector with a streaming shape: it may consume
+ * settled step rows as they are aggregated (observeSteps), answer a
+ * provisional snapshot() at any moment, and produce its final
+ * result with finalize(). A batch session is a session that
+ * observed nothing: finalize() receives the whole table and does
+ * all of the work. finalize() builds the step table and feature
+ * matrix once and hands the shared, read-only views to every
+ * requested detector, instead of each algorithm re-deriving its
+ * own inputs.
  *
- * Detectors must be pure functions of (table, features, options):
- * any randomness is seeded from options.seed, and the optional
- * ThreadPool only schedules — a detector must produce bit-identical
- * output whether it runs serially, on an inline pool, or fanned out
- * across workers.
+ * Determinism contract: a snapshot must be a pure function of
+ * (options, the settled row prefix observed) — never of how that
+ * prefix was chunked across observeSteps() calls or of wall-clock
+ * time. Any sampling draws per-row randomness from
+ * SplitMix64(seed ^ row-index) so arrival pattern cannot leak in.
+ * finalize() must be a pure function of (options, table, features)
+ * whatever was observed first: OLS's scan folds the rows it has not
+ * yet seen, so a streamed and a batch session run the same fold
+ * sequence; k-means and DBSCAN recluster the full table. The
+ * optional ThreadPool only schedules — output is bit-identical
+ * whether a detector runs serially, on an inline pool, or fanned
+ * out across workers.
+ *
+ * reset() returns a detector to its freshly-constructed state;
+ * AnalysisSession invokes it when the builder's touch floor shows
+ * history was rewritten (out-of-order window, attempt stitch) and
+ * then re-feeds from row 0.
  */
 
 #ifndef TPUPOINT_ANALYZER_DETECTOR_HH
 #define TPUPOINT_ANALYZER_DETECTOR_HH
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -27,7 +44,21 @@ namespace tpupoint {
 
 class ThreadPool;
 
-/** One phase-detection algorithm, pluggable into finalize(). */
+/**
+ * One settled step row, in ascending row order. The op spans
+ * borrow the builder's storage and are valid only for the duration
+ * of the observeSteps() call — a detector that samples rows must
+ * copy the entries it keeps.
+ */
+struct StepDelta
+{
+    StepId step = 0;
+    SimTime span = 0;      ///< Wall span of the step's events.
+    OpStatsSpan host;      ///< Host op entries, id-sorted.
+    OpStatsSpan tpu;       ///< TPU op entries, id-sorted.
+};
+
+/** One phase-detection algorithm, pluggable into AnalysisSession. */
 class PhaseDetector
 {
   public:
@@ -40,13 +71,37 @@ class PhaseDetector
     virtual const char *name() const = 0;
 
     /**
-     * True when detect() reads the step-feature matrix. finalize()
-     * builds the matrix once iff any requested detector needs it.
+     * True when finalize() reads the step-feature matrix. The
+     * session builds the matrix once iff any requested detector
+     * needs it.
      */
     virtual bool needsFeatures() const = 0;
 
     /**
-     * Run phase detection over the aggregated table.
+     * Consume the next batch of settled rows. Rows arrive in
+     * ascending row order with no gaps or repeats between calls;
+     * the batch boundary carries no meaning (see the determinism
+     * contract above).
+     */
+    virtual void observeSteps(
+        const std::vector<StepDelta> &deltas) = 0;
+
+    /** Discard all observed state (history was rewritten). */
+    virtual void reset() = 0;
+
+    /**
+     * The phases over every row observed so far. Non-destructive
+     * and repeatable; cost must be bounded by detector state (OLS:
+     * O(groups); sampled k-means: O(reservoir)), never by the
+     * number of observed steps.
+     */
+    virtual StreamingSnapshot snapshot() const = 0;
+
+    /**
+     * Run phase detection over the aggregated table. Called once
+     * per session, after any rows were observed (a streaming
+     * session observes every row first; a batch session observes
+     * none).
      *
      * @param table Aggregated per-step statistics (read-only,
      *     shared across concurrently running detectors).
@@ -58,39 +113,62 @@ class PhaseDetector
      *     never required for correctness and must not change the
      *     result.
      */
-    virtual DetectorResult detect(const StepTable &table,
-                                  const FeatureMatrix *features,
-                                  const AnalyzerOptions &options,
-                                  ThreadPool *pool) const = 0;
+    virtual DetectorResult finalize(const StepTable &table,
+                                    const FeatureMatrix *features,
+                                    const AnalyzerOptions &options,
+                                    ThreadPool *pool) = 0;
+};
+
+/** Factory for a fresh detector bound to @p options. */
+using DetectorFactory = std::function<std::unique_ptr<PhaseDetector>(
+    const AnalyzerOptions &)>;
+
+/**
+ * One registry slot: the factory every session calls for a fresh
+ * detector, and a prototype it made from default options that
+ * answers the per-algorithm questions (name, feature needs)
+ * without a session.
+ */
+struct DetectorEntry
+{
+    DetectorFactory factory;
+    std::unique_ptr<PhaseDetector> prototype;
+
+    PhaseAlgorithm algorithm() const
+    {
+        return prototype->algorithm();
+    }
+    const char *name() const { return prototype->name(); }
+    bool needsFeatures() const { return prototype->needsFeatures(); }
+
+    /** A fresh detector for one session. */
+    std::unique_ptr<PhaseDetector>
+    make(const AnalyzerOptions &options) const
+    {
+        return factory(options);
+    }
 };
 
 /**
- * Look up the registered detector for @p algorithm. The three
- * builtin algorithms are always registered; throws (fatal) for an
- * algorithm nothing has registered. The returned reference stays
- * valid until a replacement is registered for the same algorithm.
+ * The registry entry for @p algorithm. The three builtins are
+ * always registered: truly-online OLS, reservoir-sampled mini-batch
+ * k-means, and DBSCAN, which counts steps and snapshots empty
+ * (its neighbourhood queries resist incrementalization). The
+ * returned reference stays valid for the process; its contents
+ * change when a replacement is registered for the same algorithm.
  */
-const PhaseDetector &detectorFor(PhaseAlgorithm algorithm);
-
-/** Every registered detector, in registration order. */
-std::vector<const PhaseDetector *> registeredDetectors();
-
-/**
- * Register @p detector, replacing any existing entry for the same
- * algorithm (tests use this to interpose instrumented detectors).
- * Registration is mutex-guarded, but replacing a detector while a
- * finalize() that uses it is in flight is the caller's race.
- */
-void registerPhaseDetector(std::unique_ptr<PhaseDetector> detector);
+const DetectorEntry &detectorFor(PhaseAlgorithm algorithm);
 
 /**
- * A fresh instance of the builtin detector for @p algorithm —
- * what the registry starts with. Lets a test that interposed a
- * replacement restore the builtin afterwards:
- * registerPhaseDetector(makeBuiltinDetector(algorithm)).
+ * Replace the detector for @p algorithm (tests use this to
+ * interpose instrumented detectors); a null factory restores the
+ * builtin. Sessions created afterwards use the replacement for
+ * both streaming snapshots and finalize. Registration is
+ * mutex-guarded, but replacing a detector while a session that
+ * looks it up is in flight is the caller's race.
  */
-std::unique_ptr<PhaseDetector> makeBuiltinDetector(
-    PhaseAlgorithm algorithm);
+void registerDetector(PhaseAlgorithm algorithm,
+                      DetectorFactory factory);
 
 } // namespace tpupoint
 

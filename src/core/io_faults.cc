@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -35,16 +34,8 @@ parseKind(std::string_view name, FaultKind *kind)
 bool
 parseRate(std::string_view text, double *rate)
 {
-    if (text.empty() || text.size() > 32)
-        return false;
-    char buffer[33];
-    std::memcpy(buffer, text.data(), text.size());
-    buffer[text.size()] = '\0';
-    char *end = nullptr;
-    const double parsed = std::strtod(buffer, &end);
-    if (end != buffer + text.size())
-        return false;
-    if (!(parsed >= 0.0) || parsed > 1.0)
+    double parsed = 0.0;
+    if (!parseDouble(text, &parsed) || parsed < 0.0 || parsed > 1.0)
         return false;
     *rate = parsed;
     return true;

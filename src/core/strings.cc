@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace tpupoint {
@@ -151,6 +152,18 @@ bool
 parseUint64(std::string_view text, std::uint64_t *value)
 {
     return parseWhole(text, value);
+}
+
+bool
+parseDouble(std::string_view text, double *value)
+{
+    double parsed = 0.0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+    if (ec != std::errc() || ptr != end || !std::isfinite(parsed))
+        return false;
+    *value = parsed;
+    return true;
 }
 
 std::string

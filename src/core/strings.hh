@@ -57,6 +57,13 @@ bool parseInt64(std::string_view text, std::int64_t *value);
 /** parseInt64 for unsigned values ('-' is a failure, not a wrap). */
 bool parseUint64(std::string_view text, std::uint64_t *value);
 
+/**
+ * Strict floating-point parse: the whole of @p text must be one
+ * finite decimal number ("0.7", "-2", "1e-3"; no whitespace, '+',
+ * hex, "inf" or "nan"). Same failure contract as parseInt64.
+ */
+bool parseDouble(std::string_view text, double *value);
+
 /** Left-pad with spaces to at least @p width characters. */
 std::string padLeft(std::string_view text, std::size_t width);
 

@@ -27,7 +27,7 @@ TEST(AnalyzerTest, OlsFindsThreePhasesWithFullCoverage)
               PhaseAlgorithm::OnlineLinearScan);
     EXPECT_EQ(result.phases.size(), 3u);
     EXPECT_NEAR(result.top3_coverage, 1.0, 1e-9);
-    EXPECT_FALSE(result.ols_groups.empty());
+    EXPECT_FALSE(result.detections[0].ols_groups.empty());
     ASSERT_NE(result.longest(), nullptr);
     // The train phase dominates.
     EXPECT_TRUE(result.longest()->tpu_ops.count("fusion"));
@@ -39,9 +39,10 @@ TEST(AnalyzerTest, KMeansSweepSelectsSmallK)
     options.algorithm = PhaseAlgorithm::KMeans;
     const AnalysisResult result =
         TpuPointAnalyzer(options).analyze(syntheticRecords());
-    EXPECT_GE(result.kmeans.elbow_k, 2);
-    EXPECT_LE(result.kmeans.elbow_k, 6);
-    EXPECT_EQ(result.kmeans.k_values.size(), 15u);
+    const KMeansSweep &kmeans = result.detections[0].kmeans;
+    EXPECT_GE(kmeans.elbow_k, 2);
+    EXPECT_LE(kmeans.elbow_k, 6);
+    EXPECT_EQ(kmeans.k_values.size(), 15u);
     EXPECT_GE(result.top3_coverage, 0.95);
 }
 
@@ -52,7 +53,7 @@ TEST(AnalyzerTest, KMeansFixedKIsHonored)
     options.kmeans_fixed_k = 5;
     const AnalysisResult result =
         TpuPointAnalyzer(options).analyze(syntheticRecords());
-    EXPECT_EQ(result.kmeans.best.k, 5);
+    EXPECT_EQ(result.detections[0].kmeans.best.k, 5);
     EXPECT_LE(result.phases.size(), 5u);
 }
 
@@ -62,7 +63,7 @@ TEST(AnalyzerTest, DbscanSweepAndFixedMinSamples)
     sweep.algorithm = PhaseAlgorithm::Dbscan;
     const AnalysisResult swept =
         TpuPointAnalyzer(sweep).analyze(syntheticRecords());
-    EXPECT_FALSE(swept.dbscan.noise_curve.empty());
+    EXPECT_FALSE(swept.detections[0].dbscan.noise_curve.empty());
     EXPECT_GT(swept.phases.size(), 0u);
 
     AnalyzerOptions fixed;
@@ -70,7 +71,8 @@ TEST(AnalyzerTest, DbscanSweepAndFixedMinSamples)
     fixed.dbscan_fixed_min_samples = 30;
     const AnalysisResult result =
         TpuPointAnalyzer(fixed).analyze(syntheticRecords());
-    EXPECT_EQ(result.dbscan.best.min_samples, 30u);
+    EXPECT_EQ(result.detections[0].dbscan.best.min_samples,
+              30u);
     EXPECT_GE(result.phases.size(), 1u);
 
     // An extreme min-samples turns every step into noise — which

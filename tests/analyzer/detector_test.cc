@@ -1,4 +1,4 @@
-/** @file PhaseDetector registry: builtins, multi-algorithm
+/** @file The detector registry: builtins, multi-algorithm
  * finalize, and custom-detector interposition. */
 
 #include <gtest/gtest.h>
@@ -25,8 +25,12 @@ syntheticRecords()
 TEST(DetectorRegistryTest, BuiltinsAreRegistered)
 {
     std::set<PhaseAlgorithm> seen;
-    for (const PhaseDetector *detector : registeredDetectors())
-        seen.insert(detector->algorithm());
+    for (const PhaseAlgorithm algorithm :
+         {PhaseAlgorithm::KMeans, PhaseAlgorithm::Dbscan,
+          PhaseAlgorithm::OnlineLinearScan})
+        seen.insert(
+            detectorFor(algorithm).make(AnalyzerOptions{})
+                ->algorithm());
     EXPECT_TRUE(seen.count(PhaseAlgorithm::KMeans));
     EXPECT_TRUE(seen.count(PhaseAlgorithm::Dbscan));
     EXPECT_TRUE(seen.count(PhaseAlgorithm::OnlineLinearScan));
@@ -37,7 +41,7 @@ TEST(DetectorRegistryTest, LookupMatchesAlgorithmAndName)
     for (const PhaseAlgorithm algorithm :
          {PhaseAlgorithm::KMeans, PhaseAlgorithm::Dbscan,
           PhaseAlgorithm::OnlineLinearScan}) {
-        const PhaseDetector &detector = detectorFor(algorithm);
+        const DetectorEntry &detector = detectorFor(algorithm);
         EXPECT_EQ(detector.algorithm(), algorithm);
         EXPECT_STREQ(detector.name(),
                      phaseAlgorithmName(algorithm));
@@ -83,8 +87,6 @@ TEST(DetectorTest, MultiAlgorithmRunProducesOneDetectionEach)
               result.detections[0].phases.size());
     EXPECT_DOUBLE_EQ(result.top3_coverage,
                      result.detections[0].top3_coverage);
-    EXPECT_EQ(result.kmeans.elbow_k,
-              result.detections[0].kmeans.elbow_k);
 }
 
 TEST(DetectorTest, ExtrasMatchSingleAlgorithmRuns)
@@ -104,8 +106,9 @@ TEST(DetectorTest, ExtrasMatchSingleAlgorithmRuns)
         TpuPointAnalyzer(solo).analyze(syntheticRecords());
 
     const DetectorResult &extra = both.detections[1];
-    EXPECT_EQ(extra.kmeans.elbow_k, alone.kmeans.elbow_k);
-    EXPECT_EQ(extra.kmeans.ssd_curve, alone.kmeans.ssd_curve);
+    const KMeansSweep &solo_kmeans = alone.detections[0].kmeans;
+    EXPECT_EQ(extra.kmeans.elbow_k, solo_kmeans.elbow_k);
+    EXPECT_EQ(extra.kmeans.ssd_curve, solo_kmeans.ssd_curve);
     EXPECT_EQ(extra.phases.size(), alone.phases.size());
     EXPECT_DOUBLE_EQ(extra.top3_coverage, alone.top3_coverage);
 }
@@ -142,9 +145,15 @@ class StubDetector final : public PhaseDetector
 
     bool needsFeatures() const override { return false; }
 
+    void observeSteps(const std::vector<StepDelta> &) override {}
+
+    void reset() override {}
+
+    StreamingSnapshot snapshot() const override { return {}; }
+
     DetectorResult
-    detect(const StepTable &, const FeatureMatrix *,
-           const AnalyzerOptions &, ThreadPool *) const override
+    finalize(const StepTable &, const FeatureMatrix *,
+             const AnalyzerOptions &, ThreadPool *) override
     {
         ++*call_count;
         DetectorResult out;
@@ -159,7 +168,11 @@ class StubDetector final : public PhaseDetector
 TEST(DetectorTest, CustomDetectorReplacesAndRestores)
 {
     int calls = 0;
-    registerPhaseDetector(std::make_unique<StubDetector>(&calls));
+    registerDetector(PhaseAlgorithm::Dbscan,
+                     [&calls](const AnalyzerOptions &) {
+                         return std::make_unique<StubDetector>(
+                             &calls);
+                     });
     EXPECT_STREQ(detectorFor(PhaseAlgorithm::Dbscan).name(),
                  "stub");
 
@@ -172,8 +185,7 @@ TEST(DetectorTest, CustomDetectorReplacesAndRestores)
 
     // Restore the builtin so later suites in this binary see the
     // real algorithm again.
-    registerPhaseDetector(
-        makeBuiltinDetector(PhaseAlgorithm::Dbscan));
+    registerDetector(PhaseAlgorithm::Dbscan, nullptr);
     const AnalysisResult real =
         TpuPointAnalyzer(options).analyze(syntheticRecords());
     EXPECT_EQ(calls, 1);

@@ -1,11 +1,11 @@
 /**
- * @file The incremental phase-detection layer (analyzer/streaming):
- * the determinism contract (snapshots are a pure function of the
+ * @file Incremental phase detection (analyzer/detector): the
+ * determinism contract (snapshots are a pure function of the
  * settled prefix, never of how it was chunked across ingests), the
  * seeded reservoir, rewind handling across attempt stitches,
- * streaming-vs-batch finalize agreement, the batch-fallback adapter
- * for DBSCAN, the registry override hook, and partialResult()'s
- * staleness accounting.
+ * streaming-vs-batch finalize agreement, DBSCAN's empty snapshots,
+ * the registry override hook, and partialResult()'s staleness
+ * accounting.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,8 @@
 
 #include "analyzer/analyzer.hh"
 #include "analyzer/detector.hh"
-#include "analyzer/streaming.hh"
+#include "core/rng.hh"
+#include "core/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "tests/analyzer/synthetic.hh"
 
@@ -323,7 +324,7 @@ TEST(StreamingTest, StreamStepHistogramRecordsFeeds)
 }
 
 /** A registry-override detector that stamps a marker phase. */
-class MarkerDetector final : public StreamingDetector
+class MarkerDetector final : public PhaseDetector
 {
   public:
     PhaseAlgorithm
@@ -333,6 +334,8 @@ class MarkerDetector final : public StreamingDetector
     }
 
     const char *name() const override { return "marker"; }
+
+    bool needsFeatures() const override { return false; }
 
     void
     observeSteps(const std::vector<StepDelta> &deltas) override
@@ -356,23 +359,28 @@ class MarkerDetector final : public StreamingDetector
     }
 
     DetectorResult
-    finalize(const StepTable &table, const FeatureMatrix *features,
-             const AnalyzerOptions &options,
-             ThreadPool *pool) override
+    finalize(const StepTable &, const FeatureMatrix *,
+             const AnalyzerOptions &, ThreadPool *) override
     {
-        return detectorFor(PhaseAlgorithm::KMeans)
-            .detect(table, features, options, pool);
+        DetectorResult out;
+        out.algorithm = PhaseAlgorithm::KMeans;
+        Phase marker;
+        marker.id = 424242;
+        out.phases.push_back(marker);
+        return out;
     }
 
   private:
     std::uint64_t observed = 0;
 };
 
-// registerStreamingDetector interposes on sessions created while
-// the override is live; a null factory restores the builtin.
+// registerDetector interposes on sessions created while the
+// override is live — one registration serves both the streaming
+// snapshot and finalize, batch sessions included; a null factory
+// restores the builtin.
 TEST(StreamingTest, RegistryOverrideInterposesAndRestores)
 {
-    registerStreamingDetector(
+    registerDetector(
         PhaseAlgorithm::KMeans, [](const AnalyzerOptions &) {
             return std::make_unique<MarkerDetector>();
         });
@@ -384,16 +392,217 @@ TEST(StreamingTest, RegistryOverrideInterposesAndRestores)
         ASSERT_EQ(partial.snapshots.size(), 1u);
         ASSERT_EQ(partial.snapshots[0].phases.size(), 1u);
         EXPECT_EQ(partial.snapshots[0].phases[0].id, 424242);
-        // finalize still routes through the batch detector.
         const AnalysisResult result = session.finalize();
-        EXPECT_FALSE(result.phases.empty());
+        ASSERT_EQ(result.phases.size(), 1u);
+        EXPECT_EQ(result.phases[0].id, 424242);
+
+        AnalyzerOptions batch_opts;
+        batch_opts.algorithm = PhaseAlgorithm::KMeans;
+        AnalysisSession batch = ingestChunked(batch_opts, steps, 8);
+        const AnalysisResult batch_result = batch.finalize();
+        ASSERT_EQ(batch_result.phases.size(), 1u);
+        EXPECT_EQ(batch_result.phases[0].id, 424242);
     }
-    registerStreamingDetector(PhaseAlgorithm::KMeans, nullptr);
+    registerDetector(PhaseAlgorithm::KMeans, nullptr);
     AnalysisSession session = ingestChunked(
         streamingOptions(PhaseAlgorithm::KMeans), steps, 8);
     const PartialResult partial = session.partialResult();
     ASSERT_EQ(partial.snapshots.size(), 1u);
     EXPECT_TRUE(partial.snapshots[0].sampled);
+}
+
+/**
+ * A seeded random run: segments of 3..14 steps, each drawn from
+ * one of four random op-set templates, with jittered spans — so
+ * the detectors see recurring phases of uneven length.
+ */
+std::vector<StepStats>
+randomRun(Rng &rng)
+{
+    const std::vector<std::string> op_pool{
+        "fusion", "MatMul", "Reshape", "all-reduce", "Conv2D",
+        "InfeedDequeueTuple", "OutfeedEnqueueTuple", "Softmax",
+        "BiasAdd", "Transpose"};
+    std::vector<std::vector<std::string>> templates(4);
+    for (auto &ops : templates) {
+        for (const std::string &op : op_pool) {
+            if (rng.bernoulli(0.4))
+                ops.push_back(op);
+        }
+    }
+    const std::size_t length = 40 + rng.nextBounded(50);
+    std::vector<StepStats> steps;
+    while (steps.size() < length) {
+        const auto &ops = templates[rng.nextBounded(4)];
+        const std::size_t run = 3 + rng.nextBounded(12);
+        for (std::size_t i = 0; i < run && steps.size() < length;
+             ++i) {
+            steps.push_back(testutil::makeStep(
+                steps.size(), ops, {"RunGraph"},
+                (80 + rng.nextBounded(40)) * kUsec));
+        }
+    }
+    return steps;
+}
+
+/** @p steps as records of 1..9 steps each, in attempt @p attempt. */
+void
+appendChunked(Rng &rng, const std::vector<StepStats> &steps,
+              std::size_t begin, std::size_t end,
+              std::uint32_t attempt, std::vector<ProfileRecord> *out)
+{
+    while (begin < end) {
+        const std::size_t stop =
+            std::min(end, begin + 1 + rng.nextBounded(9));
+        ProfileRecord record = testutil::makeRecord(
+            {steps.begin() + static_cast<std::ptrdiff_t>(begin),
+             steps.begin() + static_cast<std::ptrdiff_t>(stop)},
+            out->size());
+        record.attempt = attempt;
+        out->push_back(std::move(record));
+        begin = stop;
+    }
+}
+
+/**
+ * Random chunking of @p steps, and in half the cases an attempt
+ * stitch: attempt 0 dies at a random step, attempt 1 resumes up to
+ * ten steps earlier and replays to the end.
+ */
+std::vector<ProfileRecord>
+randomRecords(Rng &rng, const std::vector<StepStats> &steps)
+{
+    std::vector<ProfileRecord> records;
+    if (!rng.bernoulli(0.5)) {
+        appendChunked(rng, steps, 0, steps.size(), 0, &records);
+        return records;
+    }
+    const std::size_t died =
+        10 + rng.nextBounded(steps.size() - 15);
+    const std::size_t resume = died - rng.nextBounded(11);
+    appendChunked(rng, steps, 0, died + 1, 0, &records);
+    ProfileRecord boundary;
+    boundary.sequence = records.size();
+    boundary.attempt = 1;
+    boundary.attempt_boundary = true;
+    boundary.preempted_at_step = died;
+    boundary.resume_step = resume;
+    boundary.window_begin = steps[died].end;
+    boundary.window_end = steps[died].end;
+    records.push_back(boundary);
+    appendChunked(rng, steps, resume, steps.size(), 1, &records);
+    return records;
+}
+
+/** Every field of two detector results, doubles bit for bit. */
+void
+expectIdenticalDetection(const DetectorResult &a,
+                         const DetectorResult &b)
+{
+    expectSameDetection(a, b);
+    EXPECT_EQ(a.top3_coverage, b.top3_coverage);
+    for (std::size_t i = 0;
+         i < std::min(a.phases.size(), b.phases.size()); ++i) {
+        EXPECT_EQ(a.phases[i].host_ops.size(),
+                  b.phases[i].host_ops.size());
+        EXPECT_EQ(a.phases[i].tpu_ops.size(),
+                  b.phases[i].tpu_ops.size());
+    }
+    EXPECT_EQ(a.kmeans.k_values, b.kmeans.k_values);
+    EXPECT_EQ(a.kmeans.ssd_curve, b.kmeans.ssd_curve);
+    EXPECT_EQ(a.kmeans.elbow_k, b.kmeans.elbow_k);
+    EXPECT_EQ(a.kmeans.best.k, b.kmeans.best.k);
+    EXPECT_EQ(a.kmeans.best.labels, b.kmeans.best.labels);
+    EXPECT_EQ(a.kmeans.best.centroids, b.kmeans.best.centroids);
+    EXPECT_EQ(a.kmeans.best.ssd, b.kmeans.best.ssd);
+    EXPECT_EQ(a.kmeans.best.iterations, b.kmeans.best.iterations);
+    EXPECT_EQ(a.dbscan.min_samples_values,
+              b.dbscan.min_samples_values);
+    EXPECT_EQ(a.dbscan.noise_curve, b.dbscan.noise_curve);
+    EXPECT_EQ(a.dbscan.cluster_counts, b.dbscan.cluster_counts);
+    EXPECT_EQ(a.dbscan.elbow_min_samples, b.dbscan.elbow_min_samples);
+    EXPECT_EQ(a.dbscan.best.labels, b.dbscan.best.labels);
+    EXPECT_EQ(a.dbscan.best.clusters, b.dbscan.best.clusters);
+    EXPECT_EQ(a.dbscan.best.noise_points, b.dbscan.best.noise_points);
+    EXPECT_EQ(a.dbscan.best.noise_ratio, b.dbscan.best.noise_ratio);
+    EXPECT_EQ(a.dbscan.best.eps, b.dbscan.best.eps);
+    EXPECT_EQ(a.dbscan.best.min_samples, b.dbscan.best.min_samples);
+    for (std::size_t i = 0;
+         i < std::min(a.ols_groups.size(), b.ols_groups.size());
+         ++i) {
+        ASSERT_EQ(a.ols_groups[i].spans.size(),
+                  b.ols_groups[i].spans.size());
+        for (std::size_t j = 0; j < a.ols_groups[i].spans.size();
+             ++j) {
+            EXPECT_EQ(a.ols_groups[i].spans[j].first_step,
+                      b.ols_groups[i].spans[j].first_step);
+            EXPECT_EQ(a.ols_groups[i].spans[j].steps,
+                      b.ols_groups[i].spans[j].steps);
+        }
+    }
+}
+
+// Property: over seeded random runs, chunkings and attempt
+// stitches, a streamed-then-finalized session, a batch session
+// (nothing observed) and a fresh detector finalized with no pool
+// all produce the same DetectorResult, for every algorithm and on
+// pools of 2 and 8 workers.
+TEST(StreamingTest, StreamedFinalizeEqualsBatchProperty)
+{
+    ThreadPool pool2(2);
+    ThreadPool pool8(8);
+    Rng rng(0x5354524dULL); // "STRM"
+    for (int trial = 0; trial < 10; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const std::vector<StepStats> steps = randomRun(rng);
+        const std::vector<ProfileRecord> records =
+            randomRecords(rng, steps);
+        for (const PhaseAlgorithm algorithm :
+             {PhaseAlgorithm::OnlineLinearScan,
+              PhaseAlgorithm::KMeans, PhaseAlgorithm::Dbscan}) {
+            SCOPED_TRACE(phaseAlgorithmName(algorithm));
+            AnalyzerOptions batch_opts;
+            batch_opts.algorithm = algorithm;
+            AnalyzerOptions stream_opts = batch_opts;
+            stream_opts.streaming = true;
+
+            // The reference: the batch table, finalized by a
+            // fresh detector on no pool at all.
+            AnalysisSession reference_session(batch_opts);
+            for (const ProfileRecord &record : records)
+                reference_session.ingest(record);
+            const AnalysisResult reference_result =
+                reference_session.finalize();
+            const StepTable &table = reference_result.table;
+            ASSERT_GT(table.size(), 0u);
+            const FeatureMatrix features =
+                FeatureMatrix::build(table, batch_opts.features);
+            const DetectorResult reference =
+                detectorFor(algorithm)
+                    .make(batch_opts)
+                    ->finalize(table, &features, batch_opts,
+                               nullptr);
+            expectIdenticalDetection(
+                reference_result.detections[0], reference);
+
+            for (ThreadPool *pool : {&pool2, &pool8}) {
+                SCOPED_TRACE("workers " +
+                             std::to_string(pool->workers()));
+                AnalysisSession batch(batch_opts);
+                AnalysisSession streamed(stream_opts);
+                for (const ProfileRecord &record : records) {
+                    batch.ingest(record);
+                    streamed.ingest(record);
+                }
+                expectIdenticalDetection(
+                    batch.finalize({}, *pool).detections[0],
+                    reference);
+                expectIdenticalDetection(
+                    streamed.finalize({}, *pool).detections[0],
+                    reference);
+            }
+        }
+    }
 }
 
 } // namespace

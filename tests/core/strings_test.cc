@@ -122,6 +122,30 @@ TEST(StringsTest, ParseInt64AcceptsOnlyWholeIntegers)
     EXPECT_EQ(value, 123);
 }
 
+TEST(StringsTest, ParseDoubleAcceptsOnlyWholeFiniteNumbers)
+{
+    double value = 0.0;
+    EXPECT_TRUE(parseDouble("0.7", &value));
+    EXPECT_EQ(value, 0.7);
+    EXPECT_TRUE(parseDouble("-2", &value));
+    EXPECT_EQ(value, -2.0);
+    EXPECT_TRUE(parseDouble("1e-3", &value));
+    EXPECT_EQ(value, 1e-3);
+
+    // Failures leave the value untouched.
+    value = 4.5;
+    EXPECT_FALSE(parseDouble("", &value));
+    EXPECT_FALSE(parseDouble("banana", &value));
+    EXPECT_FALSE(parseDouble("0.7x", &value)); // Trailing junk.
+    EXPECT_FALSE(parseDouble(" 0.7", &value)); // No silent trim.
+    EXPECT_FALSE(parseDouble("+1", &value));
+    EXPECT_FALSE(parseDouble("0x1p3", &value));
+    EXPECT_FALSE(parseDouble("nan", &value));
+    EXPECT_FALSE(parseDouble("inf", &value));
+    EXPECT_FALSE(parseDouble("1e999", &value)); // Overflow.
+    EXPECT_EQ(value, 4.5);
+}
+
 TEST(StringsTest, ParseUint64RejectsSignsAndOverflow)
 {
     std::uint64_t value = 0;

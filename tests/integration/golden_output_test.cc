@@ -325,13 +325,13 @@ TEST(GoldenOutput, StreamingAgreementAcrossTableIWorkloads)
             const PartialResult fin = session.partialResult();
             EXPECT_EQ(fin.steps_behind, 0u);
             const StreamingSnapshot &ols = fin.snapshots[0];
-            ASSERT_EQ(ols.phases.size(), batch.ols_groups.size());
+            const auto &groups = batch.detections[0].ols_groups;
+            ASSERT_EQ(ols.phases.size(), groups.size());
             for (std::size_t i = 0; i < ols.phases.size(); ++i) {
-                EXPECT_EQ(ols.phases[i].steps,
-                          batch.ols_groups[i].steps)
+                EXPECT_EQ(ols.phases[i].steps, groups[i].steps)
                     << "OLS phase " << i;
                 EXPECT_EQ(ols.phases[i].duration,
-                          batch.ols_groups[i].duration)
+                          groups[i].duration)
                     << "OLS phase " << i;
             }
             const StreamingSnapshot &kmeans = fin.snapshots[1];

@@ -69,12 +69,15 @@ expectIdentical(const AnalysisResult &a, const AnalysisResult &b)
     // bit-identical, and any cross-thread reduction would break
     // it.
     EXPECT_EQ(a.top3_coverage, b.top3_coverage);
-    EXPECT_EQ(a.kmeans.ssd_curve, b.kmeans.ssd_curve);
-    EXPECT_EQ(a.kmeans.elbow_k, b.kmeans.elbow_k);
-    EXPECT_EQ(a.kmeans.best.labels, b.kmeans.best.labels);
-    EXPECT_EQ(a.kmeans.best.ssd, b.kmeans.best.ssd);
-
     ASSERT_EQ(a.detections.size(), b.detections.size());
+    ASSERT_FALSE(a.detections.empty());
+    const KMeansSweep &ka = a.detections[0].kmeans;
+    const KMeansSweep &kb = b.detections[0].kmeans;
+    EXPECT_EQ(ka.ssd_curve, kb.ssd_curve);
+    EXPECT_EQ(ka.elbow_k, kb.elbow_k);
+    EXPECT_EQ(ka.best.labels, kb.best.labels);
+    EXPECT_EQ(ka.best.ssd, kb.best.ssd);
+
     for (std::size_t i = 0; i < a.detections.size(); ++i) {
         const DetectorResult &da = a.detections[i];
         const DetectorResult &db = b.detections[i];

@@ -23,7 +23,11 @@ namespace {
 std::atomic<std::uint64_t> allocation_count{0};
 }
 
-void *
+// The replaced pair stays out of line, and every other form
+// forwards to it: once malloc/free inline into a caller,
+// sanitizer-instrumented GCC builds see them paired with
+// new/delete expressions and report -Wmismatched-new-delete.
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     allocation_count.fetch_add(1, std::memory_order_relaxed);
@@ -38,7 +42,7 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
@@ -47,19 +51,19 @@ operator delete(void *p) noexcept
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    ::operator delete(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    ::operator delete(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    ::operator delete(p);
 }
 
 namespace tpupoint {

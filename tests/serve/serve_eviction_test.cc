@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -36,6 +38,20 @@
 namespace {
 std::atomic<std::uint64_t> live_bytes{0};
 constexpr std::size_t kPrefix = alignof(std::max_align_t);
+
+/**
+ * The malloc'd block behind a pointer our operator new returned.
+ * The round trip through an integer hides the arithmetic from
+ * GCC's allocation tracking, which would otherwise see free()
+ * applied to a pointer that came from operator new once the pair
+ * inlines (-Wmismatched-new-delete).
+ */
+void *
+blockOf(void *p)
+{
+    return reinterpret_cast<void *>(
+        reinterpret_cast<std::uintptr_t>(p) - kPrefix);
+}
 } // namespace
 
 void *
@@ -60,7 +76,7 @@ operator delete(void *p) noexcept
 {
     if (!p)
         return;
-    void *raw = static_cast<char *>(p) - kPrefix;
+    void *raw = blockOf(p);
     live_bytes.fetch_sub(*static_cast<std::size_t *>(raw),
                          std::memory_order_relaxed);
     std::free(raw);

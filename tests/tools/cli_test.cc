@@ -392,6 +392,45 @@ TEST(CliTest, NumericFlagsRejectGarbage)
               std::string::npos);
 }
 
+// Float flags get the same strict parse: garbage, trailing junk,
+// nan/inf and out-of-range values exit 2 with a clear message
+// instead of running at threshold 0 or with faults silently off.
+TEST(CliTest, FloatFlagsRejectGarbage)
+{
+    const char *bad_analyze[] = {
+        "--threshold banana", "--threshold 0.7x",
+        "--threshold nan", "--threshold 1.5", "--threshold -0.1",
+        "--threshold ' 0.5'"};
+    for (const char *flags : bad_analyze) {
+        const auto result =
+            run(std::string(TPUPOINT_ANALYZE_BIN) + " " +
+                tempPath("never_read.tpp") + " " + flags);
+        EXPECT_EQ(result.exit_code, 2) << flags;
+        EXPECT_NE(result.output.find("wants a number"),
+                  std::string::npos)
+            << flags << " said: " << result.output;
+    }
+
+    // --steps 1 keeps a wrongly accepted flag from running long.
+    const char *bad_profile[] = {
+        "--scale banana", "--scale 0.05x", "--scale nan",
+        "--scale -1", "--fault-error-rate banana",
+        "--fault-error-rate nan", "--fault-error-rate 1.5",
+        "--preempt-rate 3junk", "--preempt-rate -1",
+        "--preempt-rate inf", "--preempt-at soon",
+        "--preempt-at -2", "--preempt-at 1e999"};
+    for (const char *flags : bad_profile) {
+        const auto result =
+            run(std::string(TPUPOINT_PROFILE_BIN) + " " + flags +
+                " --steps 1 --out " +
+                tempPath("never_written.tpp"));
+        EXPECT_EQ(result.exit_code, 2) << flags;
+        EXPECT_NE(result.output.find("wants a number"),
+                  std::string::npos)
+            << flags << " said: " << result.output;
+    }
+}
+
 TEST(CliTest, ServeQueryRejectsUnknownSectionAndMissingStatus)
 {
     const auto unknown = run(std::string(TPUPOINT_SERVE_BIN) +

@@ -243,6 +243,29 @@ parseUint(const char *flag, const char *text, std::uint64_t max,
 }
 
 /**
+ * Checked CLI number parse: the whole of @p text must be one finite
+ * decimal number in [@p min, @p max] (@p max may be infinity). On
+ * failure prints "FLAG wants a number in [min, max], got 'text'"
+ * to stderr and returns false — `--threshold banana` is a
+ * diagnosed error, never a silent zero.
+ */
+inline bool
+parseDouble(const char *flag, const char *text, double min,
+            double max, double *value)
+{
+    double parsed = 0.0;
+    if (!tpupoint::parseDouble(text, &parsed) || parsed < min ||
+        parsed > max) {
+        std::fprintf(stderr,
+                     "%s wants a number in [%g, %g], got '%s'\n",
+                     flag, min, max, text);
+        return false;
+    }
+    *value = parsed;
+    return true;
+}
+
+/**
  * Register the standard `--threads N` knob on @p parser, storing
  * into @p threads: 0 (the conventional default) resolves through
  * TPUPOINT_THREADS / hardware concurrency at pool construction,

@@ -80,8 +80,9 @@ main(int argc, char **argv)
     parser.option("--threshold", "F",
                   "OLS similarity threshold (default 0.70)",
                   [&](const char *value) {
-                      options.ols_threshold = std::atof(value);
-                      return true;
+                      return cli::parseDouble(
+                          "--threshold", value, 0.0, 1.0,
+                          &options.ols_threshold);
                   });
     parser.option("--k", "N",
                   "fixed k for k-means (default: 1..15 sweep)",

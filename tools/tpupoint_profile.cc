@@ -79,10 +79,13 @@ main(int argc, char **argv)
             return true;
         };
     };
-    const auto double_into = [](double *into) {
-        return [into](const char *value) {
-            *into = std::atof(value);
-            return true;
+    // Every float flag here is a non-negative quantity.
+    constexpr double kUnbounded =
+        std::numeric_limits<double>::infinity();
+    const auto double_into = [](const char *flag, double max,
+                                double *into) {
+        return [flag, max, into](const char *value) {
+            return cli::parseDouble(flag, value, 0.0, max, into);
         };
     };
     const auto u64_into = [](const char *flag,
@@ -103,14 +106,15 @@ main(int argc, char **argv)
                   string_into(&tpu));
     parser.option("--scale", "F",
                   "step-scale factor (default 0.05)",
-                  double_into(&scale));
+                  double_into("--scale", kUnbounded, &scale));
     parser.option("--steps", "N",
                   "hard cap on train steps (default none)",
                   u64_into("--steps", &max_steps));
     parser.option("--fault-error-rate", "F",
                   "storage transient-error probability per "
                   "transfer (default 0)",
-                  double_into(&fault_error_rate));
+                  double_into("--fault-error-rate", 1.0,
+                              &fault_error_rate));
     parser.option("--fault-seed", "N",
                   "fault-plan seed (default: session seed)",
                   u64_into("--fault-seed", &fault_seed));
@@ -118,13 +122,18 @@ main(int argc, char **argv)
                   "device interruption at S simulated seconds "
                   "(repeatable)",
                   [&preempt_at](const char *value) {
-                      preempt_at.push_back(std::atof(value));
+                      double at = 0.0;
+                      if (!cli::parseDouble("--preempt-at", value,
+                                            0.0, kUnbounded, &at))
+                          return false;
+                      preempt_at.push_back(at);
                       return true;
                   });
     parser.option("--preempt-rate", "F",
                   "Poisson interruptions per simulated hour "
                   "(default 0)",
-                  double_into(&preempt_rate));
+                  double_into("--preempt-rate", kUnbounded,
+                              &preempt_rate));
     parser.option("--preempt-seed", "N",
                   "preemption-plan seed (default: session seed)",
                   u64_into("--preempt-seed", &preempt_seed));
@@ -180,20 +189,9 @@ main(int argc, char **argv)
                                 : TpuDeviceSpec::v2();
     if (naive)
         config.pipeline = PipelineConfig::naive();
-    if (fault_error_rate < 0 || fault_error_rate > 1) {
-        std::fprintf(stderr,
-                     "error: --fault-error-rate must be in "
-                     "[0, 1]\n");
-        return 2;
-    }
     if (fault_error_rate > 0) {
         config.faults = FaultSpec::uniform(fault_error_rate);
         config.faults.seed = fault_seed;
-    }
-    if (preempt_rate < 0) {
-        std::fprintf(stderr,
-                     "error: --preempt-rate must be >= 0\n");
-        return 2;
     }
     if (max_attempts < 1) {
         std::fprintf(stderr,
@@ -201,11 +199,6 @@ main(int argc, char **argv)
         return 2;
     }
     for (double at : preempt_at) {
-        if (at < 0) {
-            std::fprintf(stderr,
-                         "error: --preempt-at must be >= 0\n");
-            return 2;
-        }
         config.preemption.events.push_back(
             {static_cast<SimTime>(at * kSec),
              PreemptionKind::Eviction});
