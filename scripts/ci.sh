@@ -55,6 +55,15 @@ smoke_suite() {
             return 1
         }
     done
+    # Profile bytes must not move: the default bert-mrpc profile is
+    # compared against the committed golden container.
+    echo "== smoke: bert-mrpc profile matches its golden bytes"
+    "${build_dir}/tools/tpupoint-profile" --workload bert-mrpc \
+        --out "${work}/mrpc.tpp" > /dev/null
+    cmp "${work}/mrpc.tpp" tests/golden/profile_bert_mrpc.tpp || {
+        echo "smoke: bert-mrpc profile bytes moved" >&2
+        return 1
+    }
     # Salvage path: truncate a multi-chunk profile mid-stream and
     # analyze what survives. Runs in every suite, so the ASan
     # build walks the damaged-chunk recovery and resynchronization

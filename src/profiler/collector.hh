@@ -12,6 +12,9 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "proto/event.hh"
@@ -25,6 +28,17 @@ namespace tpupoint {
  * profile window. Enforces the transport caps: once a window holds
  * 1,000,000 events or spans 60 s, further events are dropped and
  * the harvested record is flagged truncated.
+ *
+ * The per-event fold works on integers only. Each distinct label
+ * text gets a dense id the first time it is seen, and a small
+ * pointer-keyed cache maps every label pointer to that id, so an
+ * event costs one pointer-hash probe plus a few adds into the
+ * step's id-indexed counters. The name-keyed `StepStats` maps are
+ * built once per window, in harvest().
+ *
+ * Labels are interned strings: a `TraceEvent::type` pointer must
+ * keep the same text for the collector's lifetime. The same text
+ * at two addresses still folds into one entry.
  */
 class StatsCollector : public TraceSink
 {
@@ -32,13 +46,30 @@ class StatsCollector : public TraceSink
     /** Begin the first window at @p start. */
     explicit StatsCollector(SimTime start = 0);
 
+    /** Move-only: the last-step cache points into the step map. */
+    StatsCollector(StatsCollector &&) = default;
+    StatsCollector &operator=(StatsCollector &&) = default;
+
+    /**
+     * Fold one event into the current window.
+     * Panics on an event with no type label (a null `type`).
+     */
     void record(const TraceEvent &event) override;
 
     /**
      * Close the current window and return its record; a fresh
-     * window begins at @p window_end.
+     * window begins at @p window_end. Flushes the accepted-event
+     * count into `profiler.events_accepted`.
      */
     ProfileRecord harvest(SimTime window_end);
+
+    /**
+     * Add the events accepted since the last flush to the
+     * `profiler.events_accepted` counter. The per-event path does
+     * not touch the counter; harvest() flushes, and an owner that
+     * abandons a window without harvesting it must flush first.
+     */
+    void flushMetrics();
 
     /** Events accepted into the current window. */
     std::uint64_t eventsInWindow() const { return events; }
@@ -53,20 +84,59 @@ class StatsCollector : public TraceSink
     SimTime windowBegin() const { return window_begin; }
 
   private:
-    std::map<StepId, StepStats> steps;
+    /** Label flags, computed once per distinct label text and
+     * applied per step at harvest. */
+    enum LabelFlag : std::uint8_t
+    {
+        kTpuIdle = 1,      ///< Infeed/Outfeed: TPU idle, not busy.
+        kStorageRetry = 2, ///< A retried storage transfer.
+    };
+
+    /** One pointer-cache slot; an empty slot has a null key. */
+    struct LabelSlot
+    {
+        const char *key = nullptr;
+        std::uint32_t id = 0;
+    };
+
+    /** One step's running totals. `ops[2 * id]` holds label id's
+     * host statistics and `ops[2 * id + 1]` its TPU statistics. */
+    struct StepAccumulator
+    {
+        SimTime begin = kTimeForever;
+        SimTime end = 0;
+        SimTime mxu_active = 0;
+        std::vector<OpStats> ops;
+    };
+
+    std::uint32_t lookupLabel(const char *type);
+    std::uint32_t internLabel(const char *type);
+    StepAccumulator &accumulatorFor(StepId step);
+    void reject(const TraceEvent &event, const char *why);
+    const std::vector<std::uint32_t> &idsByName();
+
+    std::vector<LabelSlot> label_cache; ///< Power-of-two slots.
+    std::size_t label_cache_used = 0;
+    std::vector<std::string> label_names;  ///< Text, by id.
+    std::vector<std::uint8_t> label_flags; ///< LabelFlag bits, by id.
+    std::unordered_map<std::string, std::uint32_t> label_ids;
+    std::vector<std::uint32_t> sorted_ids; ///< Ids in name order.
+
+    std::map<StepId, StepAccumulator> steps;
+    StepId cached_step = kNoStep;
+    StepAccumulator *cached_accumulator = nullptr;
+
     SimTime window_begin;
     std::uint64_t events = 0;
+    std::uint64_t events_flushed = 0; ///< Already in the counter.
     std::uint64_t dropped = 0;
     std::uint64_t sequence = 0;
     bool truncated = false;
     StepId latest_step = 0;
-    std::uint64_t retry_events = 0;
-    SimTime retry_time = 0;
 
-    /** Registry counters, resolved once so the per-event path is a
-     * relaxed atomic increment with no registry lookup. Pointers
-     * (not references) keep the collector assignable — the profiler
-     * replaces its collector at every start(). */
+    /** Registry counters, resolved once. Pointers (not references)
+     * keep the collector assignable — the profiler replaces its
+     * collector at every start(). */
     obs::Counter *accepted_metric;
     obs::Counter *dropped_metric;
 };

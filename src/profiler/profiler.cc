@@ -18,6 +18,9 @@ TpuPointProfiler::TpuPointProfiler(Simulator &simulator,
 TpuPointProfiler::~TpuPointProfiler()
 {
     if (active) {
+        // The window is abandoned unharvested; its accepted events
+        // still count.
+        collector.flushMetrics();
         // Detach cleanly; the session may outlive the profiler.
         session.traceHub().attach(nullptr);
         session.tpu().setTraceOverhead(0);

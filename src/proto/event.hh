@@ -25,7 +25,9 @@ enum class EventDevice : std::uint8_t { Host, Tpu };
  */
 struct TraceEvent
 {
-    const char *type = nullptr; ///< Interned op-type label.
+    /** Interned op-type label: the pointer must keep its text for
+     * as long as any sink may see it (sinks key on the pointer). */
+    const char *type = nullptr;
     SimTime start = 0;          ///< Start timestamp.
     SimTime duration = 0;       ///< Elapsed simulated time.
     StepId step = kNoStep;      ///< Global step, kNoStep if outside.

@@ -2,33 +2,9 @@
 
 #include <algorithm>
 
-#include <string_view>
-
 #include "core/logging.hh"
-#include "graph/op.hh"
 
 namespace tpupoint {
-
-void
-StepStats::add(const TraceEvent &event)
-{
-    begin = std::min(begin, event.start);
-    end = std::max(end, event.end());
-    OpStatsMap &ops =
-        event.device == EventDevice::Host ? host_ops : tpu_ops;
-    ops[event.type].add(event.duration);
-    if (event.device == EventDevice::Tpu) {
-        tpu_busy += event.duration;
-        mxu_active += event.mxu_active;
-        if (event.type ==
-            std::string_view(opKindName(OpKind::Infeed)) ||
-            event.type ==
-            std::string_view(opKindName(OpKind::Outfeed))) {
-            tpu_idle += event.duration;
-            tpu_busy -= event.duration;
-        }
-    }
-}
 
 void
 StepStats::merge(const StepStats &other)

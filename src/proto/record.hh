@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/types.hh"
-#include "proto/event.hh"
 
 namespace tpupoint {
 
@@ -66,9 +65,6 @@ struct StepStats
      * marked.
      */
     bool replayed = false;
-
-    /** Fold one event into the summary. */
-    void add(const TraceEvent &event);
 
     /** Merge a step summary for the same step id. */
     void merge(const StepStats &other);

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/metrics.hh"
 #include "profiler/profiler.hh"
 #include "proto/serialize.hh"
 #include "workloads/catalog.hh"
@@ -226,6 +227,78 @@ TEST(ProfilerTest, StopDetachesInstrumentation)
     profiler.stop();
     EXPECT_EQ(session.traceHub().attached(), nullptr);
     EXPECT_EQ(session.tpu().traceOverhead(), 0);
+}
+
+/** Events accepted into the process-wide counter so far. */
+std::uint64_t
+acceptedCount()
+{
+    return obs::MetricsRegistry::global()
+        .counter("profiler.events_accepted")
+        .value();
+}
+
+TEST(ProfilerTest, AcceptedCounterMatchesEventsAfterStop)
+{
+    Simulator sim;
+    const RuntimeWorkload w = smallWorkload();
+    TrainingSession session(sim, SessionConfig{}, w);
+    TpuPointProfiler profiler(sim, session);
+    const std::uint64_t before = acceptedCount();
+    profiler.start(true);
+    session.start(nullptr);
+    sim.run();
+    profiler.stop();
+    EXPECT_GT(session.traceHub().totalEvents(), 0u);
+    EXPECT_EQ(acceptedCount() - before,
+              session.traceHub().totalEvents());
+}
+
+TEST(ProfilerTest, AcceptedCounterMatchesEventsOverTwoCycles)
+{
+    Simulator sim;
+    const RuntimeWorkload w = smallWorkload(100);
+    TrainingSession session(sim, SessionConfig{}, w);
+    TpuPointProfiler profiler(sim, session);
+    const std::uint64_t before = acceptedCount();
+    // Profile two slices of the run with an unprofiled gap between
+    // (buffered: a stopped profiler's stream is sealed).
+    profiler.start(false);
+    session.start(nullptr);
+    sim.runUntil(300 * kMsec);
+    profiler.stop();
+    const std::uint64_t first = session.traceHub().totalEvents();
+    sim.runUntil(600 * kMsec);
+    const std::uint64_t gap =
+        session.traceHub().totalEvents() - first;
+    profiler.start(false);
+    sim.run();
+    profiler.stop();
+    EXPECT_GT(first, 0u);
+    EXPECT_GT(gap, 0u);
+    EXPECT_EQ(acceptedCount() - before,
+              session.traceHub().totalEvents() - gap);
+}
+
+TEST(ProfilerTest, AcceptedCounterFlushedWhenRunningProfilerDies)
+{
+    Simulator sim;
+    const RuntimeWorkload w = smallWorkload(100);
+    TrainingSession session(sim, SessionConfig{}, w);
+    const std::uint64_t before = acceptedCount();
+    {
+        ProfilerOptions options;
+        options.profile_interval = 10 * kSec; // no harvest yet
+        TpuPointProfiler profiler(sim, session, options);
+        profiler.start(true);
+        session.start(nullptr);
+        sim.runUntil(300 * kMsec);
+        EXPECT_EQ(profiler.requestsIssued(), 0u);
+        EXPECT_TRUE(profiler.running());
+    }
+    EXPECT_GT(session.traceHub().totalEvents(), 0u);
+    EXPECT_EQ(acceptedCount() - before,
+              session.traceHub().totalEvents());
 }
 
 TEST(ProfilerTest, BadIntervalRejected)

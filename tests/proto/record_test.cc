@@ -1,4 +1,4 @@
-/** @file Statistical record aggregation semantics. */
+/** @file Statistical record merge and summary semantics. */
 
 #include <gtest/gtest.h>
 
@@ -9,62 +9,27 @@
 namespace tpupoint {
 namespace {
 
-TraceEvent
-makeEvent(const char *type, SimTime start, SimTime duration,
-          StepId step, EventDevice device,
-          SimTime mxu_active = 0)
-{
-    TraceEvent e;
-    e.type = type;
-    e.start = start;
-    e.duration = duration;
-    e.step = step;
-    e.device = device;
-    e.mxu = mxu_active > 0;
-    e.mxu_active = mxu_active;
-    return e;
-}
-
-TEST(StepStatsTest, AccumulatesOpStatistics)
-{
-    StepStats s;
-    s.step = 4;
-    s.add(makeEvent("MatMul", 10, 5, 4, EventDevice::Tpu, 2));
-    s.add(makeEvent("MatMul", 20, 7, 4, EventDevice::Tpu, 3));
-    s.add(makeEvent("RunGraph", 0, 3, 4, EventDevice::Host));
-
-    EXPECT_EQ(s.tpu_ops.at("MatMul").count, 2u);
-    EXPECT_EQ(s.tpu_ops.at("MatMul").total_duration, 12);
-    EXPECT_EQ(s.host_ops.at("RunGraph").count, 1u);
-    EXPECT_EQ(s.tpu_busy, 12);
-    EXPECT_EQ(s.mxu_active, 5);
-    EXPECT_EQ(s.begin, 0);
-    EXPECT_EQ(s.end, 27);
-    EXPECT_EQ(s.span(), 27);
-}
-
-TEST(StepStatsTest, InfeedWaitCountsAsIdleNotBusy)
-{
-    StepStats s;
-    s.step = 1;
-    s.add(makeEvent("Infeed", 0, 100, 1, EventDevice::Tpu));
-    s.add(makeEvent("MatMul", 100, 50, 1, EventDevice::Tpu, 10));
-    EXPECT_EQ(s.tpu_idle, 100);
-    EXPECT_EQ(s.tpu_busy, 50);
-}
-
 TEST(StepStatsTest, MergeCombinesMaps)
 {
     StepStats a, b;
     a.step = b.step = 3;
-    a.add(makeEvent("MatMul", 0, 5, 3, EventDevice::Tpu, 1));
-    b.add(makeEvent("MatMul", 50, 7, 3, EventDevice::Tpu, 2));
-    b.add(makeEvent("Relu", 57, 1, 3, EventDevice::Tpu));
+    a.begin = 0;
+    a.end = 5;
+    a.tpu_ops["MatMul"].add(5);
+    a.tpu_busy = 5;
+    a.mxu_active = 1;
+    b.begin = 50;
+    b.end = 58;
+    b.tpu_ops["MatMul"].add(7);
+    b.tpu_ops["Relu"].add(1);
+    b.tpu_busy = 8;
+    b.mxu_active = 2;
     a.merge(b);
     EXPECT_EQ(a.tpu_ops.at("MatMul").count, 2u);
     EXPECT_EQ(a.tpu_ops.at("Relu").count, 1u);
     EXPECT_EQ(a.tpu_busy, 13);
     EXPECT_EQ(a.mxu_active, 3);
+    EXPECT_EQ(a.begin, 0);
     EXPECT_EQ(a.end, 58);
 }
 
@@ -80,9 +45,9 @@ TEST(StepStatsTest, OpSetIsPrefixedAndSorted)
 {
     StepStats s;
     s.step = 0;
-    s.add(makeEvent("MatMul", 0, 1, 0, EventDevice::Tpu));
-    s.add(makeEvent("RunGraph", 0, 1, 0, EventDevice::Host));
-    s.add(makeEvent("Relu", 0, 1, 0, EventDevice::Tpu));
+    s.tpu_ops["MatMul"].add(1);
+    s.host_ops["RunGraph"].add(1);
+    s.tpu_ops["Relu"].add(1);
     const auto set = s.opSet();
     ASSERT_EQ(set.size(), 3u);
     EXPECT_EQ(set[0], "host:RunGraph");
@@ -95,9 +60,9 @@ TEST(ProfileRecordTest, TotalOpCount)
     ProfileRecord record;
     StepStats s;
     s.step = 0;
-    s.add(makeEvent("MatMul", 0, 1, 0, EventDevice::Tpu));
-    s.add(makeEvent("MatMul", 1, 1, 0, EventDevice::Tpu));
-    s.add(makeEvent("RunGraph", 0, 1, 0, EventDevice::Host));
+    s.tpu_ops["MatMul"].add(1);
+    s.tpu_ops["MatMul"].add(1);
+    s.host_ops["RunGraph"].add(1);
     record.steps.push_back(s);
     EXPECT_EQ(record.totalOpCount(), 3u);
     record.window_begin = 10;
