@@ -43,13 +43,15 @@ cachedRecords()
 StepTable
 truncatedTable(std::size_t steps)
 {
-    const StepTable full = StepTable::fromRecords(cachedRecords());
-    // Rebuild a table with only the first `steps` rows by packing
-    // them into one synthetic record.
-    ProfileRecord record;
-    for (std::size_t i = 0; i < full.size() && i < steps; ++i)
-        record.steps.push_back(full.at(i));
-    return StepTable::fromRecords({record});
+    StepTableBuilder builder;
+    ColumnarRecord columnar;
+    for (const ProfileRecord &record : cachedRecords()) {
+        toColumnar(record, columnar);
+        builder.ingest(columnar);
+    }
+    if (steps > 0 && steps < builder.stepsAggregated())
+        builder.dropAfter(builder.rowStepId(steps - 1));
+    return std::move(builder).build();
 }
 
 void
@@ -92,8 +94,10 @@ BM_OnlineLinearScan(benchmark::State &state)
     std::size_t peak = 0;
     for (auto _ : state) {
         OnlineLinearScan ols;
-        for (const auto &step : table.steps())
-            ols.addStep(step);
+        for (std::size_t i = 0; i < table.size(); ++i)
+            ols.addStep(table.stepId(i), table.span(i),
+                        OnlineLinearScan::opKeys(table.hostOps(i),
+                                                 table.tpuOps(i)));
         ols.finish();
         peak = ols.peakStepsHeld();
         benchmark::DoNotOptimize(ols.phases().size());

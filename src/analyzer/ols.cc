@@ -10,28 +10,6 @@ namespace tpupoint {
 namespace {
 
 /**
- * Sorted operator-key set of a row-oriented step: intern each
- * label's name, tag the device side in the low bit, sort. Produces
- * the same set (up to the label <-> key bijection) as
- * StepStats::opSet().
- */
-std::vector<std::uint64_t>
-keysFromMaps(const StepStats &step)
-{
-    StringInterner &interner = StringInterner::global();
-    std::vector<std::uint64_t> keys;
-    keys.reserve(step.host_ops.size() + step.tpu_ops.size());
-    for (const auto &[name, stats] : step.host_ops)
-        keys.push_back(static_cast<std::uint64_t>(
-                           interner.intern(name)) << 1);
-    for (const auto &[name, stats] : step.tpu_ops)
-        keys.push_back((static_cast<std::uint64_t>(
-                            interner.intern(name)) << 1) | 1);
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
-
-/**
  * Materialize a key signature back into the sorted label strings
  * StepStats::opSet() would have produced ("host:" labels sort
  * before "tpu:" labels, names sorted within each side).
@@ -143,12 +121,6 @@ OnlineLinearScan::opKeys(OpStatsSpan host, OpStatsSpan tpu)
         keys.push_back(
             (static_cast<std::uint64_t>(tpu[j].op) << 1) | 1);
     return keys;
-}
-
-void
-OnlineLinearScan::addStep(const StepStats &step)
-{
-    addStep(step.step, step.span(), keysFromMaps(step));
 }
 
 void

@@ -63,13 +63,10 @@ class OnlineLinearScan
 
     explicit OnlineLinearScan(const OlsOptions &options = {});
 
-    /** Feed the next step (ascending step order). */
-    void addStep(const StepStats &step);
-
     /**
-     * Columnar fast path: feed the next step as its wall span plus
-     * its sorted operator-key set (see opKeys()). No strings are
-     * touched until a new phase group forms.
+     * Feed the next step (ascending step order) as its wall span
+     * plus its sorted operator-key set (see opKeys()). No strings
+     * are touched until a new phase group forms.
      */
     void addStep(StepId step, SimTime span,
                  std::vector<std::uint64_t> event_keys);

@@ -57,7 +57,7 @@ ProfileTraceWriter::metadataEvent(int tid, const char *label)
 }
 
 void
-ProfileTraceWriter::durationEvent(const std::string &name, int tid,
+ProfileTraceWriter::durationEvent(std::string_view name, int tid,
                                   SimTime start, SimTime duration,
                                   std::uint64_t count)
 {
@@ -79,24 +79,32 @@ ProfileTraceWriter::durationEvent(const std::string &name, int tid,
 }
 
 void
-ProfileTraceWriter::opRows(const StepStats &step,
-                           const OpStatsMap &ops, int tid)
+ProfileTraceWriter::opRows(SimTime begin, OpStatsSpan ops, int tid)
 {
+    // Entries are id-sorted; the trace lists them by name.
+    const StringInterner &interner = StringInterner::global();
+    named_ops.clear();
+    for (const ColumnarOpStats &entry : ops)
+        named_ops.emplace_back(interner.view(entry.op), &entry);
+    std::sort(named_ops.begin(), named_ops.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first < b.first;
+              });
     // Each operator's aggregate time becomes one slice; slices are
     // laid out head to tail from the step's start, so a step reads
     // as a flame row of its operator mix (aggregate durations, not
     // individual invocation times — the profiler only keeps
     // statistics).
-    SimTime cursor = step.begin;
-    for (const auto &[name, stats] : ops) {
-        durationEvent(name, tid, cursor, stats.total_duration,
-                      stats.count);
-        cursor += stats.total_duration;
+    SimTime cursor = begin;
+    for (const auto &[name, stats] : named_ops) {
+        durationEvent(name, tid, cursor, stats->total_duration,
+                      stats->count);
+        cursor += stats->total_duration;
     }
 }
 
 void
-ProfileTraceWriter::add(const ProfileRecord &record)
+ProfileTraceWriter::add(const ColumnarRecord &record)
 {
     if (finished)
         return;
@@ -154,18 +162,18 @@ ProfileTraceWriter::add(const ProfileRecord &record)
         }
     }
 
-    for (const auto &step : record.steps) {
-        if (step.step < opts.first_step ||
-            step.step > opts.last_step) {
+    for (std::size_t i = 0; i < record.stepCount(); ++i) {
+        const StepId step = record.step[i];
+        if (step < opts.first_step || step > opts.last_step) {
             ++filtered;
             continue;
         }
-        durationEvent("step " + std::to_string(step.step),
-                      kStepTrack, step.begin, step.span());
+        durationEvent("step " + std::to_string(step), kStepTrack,
+                      record.begin[i], record.stepSpan(i));
         if (!opts.include_ops)
             continue;
-        opRows(step, step.tpu_ops, kTpuTrack);
-        opRows(step, step.host_ops, kHostTrack);
+        opRows(record.begin[i], record.tpuOps(i), kTpuTrack);
+        opRows(record.begin[i], record.hostOps(i), kHostTrack);
     }
 }
 
@@ -178,17 +186,6 @@ ProfileTraceWriter::finish()
     json.endArray();
     json.field("displayTimeUnit", "ms");
     json.endObject();
-}
-
-void
-writeProfileTrace(const std::vector<ProfileRecord> &records,
-                  std::ostream &out,
-                  const ProfileTraceOptions &options)
-{
-    ProfileTraceWriter writer(out, options);
-    for (const auto &record : records)
-        writer.add(record);
-    writer.finish();
 }
 
 void

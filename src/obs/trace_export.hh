@@ -5,7 +5,7 @@
  * Cloud TPU stack feeds — chrome://tracing and Perfetto both load
  * the trace-event JSON produced here. Two sources share the format:
  *
- *  - ProfileTraceWriter turns a stream of ProfileRecords into
+ *  - ProfileTraceWriter turns a stream of decoded records into
  *    device/host tracks: one `X` duration event per per-step
  *    operator row, a step track, a profile-window track, counter
  *    tracks for idle/MXU, and an instant event at every
@@ -24,11 +24,13 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/json.hh"
 #include "obs/span.hh"
-#include "proto/record.hh"
+#include "proto/columnar.hh"
 
 namespace tpupoint {
 namespace obs {
@@ -69,8 +71,11 @@ class ProfileTraceWriter
 
     ~ProfileTraceWriter();
 
-    /** Export one record (window, steps, ops or boundary). */
-    void add(const ProfileRecord &record);
+    /**
+     * Export one record (window, steps, ops or boundary). Each
+     * step's op rows are emitted in name order.
+     */
+    void add(const ColumnarRecord &record);
 
     /** Close the trace document. Idempotent. */
     void finish();
@@ -86,11 +91,10 @@ class ProfileTraceWriter
 
   private:
     void metadataEvent(int tid, const char *label);
-    void durationEvent(const std::string &name, int tid,
+    void durationEvent(std::string_view name, int tid,
                        SimTime start, SimTime duration,
                        std::uint64_t count = 0);
-    void opRows(const StepStats &step, const OpStatsMap &ops,
-                int tid);
+    void opRows(SimTime begin, OpStatsSpan ops, int tid);
 
     std::ostream &stream;
     ProfileTraceOptions opts;
@@ -99,12 +103,11 @@ class ProfileTraceWriter
     std::uint64_t x_events = 0;
     std::uint64_t i_events = 0;
     std::uint64_t filtered = 0;
-};
 
-/** One-shot export over materialized records. */
-void writeProfileTrace(const std::vector<ProfileRecord> &records,
-                       std::ostream &out,
-                       const ProfileTraceOptions &options = {});
+    /** opRows() sort scratch: (name, entry), capacity retained. */
+    std::vector<std::pair<std::string_view, const ColumnarOpStats *>>
+        named_ops;
+};
 
 /**
  * Export the toolchain's own spans: one track per recording

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/logging.hh"
+#include "proto/serialize.hh"
 #include "trace/bytes.hh"
 
 namespace tpupoint {
@@ -41,7 +43,8 @@ namespace {
  * Decode one wire op-stats map into @p ops, interning names from
  * views borrowed off the payload (no string copies). Appended
  * entries are id-sorted afterwards so consumers can merge them
- * linearly.
+ * linearly; a name repeated within the map is malformed, as in
+ * decodeProfileRecord.
  */
 bool
 getOpStatsColumnar(ByteReader &in,
@@ -63,11 +66,15 @@ getOpStatsColumnar(ByteReader &in,
         entry.op = interner.intern(name);
         ops.push_back(entry);
     }
-    std::sort(ops.begin() + static_cast<std::ptrdiff_t>(first),
-              ops.end(),
+    const auto run = ops.begin() + static_cast<std::ptrdiff_t>(first);
+    std::sort(run, ops.end(),
               [](const ColumnarOpStats &a,
                  const ColumnarOpStats &b) { return a.op < b.op; });
-    return true;
+    return std::adjacent_find(run, ops.end(),
+                              [](const ColumnarOpStats &a,
+                                 const ColumnarOpStats &b) {
+                                  return a.op == b.op;
+                              }) == ops.end();
 }
 
 } // namespace
@@ -135,6 +142,14 @@ decodeProfileRecordColumnar(std::string_view payload,
     if (!in.getU64(record.events_dropped))
         return false;
     return in.atEnd();
+}
+
+void
+toColumnar(const ProfileRecord &row, ColumnarRecord &out)
+{
+    if (!decodeProfileRecordColumnar(encodeProfileRecord(row), out,
+                                     StringInterner::global()))
+        panic("toColumnar: encoded record does not decode");
 }
 
 } // namespace tpupoint

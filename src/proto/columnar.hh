@@ -15,6 +15,12 @@
  * the chunk buffer (ByteReader::getBytes) straight into the
  * interner — so after the vocabulary stabilizes, steady-state
  * decoding performs no heap allocation at all.
+ *
+ * ColumnarRecord is the only record form the analyzer accepts.
+ * In-memory ProfileRecords (the live profiler, test fixtures)
+ * cross into it through toColumnar(), which round-trips the wire
+ * encoding, so in-process analysis reads exactly the bytes an
+ * analysis of the written profile would.
  */
 
 #ifndef TPUPOINT_PROTO_COLUMNAR_HH
@@ -29,6 +35,8 @@
 #include "core/types.hh"
 
 namespace tpupoint {
+
+struct ProfileRecord;
 
 /** One operator's accumulated stats, name replaced by its id. */
 struct ColumnarOpStats
@@ -119,6 +127,14 @@ struct ColumnarRecord
 bool decodeProfileRecordColumnar(std::string_view payload,
                                  ColumnarRecord &record,
                                  StringInterner &interner);
+
+/**
+ * The row -> columnar boundary: encode @p row with
+ * encodeProfileRecord and decode the payload into @p out against
+ * the global interner. Panics if the encoder's own output does not
+ * decode.
+ */
+void toColumnar(const ProfileRecord &row, ColumnarRecord &out);
 
 } // namespace tpupoint
 

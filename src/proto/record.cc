@@ -20,7 +20,6 @@ StepStats::merge(const StepStats &other)
     tpu_busy += other.tpu_busy;
     tpu_idle += other.tpu_idle;
     mxu_active += other.mxu_active;
-    replayed |= other.replayed;
 }
 
 std::vector<std::string>

@@ -57,15 +57,6 @@ struct StepStats
     SimTime tpu_idle = 0;  ///< TPU time stalled on infeed/outfeed.
     SimTime mxu_active = 0; ///< Equivalent full-MXU-activity time.
 
-    /**
-     * True when this step repeats work a preempted attempt already
-     * ran (the checkpoint -> preemption gap). Derived during
-     * analysis from attempt-boundary records, never serialized;
-     * merging preserves it so a step replayed anywhere stays
-     * marked.
-     */
-    bool replayed = false;
-
     /** Merge a step summary for the same step id. */
     void merge(const StepStats &other);
 

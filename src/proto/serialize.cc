@@ -32,7 +32,10 @@ getOpStatsMap(ByteReader &in, OpStatsMap &ops)
         if (!in.getString(name) || !in.getU64(stats.count) ||
             !in.getI64(stats.total_duration))
             return false;
-        ops.emplace(std::move(name), stats);
+        // The encoder writes from a name-keyed map: a repeated
+        // name is malformed.
+        if (!ops.emplace(std::move(name), stats).second)
+            return false;
     }
     return true;
 }

@@ -98,7 +98,7 @@ class ProfileReader
     bool read(ProfileRecord &record);
 
     /**
-     * Columnar fast path: read the next record straight into a
+     * The analyzer's read: the next record straight into a
      * reusable ColumnarRecord, interning op names into
      * @p interner (the process-global one by default). With one
      * record reused across calls, the steady-state loop — chunk

@@ -7,6 +7,7 @@
 
 #include "obs/metrics.hh"
 #include "obs/pool_metrics.hh"
+#include "obs/span.hh"
 #include "proto/serialize.hh"
 
 namespace tpupoint {
@@ -109,7 +110,7 @@ AnalysisPipeline::AnalysisPipeline(const PipelineOptions &options)
 
 PipelineReport
 AnalysisPipeline::streamProfile(const std::string &path,
-                                const RecordHook &hook) const
+                                const ColumnarHook &hook) const
 {
     PipelineReport report;
     std::ifstream in(path, std::ios::binary);
@@ -120,54 +121,6 @@ AnalysisPipeline::streamProfile(const std::string &path,
     }
     try {
         const auto start = std::chrono::steady_clock::now();
-        std::uint64_t events = 0;
-        ProfileReader reader(in, opts.salvage);
-        ProfileRecord record;
-        while (reader.read(record)) {
-            ++report.records;
-            report.events_dropped += record.events_dropped;
-            events += record.event_count;
-            if (hook)
-                hook(record);
-        }
-        chargeSalvageMetrics(reader);
-        chargeIngestMetrics(opts.session_label, events,
-                            reader.bytesRead(),
-                            secondsSince(start));
-        report.saw_damage = reader.sawDamage();
-        report.chunks_dropped = reader.chunksDropped();
-        report.records_dropped = reader.recordsDropped();
-        report.bytes_skipped = reader.bytesSkipped();
-        report.truncated_tail = reader.truncatedTail();
-    } catch (const std::exception &error) {
-        report.error = PipelineError::Unreadable;
-        report.message = "unreadable profile '" + path +
-            "': " + error.what();
-        return report;
-    }
-    if (report.records == 0) {
-        report.error = PipelineError::Empty;
-        report.message =
-            "profile '" + path + "' contains no records";
-    }
-    return report;
-}
-
-PipelineReport
-AnalysisPipeline::streamColumnar(const std::string &path,
-                                 AnalysisSession &session,
-                                 const ColumnarHook &hook) const
-{
-    PipelineReport report;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        report.error = PipelineError::OpenFailed;
-        report.message = "cannot open profile '" + path + "'";
-        return report;
-    }
-    try {
-        const auto start = std::chrono::steady_clock::now();
-        std::uint64_t events = 0;
         ProfileReader reader(in, opts.salvage);
         // One record reused across the whole stream: per-step
         // columns and op runs land in the same buffers every
@@ -175,14 +128,13 @@ AnalysisPipeline::streamColumnar(const std::string &path,
         ColumnarRecord record;
         while (reader.read(record)) {
             ++report.records;
+            report.events += record.event_count;
             report.events_dropped += record.events_dropped;
-            events += record.event_count;
             if (hook)
                 hook(record);
-            session.ingest(record);
         }
         chargeSalvageMetrics(reader);
-        chargeIngestMetrics(opts.session_label, events,
+        chargeIngestMetrics(opts.session_label, report.events,
                             reader.bytesRead(),
                             secondsSince(start));
         report.saw_damage = reader.sawDamage();
@@ -201,29 +153,6 @@ AnalysisPipeline::streamColumnar(const std::string &path,
         report.message =
             "profile '" + path + "' contains no records";
     }
-    return report;
-}
-
-PipelineReport
-AnalysisPipeline::analyzeProfile(
-    const std::string &path, AnalysisResult *result,
-    const std::vector<CheckpointInfo> &checkpoints,
-    const RecordHook &hook) const
-{
-    if (!hook) {
-        // No row-oriented observer: take the columnar fast path.
-        return analyzeProfile(path, result, checkpoints,
-                              ColumnarHook(nullptr));
-    }
-    AnalysisSession session(opts.analyzer);
-    const PipelineReport report = streamProfile(
-        path, [&session, &hook](const ProfileRecord &record) {
-            hook(record);
-            session.ingest(record);
-        });
-    if (!report.ok())
-        return report;
-    *result = session.finalize(checkpoints, *active_pool);
     return report;
 }
 
@@ -234,8 +163,16 @@ AnalysisPipeline::analyzeProfile(
     const ColumnarHook &hook) const
 {
     AnalysisSession session(opts.analyzer);
-    const PipelineReport report =
-        streamColumnar(path, session, hook);
+    obs::TraceSpan ingest_span("analyze.ingest");
+    const PipelineReport report = streamProfile(
+        path, [&session, &hook](const ColumnarRecord &record) {
+            if (hook)
+                hook(record);
+            session.ingest(record);
+        });
+    ingest_span.arg("records", report.records);
+    ingest_span.arg("events", report.events);
+    ingest_span.finish();
     if (!report.ok())
         return report;
     *result = session.finalize(checkpoints, *active_pool);

@@ -115,7 +115,10 @@ struct PipelineReport
     /** Records successfully decoded and delivered. */
     std::uint64_t records = 0;
 
-    /** Sum of ProfileRecord::events_dropped over all records. */
+    /** Sum of event_count over all delivered records. */
+    std::uint64_t events = 0;
+
+    /** Sum of events_dropped over all delivered records. */
     std::uint64_t events_dropped = 0;
 
     /** Salvage tallies (all zero for an intact profile). */
@@ -140,7 +143,6 @@ struct PipelineReport
 class AnalysisPipeline
 {
   public:
-    using RecordHook = std::function<void(const ProfileRecord &)>;
     using ColumnarHook =
         std::function<void(const ColumnarRecord &)>;
 
@@ -148,36 +150,27 @@ class AnalysisPipeline
 
     /**
      * Stream the profile at @p path through @p hook, one decoded
-     * record at a time (memory stays bounded by one chunk). No
-     * analysis happens; this is the export path. Salvage damage is
-     * charged to the metrics registry either way.
+     * record at a time. One ColumnarRecord is reused across the
+     * stream (names interned, no per-record maps), so memory stays
+     * bounded by one chunk and the steady-state loop allocates
+     * nothing. The record is only valid during the call. Without
+     * a session this is the export path. Salvage damage is charged
+     * to the metrics registry either way.
      */
     PipelineReport streamProfile(const std::string &path,
-                                 const RecordHook &hook) const;
+                                 const ColumnarHook &hook) const;
 
     /**
-     * Stream the profile at @p path into an AnalysisSession
-     * (optionally observing each record via @p hook) and finalize
-     * it on the pipeline's pool. On failure @p result is left
-     * untouched and the report carries the error.
+     * streamProfile() into an AnalysisSession (observing each
+     * record via @p hook first, when set), under one
+     * `analyze.ingest` span, then finalize the session on the
+     * pipeline's pool. On failure @p result is left untouched and
+     * the report carries the error.
      */
     PipelineReport analyzeProfile(
         const std::string &path, AnalysisResult *result,
         const std::vector<CheckpointInfo> &checkpoints = {},
-        const RecordHook &hook = nullptr) const;
-
-    /**
-     * Columnar analyze path: records are decoded straight into a
-     * reusable ColumnarRecord (names interned, no per-record maps
-     * or string allocation) and folded id-to-id into the step
-     * table. This is what a null-RecordHook analyzeProfile runs;
-     * pass a ColumnarHook to observe each record without forcing
-     * the row-oriented decode.
-     */
-    PipelineReport analyzeProfile(
-        const std::string &path, AnalysisResult *result,
-        const std::vector<CheckpointInfo> &checkpoints,
-        const ColumnarHook &hook) const;
+        const ColumnarHook &hook = nullptr) const;
 
     /** The pool finalize() runs on (owned or borrowed). */
     ThreadPool &pool() const { return *active_pool; }
@@ -185,11 +178,6 @@ class AnalysisPipeline
     const PipelineOptions &options() const { return opts; }
 
   private:
-    /** Shared columnar streaming loop behind analyzeProfile. */
-    PipelineReport streamColumnar(const std::string &path,
-                                  AnalysisSession &session,
-                                  const ColumnarHook &hook) const;
-
     PipelineOptions opts;
     std::unique_ptr<ThreadPool> owned_pool;
     ThreadPool *active_pool;

@@ -74,7 +74,7 @@ TailReader::failOrResync(const std::string &why)
 }
 
 TailPoll
-TailReader::poll(const RecordHook &on_record,
+TailReader::poll(const PayloadHook &on_record,
                  const ChunkHook &on_chunk,
                  std::uint64_t offset_limit)
 {

@@ -80,7 +80,7 @@ class TailReader
 {
   public:
     /** Called once per record payload (view valid for the call). */
-    using RecordHook = std::function<void(std::string_view)>;
+    using PayloadHook = std::function<void(std::string_view)>;
 
     /**
      * Called after each whole chunk's records were delivered, with
@@ -108,7 +108,7 @@ class TailReader
      *     (every commit is a unit boundary, so the reader lands
      *     exactly on the limit), then continues live past it.
      */
-    TailPoll poll(const RecordHook &on_record,
+    TailPoll poll(const PayloadHook &on_record,
                   const ChunkHook &on_chunk = nullptr,
                   std::uint64_t offset_limit = kNoLimit);
 

@@ -148,8 +148,8 @@ TEST(AnalyzerTest, StitchesAttemptBoundariesWithoutDoubleCount)
     EXPECT_EQ(a.discarded_steps, 10u); // dropped rows 21..30
     EXPECT_GT(a.discarded_time, 0);
     std::uint64_t flagged = 0;
-    for (const auto &row : a.table.steps())
-        flagged += row.replayed ? 1 : 0;
+    for (std::size_t i = 0; i < a.table.size(); ++i)
+        flagged += a.table.replayed(i) ? 1 : 0;
     EXPECT_EQ(flagged, 10u);
 
     // Identical aggregates to the uninterrupted run: nothing
@@ -157,8 +157,8 @@ TEST(AnalyzerTest, StitchesAttemptBoundariesWithoutDoubleCount)
     ASSERT_EQ(a.table.size(), b.table.size());
     EXPECT_EQ(a.table.totalDuration(), b.table.totalDuration());
     for (std::size_t i = 0; i < a.table.size(); ++i) {
-        EXPECT_EQ(a.table.at(i).step, b.table.at(i).step);
-        EXPECT_EQ(a.table.at(i).tpu_busy, b.table.at(i).tpu_busy);
+        EXPECT_EQ(a.table.stepId(i), b.table.stepId(i));
+        EXPECT_EQ(a.table.tpuBusy(i), b.table.tpuBusy(i));
     }
     EXPECT_EQ(b.attempts, 1u);
     EXPECT_EQ(b.replayed_steps, 0u);

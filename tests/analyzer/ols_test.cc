@@ -13,6 +13,17 @@ namespace {
 using testutil::makeStep;
 using testutil::threePhaseRun;
 
+/** Feed @p step to @p ols as the analyzer does: from columns. */
+void
+feed(OnlineLinearScan &ols, const StepStats &step)
+{
+    const ColumnarRecord record =
+        testutil::columnar(testutil::makeRecord({step}));
+    ols.addStep(record.step[0], record.stepSpan(0),
+                OnlineLinearScan::opKeys(record.hostOps(0),
+                                         record.tpuOps(0)));
+}
+
 TEST(OlsSimilarityTest, EquationOneExamples)
 {
     // Identical sets -> 1.0.
@@ -58,7 +69,7 @@ TEST(OlsTest, UniformRunIsOnePhase)
 {
     OnlineLinearScan ols;
     for (StepId i = 0; i < 50; ++i)
-        ols.addStep(makeStep(i, {"fusion", "MatMul"}));
+        feed(ols, makeStep(i, {"fusion", "MatMul"}));
     ols.finish();
     EXPECT_EQ(ols.spans().size(), 1u);
     EXPECT_EQ(ols.phases().size(), 1u);
@@ -69,7 +80,7 @@ TEST(OlsTest, ThreePhaseRunFindsThreePhases)
 {
     OnlineLinearScan ols(OlsOptions{0.70});
     for (const auto &step : threePhaseRun())
-        ols.addStep(step);
+        feed(ols, step);
     ols.finish();
     // init | train | eval | train -> 4 segments...
     EXPECT_EQ(ols.spans().size(), 4u);
@@ -82,7 +93,7 @@ TEST(OlsTest, RecurringPhaseAggregatesDurations)
     OnlineLinearScan ols(OlsOptions{0.70});
     const auto steps = threePhaseRun(10, 4);
     for (const auto &step : steps)
-        ols.addStep(step);
+        feed(ols, step);
     ols.finish();
     // The aggregated train phase owns both segments.
     const OnlineLinearScan::Group *train = nullptr;
@@ -97,7 +108,7 @@ TEST(OlsTest, ThresholdZeroMergesEverything)
 {
     OnlineLinearScan ols(OlsOptions{0.0});
     for (const auto &step : threePhaseRun())
-        ols.addStep(step);
+        feed(ols, step);
     ols.finish();
     EXPECT_EQ(ols.phases().size(), 1u);
 }
@@ -110,7 +121,7 @@ TEST(OlsTest, PhaseCountMonotoneInThreshold)
          {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
         OnlineLinearScan ols(OlsOptions{threshold});
         for (const auto &step : steps)
-            ols.addStep(step);
+            feed(ols, step);
         ols.finish();
         EXPECT_GE(ols.phases().size(), previous);
         previous = ols.phases().size();
@@ -121,7 +132,7 @@ TEST(OlsTest, ConstantMemoryFootprint)
 {
     OnlineLinearScan ols;
     for (StepId i = 0; i < 10000; ++i)
-        ols.addStep(makeStep(i, {"fusion"}));
+        feed(ols, makeStep(i, {"fusion"}));
     ols.finish();
     // OLS never holds more than the 3-step sliding window.
     EXPECT_LE(ols.peakStepsHeld(), 3u);
@@ -136,14 +147,14 @@ TEST(OlsTest, UsageErrors)
     OnlineLinearScan ols;
     EXPECT_THROW(ols.phases(), std::logic_error);
     ols.finish();
-    EXPECT_THROW(ols.addStep(makeStep(0, {"x"})),
+    EXPECT_THROW(feed(ols, makeStep(0, {"x"})),
                  std::logic_error);
 }
 
 TEST(OlsTest, FinishIsIdempotent)
 {
     OnlineLinearScan ols;
-    ols.addStep(makeStep(0, {"fusion"}));
+    feed(ols, makeStep(0, {"fusion"}));
     ols.finish();
     ols.finish();
     EXPECT_EQ(ols.phases().size(), 1u);
@@ -160,7 +171,7 @@ TEST_P(OlsPartitionProperty, SpansCoverAllStepsExactlyOnce)
     const auto steps = threePhaseRun();
     OnlineLinearScan ols(OlsOptions{GetParam()});
     for (const auto &step : steps)
-        ols.addStep(step);
+        feed(ols, step);
     ols.finish();
     std::size_t covered = 0;
     StepId previous_last = 0;

@@ -2,14 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "analyzer/step_table.hh"
 #include "tests/analyzer/synthetic.hh"
 
 namespace tpupoint {
 namespace {
 
+using testutil::columnar;
+using testutil::findOp;
 using testutil::makeRecord;
 using testutil::makeStep;
 
@@ -24,13 +24,13 @@ TEST(StepTableTest, MergesRecordsByStep)
         StepTable::fromRecords({first, second});
 
     ASSERT_EQ(table.size(), 3u);
-    EXPECT_EQ(table.at(0).step, 1u);
-    EXPECT_EQ(table.at(1).step, 2u);
-    EXPECT_EQ(table.at(2).step, 3u);
+    EXPECT_EQ(table.stepId(0), 1u);
+    EXPECT_EQ(table.stepId(1), 2u);
+    EXPECT_EQ(table.stepId(2), 3u);
     // The merged step carries both windows' ops.
-    EXPECT_EQ(table.at(1).tpu_ops.size(), 2u);
-    EXPECT_TRUE(table.at(1).tpu_ops.count("fusion"));
-    EXPECT_TRUE(table.at(1).tpu_ops.count("MatMul"));
+    EXPECT_EQ(table.tpuOps(1).size(), 2u);
+    EXPECT_NE(findOp(table.tpuOps(1), "fusion"), nullptr);
+    EXPECT_NE(findOp(table.tpuOps(1), "MatMul"), nullptr);
 }
 
 TEST(StepTableTest, StepsAreAscendingRegardlessOfInput)
@@ -40,9 +40,9 @@ TEST(StepTableTest, StepsAreAscendingRegardlessOfInput)
                               makeStep(7, {"c"})});
     const StepTable table = StepTable::fromRecords({record});
     ASSERT_EQ(table.size(), 3u);
-    EXPECT_EQ(table.at(0).step, 3u);
-    EXPECT_EQ(table.at(1).step, 7u);
-    EXPECT_EQ(table.at(2).step, 9u);
+    EXPECT_EQ(table.stepId(0), 3u);
+    EXPECT_EQ(table.stepId(1), 7u);
+    EXPECT_EQ(table.stepId(2), 9u);
 }
 
 TEST(StepTableTest, TotalDurationSumsSpans)
@@ -70,10 +70,10 @@ TEST(StepTableTest, OpUniverseIsSortedAndPrefixed)
 TEST(StepTableTest, DropAfterErasesTailAndReportsSpan)
 {
     StepTableBuilder builder;
-    builder.ingest(makeRecord({makeStep(1, {"a"}, {}, 100),
-                               makeStep(2, {"a"}, {}, 100),
-                               makeStep(3, {"a"}, {}, 100),
-                               makeStep(4, {"a"}, {}, 100)}));
+    builder.ingest(columnar(makeRecord({makeStep(1, {"a"}, {}, 100),
+                                        makeStep(2, {"a"}, {}, 100),
+                                        makeStep(3, {"a"}, {}, 100),
+                                        makeStep(4, {"a"}, {}, 100)})));
     SimTime span = 0;
     EXPECT_EQ(builder.dropAfter(2, &span), 2u);
     EXPECT_EQ(span, 200);
@@ -83,7 +83,7 @@ TEST(StepTableTest, DropAfterErasesTailAndReportsSpan)
 
     const StepTable table = std::move(builder).build();
     ASSERT_EQ(table.size(), 2u);
-    EXPECT_EQ(table.at(1).step, 2u);
+    EXPECT_EQ(table.stepId(1), 2u);
 }
 
 TEST(StepTableTest, DropAfterCountsMergedWindowEnvelope)
@@ -93,11 +93,11 @@ TEST(StepTableTest, DropAfterCountsMergedWindowEnvelope)
     // span must reflect the merged columnar rows, not the raw
     // ingest order.
     StepTableBuilder builder;
-    builder.ingest(makeRecord({makeStep(2, {"a"}, {}, 100),
-                               makeStep(3, {"a"}, {}, 100)}));
-    builder.ingest(makeRecord({makeStep(3, {"a"}, {}, 100),
-                               makeStep(5, {"a"}, {}, 100)}));
-    builder.ingest(makeRecord({makeStep(4, {"a"}, {}, 100)}));
+    builder.ingest(columnar(makeRecord({makeStep(2, {"a"}, {}, 100),
+                                        makeStep(3, {"a"}, {}, 100)})));
+    builder.ingest(columnar(makeRecord({makeStep(3, {"a"}, {}, 100),
+                                        makeStep(5, {"a"}, {}, 100)})));
+    builder.ingest(columnar(makeRecord({makeStep(4, {"a"}, {}, 100)})));
     SimTime span = 0;
     // Drops steps 3 (merged, same envelope), 4 and 5.
     EXPECT_EQ(builder.dropAfter(2, &span), 3u);
@@ -110,29 +110,30 @@ TEST(StepTableTest, DropAfterCountsMergedWindowEnvelope)
 TEST(StepTableTest, MarkReplayedFlagsReingestedRange)
 {
     StepTableBuilder builder;
-    builder.ingest(makeRecord({makeStep(1, {"a"}),
-                               makeStep(2, {"a"}),
-                               makeStep(3, {"a"})}));
+    builder.ingest(columnar(makeRecord({makeStep(1, {"a"}),
+                                        makeStep(2, {"a"}),
+                                        makeStep(3, {"a"})})));
     // The dead attempt reached step 3, the restart resumes at 1:
     // steps (1, 3] come back as replays.
     builder.dropAfter(1);
     builder.markReplayed(1, 3);
-    builder.ingest(makeRecord(
+    builder.ingest(columnar(makeRecord(
         {makeStep(2, {"a"}), makeStep(3, {"a"}),
          makeStep(4, {"a"})},
-        1));
+        1)));
 
     const StepTable table = std::move(builder).build();
     ASSERT_EQ(table.size(), 4u);
-    EXPECT_FALSE(table.at(0).replayed); // step 1
-    EXPECT_TRUE(table.at(1).replayed);  // step 2: replayed
-    EXPECT_TRUE(table.at(2).replayed);  // step 3: replayed
-    EXPECT_FALSE(table.at(3).replayed); // step 4: new progress
+    EXPECT_FALSE(table.replayed(0)); // step 1
+    EXPECT_TRUE(table.replayed(1));  // step 2: replayed
+    EXPECT_TRUE(table.replayed(2));  // step 3: replayed
+    EXPECT_FALSE(table.replayed(3)); // step 4: new progress
     // Replayed steps count once: one row each, single-window span
     // and a single op invocation, not a doubled aggregate.
-    EXPECT_EQ(table.at(1).end - table.at(1).begin,
-              100 * kUsec);
-    EXPECT_EQ(table.at(1).tpu_ops.at("a").count, 1u);
+    EXPECT_EQ(table.span(1), 100 * kUsec);
+    const ColumnarOpStats *a = findOp(table.tpuOps(1), "a");
+    ASSERT_NE(a, nullptr);
+    EXPECT_EQ(a->count, 1u);
 }
 
 TEST(StepTableTest, MarkReplayedEmptyRangeIsIgnored)
@@ -140,11 +141,11 @@ TEST(StepTableTest, MarkReplayedEmptyRangeIsIgnored)
     StepTableBuilder builder;
     builder.markReplayed(5, 5);
     builder.markReplayed(7, 3);
-    builder.ingest(makeRecord({makeStep(5, {"a"}),
-                               makeStep(4, {"a"})}));
+    builder.ingest(columnar(makeRecord({makeStep(5, {"a"}),
+                                        makeStep(4, {"a"})})));
     const StepTable table = std::move(builder).build();
-    EXPECT_FALSE(table.at(0).replayed);
-    EXPECT_FALSE(table.at(1).replayed);
+    EXPECT_FALSE(table.replayed(0));
+    EXPECT_FALSE(table.replayed(1));
 }
 
 TEST(StepTableTest, EmptyInput)
@@ -153,7 +154,6 @@ TEST(StepTableTest, EmptyInput)
     EXPECT_EQ(table.size(), 0u);
     EXPECT_EQ(table.totalDuration(), 0);
     EXPECT_TRUE(table.opUniverse().empty());
-    EXPECT_THROW(table.at(0), std::logic_error);
 }
 
 } // namespace

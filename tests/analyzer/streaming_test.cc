@@ -45,10 +45,10 @@ ingestChunked(const AnalyzerOptions &opts,
     for (std::size_t i = 0; i < steps.size(); i += chunk) {
         const std::size_t end =
             std::min(steps.size(), i + chunk);
-        session.ingest(testutil::makeRecord(
+        session.ingest(testutil::columnar(testutil::makeRecord(
             {steps.begin() + static_cast<std::ptrdiff_t>(i),
              steps.begin() + static_cast<std::ptrdiff_t>(end)},
-            seq++));
+            seq++)));
     }
     return session;
 }
@@ -154,7 +154,8 @@ TEST(StreamingTest, PartialResultReportsStaleness)
     const auto steps = testutil::threePhaseRun();
     AnalysisSession session(streamingOptions());
     for (std::size_t i = 0; i < steps.size(); ++i) {
-        session.ingest(testutil::makeRecord({steps[i]}, i));
+        session.ingest(
+            testutil::columnar(testutil::makeRecord({steps[i]}, i)));
         const PartialResult partial = session.partialResult();
         EXPECT_EQ(partial.steps_aggregated, i + 1);
         EXPECT_EQ(partial.steps_observed, i);
@@ -178,7 +179,7 @@ TEST(StreamingTest, NonStreamingSessionsHaveNoSnapshots)
 {
     AnalysisSession session{AnalyzerOptions{}};
     const auto steps = testutil::threePhaseRun();
-    session.ingest(testutil::makeRecord(steps));
+    session.ingest(testutil::columnar(testutil::makeRecord(steps)));
     const PartialResult partial = session.partialResult();
     EXPECT_EQ(partial.steps_aggregated, steps.size());
     EXPECT_EQ(partial.steps_observed, 0u);
@@ -245,9 +246,11 @@ TEST(StreamingTest, AttemptStitchRewindsAndStillMatchesBatch)
         records.push_back(record);
     }
 
+    const std::vector<ColumnarRecord> stream =
+        testutil::columnar(records);
     AnalyzerOptions stream_opts = streamingOptions();
     AnalysisSession streamed(stream_opts);
-    for (const ProfileRecord &record : records) {
+    for (const ColumnarRecord &record : stream) {
         streamed.ingest(record);
         // Staleness never underflows across the rewind.
         const PartialResult partial = streamed.partialResult();
@@ -256,7 +259,7 @@ TEST(StreamingTest, AttemptStitchRewindsAndStillMatchesBatch)
     }
 
     AnalysisSession batch{AnalyzerOptions{}};
-    for (const ProfileRecord &record : records)
+    for (const ColumnarRecord &record : stream)
         batch.ingest(record);
 
     const AnalysisResult actual = streamed.finalize();
@@ -469,13 +472,13 @@ appendChunked(Rng &rng, const std::vector<StepStats> &steps,
  * stitch: attempt 0 dies at a random step, attempt 1 resumes up to
  * ten steps earlier and replays to the end.
  */
-std::vector<ProfileRecord>
+std::vector<ColumnarRecord>
 randomRecords(Rng &rng, const std::vector<StepStats> &steps)
 {
     std::vector<ProfileRecord> records;
     if (!rng.bernoulli(0.5)) {
         appendChunked(rng, steps, 0, steps.size(), 0, &records);
-        return records;
+        return testutil::columnar(records);
     }
     const std::size_t died =
         10 + rng.nextBounded(steps.size() - 15);
@@ -491,7 +494,7 @@ randomRecords(Rng &rng, const std::vector<StepStats> &steps)
     boundary.window_end = steps[died].end;
     records.push_back(boundary);
     appendChunked(rng, steps, resume, steps.size(), 1, &records);
-    return records;
+    return testutil::columnar(records);
 }
 
 /** Every field of two detector results, doubles bit for bit. */
@@ -555,7 +558,7 @@ TEST(StreamingTest, StreamedFinalizeEqualsBatchProperty)
     for (int trial = 0; trial < 10; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
         const std::vector<StepStats> steps = randomRun(rng);
-        const std::vector<ProfileRecord> records =
+        const std::vector<ColumnarRecord> records =
             randomRecords(rng, steps);
         for (const PhaseAlgorithm algorithm :
              {PhaseAlgorithm::OnlineLinearScan,
@@ -569,7 +572,7 @@ TEST(StreamingTest, StreamedFinalizeEqualsBatchProperty)
             // The reference: the batch table, finalized by a
             // fresh detector on no pool at all.
             AnalysisSession reference_session(batch_opts);
-            for (const ProfileRecord &record : records)
+            for (const ColumnarRecord &record : records)
                 reference_session.ingest(record);
             const AnalysisResult reference_result =
                 reference_session.finalize();
@@ -590,7 +593,7 @@ TEST(StreamingTest, StreamedFinalizeEqualsBatchProperty)
                              std::to_string(pool->workers()));
                 AnalysisSession batch(batch_opts);
                 AnalysisSession streamed(stream_opts);
-                for (const ProfileRecord &record : records) {
+                for (const ColumnarRecord &record : records) {
                     batch.ingest(record);
                     streamed.ingest(record);
                 }

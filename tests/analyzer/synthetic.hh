@@ -4,8 +4,10 @@
 #define TPUPOINT_TESTS_ANALYZER_SYNTHETIC_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "proto/columnar.hh"
 #include "proto/record.hh"
 
 namespace tpupoint {
@@ -59,6 +61,39 @@ makeRecord(std::vector<StepStats> steps, std::uint64_t seq = 0)
             s.tpu_ops.size() + s.host_ops.size();
     record.steps = std::move(steps);
     return record;
+}
+
+/** @p record in the columnar form the analyzer ingests. */
+inline ColumnarRecord
+columnar(const ProfileRecord &record)
+{
+    ColumnarRecord out;
+    toColumnar(record, out);
+    return out;
+}
+
+/** Every record of @p records, converted in order. */
+inline std::vector<ColumnarRecord>
+columnar(const std::vector<ProfileRecord> &records)
+{
+    std::vector<ColumnarRecord> out(records.size());
+    for (std::size_t i = 0; i < records.size(); ++i)
+        toColumnar(records[i], out[i]);
+    return out;
+}
+
+/** The entry named @p name in an id-sorted run, or nullptr. */
+inline const ColumnarOpStats *
+findOp(OpStatsSpan ops, std::string_view name)
+{
+    std::uint32_t id = 0;
+    if (!StringInterner::global().lookup(name, id))
+        return nullptr;
+    for (const ColumnarOpStats &entry : ops) {
+        if (entry.op == id)
+            return &entry;
+    }
+    return nullptr;
 }
 
 /**

@@ -26,6 +26,7 @@
 #include "obs/trace_export.hh"
 #include "profiler/profiler.hh"
 #include "proto/serialize.hh"
+#include "tests/analyzer/synthetic.hh"
 #include "workloads/catalog.hh"
 
 #ifndef TPUPOINT_GOLDEN_DIR
@@ -265,7 +266,7 @@ TEST(GoldenOutput, ExportTrace)
     std::ostringstream out;
     obs::ProfileTraceOptions options;
     obs::ProfileTraceWriter writer(out, options);
-    ProfileRecord record;
+    ColumnarRecord record;
     while (reader.read(record))
         writer.add(record);
     writer.finish();
@@ -304,12 +305,14 @@ TEST(GoldenOutput, StreamingAgreementAcrossTableIWorkloads)
         const double batch_coverage =
             batch.detections[1].top3_coverage;
 
+        const std::vector<ColumnarRecord> stream =
+            testutil::columnar(run.records);
         for (const unsigned threads : {1u, 2u, 8u}) {
             AnalyzerOptions opts = batch_opts;
             opts.threads = threads;
             opts.streaming = true;
             AnalysisSession session(opts);
-            for (const auto &record : run.records)
+            for (const ColumnarRecord &record : stream)
                 session.ingest(record);
             const PartialResult mid = session.partialResult();
             ASSERT_EQ(mid.snapshots.size(), 2u);
@@ -365,7 +368,7 @@ TEST(GoldenOutput, SalvagedAnalysis)
                                     PhaseAlgorithm::Dbscan};
         options.threads = threads;
         AnalysisSession session(options);
-        ProfileRecord record;
+        ColumnarRecord record;
         while (reader.read(record))
             session.ingest(record);
         EXPECT_TRUE(reader.sawDamage());

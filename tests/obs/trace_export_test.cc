@@ -62,7 +62,10 @@ boundaryMarker()
 TEST(TraceExportTest, GoldenProfileTrace)
 {
     std::ostringstream out;
-    writeProfileTrace({tinyWindow(), boundaryMarker()}, out);
+    ProfileTraceWriter writer(out);
+    writer.add(testutil::columnar(tinyWindow()));
+    writer.add(testutil::columnar(boundaryMarker()));
+    writer.finish();
 
     const std::string expected =
         "{\"traceEvents\":["
@@ -113,7 +116,7 @@ TEST(TraceExportTest, EveryOpBecomesOneDurationEvent)
 
     std::ostringstream out;
     ProfileTraceWriter writer(out);
-    writer.add(record);
+    writer.add(testutil::columnar(record));
     writer.finish();
     // window + one per step + one per op row.
     EXPECT_EQ(writer.durationEvents(),
@@ -134,7 +137,7 @@ TEST(TraceExportTest, StepRangeFilterCountsWhatItSkips)
 
     std::ostringstream out;
     ProfileTraceWriter writer(out, options);
-    writer.add(record);
+    writer.add(testutil::columnar(record));
     writer.finish();
     EXPECT_EQ(writer.stepsFiltered(), record.steps.size() - 3);
     EXPECT_NE(out.str().find("\"step 3\""), std::string::npos);
@@ -149,12 +152,35 @@ TEST(TraceExportTest, OpAndCounterTracksCanBeSuppressed)
 
     std::ostringstream out;
     ProfileTraceWriter writer(out, options);
-    writer.add(tinyWindow());
+    writer.add(testutil::columnar(tinyWindow()));
     writer.finish();
     EXPECT_EQ(out.str().find("MatMul"), std::string::npos);
     EXPECT_EQ(out.str().find("tpu_idle_fraction"),
               std::string::npos);
     EXPECT_NE(out.str().find("\"step 3\""), std::string::npos);
+}
+
+// Columnar entries are sorted by interned id, which follows first
+// sight, not the alphabet; op rows must still come out by name.
+TEST(TraceExportTest, OpRowsFollowNameOrderNotInternOrder)
+{
+    StringInterner::global().intern("export-order-z");
+    const ProfileRecord record = testutil::makeRecord(
+        {testutil::makeStep(0, {"export-order-z", "export-order-a"})});
+    const ColumnarRecord columnar = testutil::columnar(record);
+    ASSERT_EQ(columnar.tpuOps(0).size(), 2u);
+    ASSERT_EQ(StringInterner::global().view(columnar.tpuOps(0)[0].op),
+              "export-order-z");
+
+    std::ostringstream out;
+    ProfileTraceWriter writer(out);
+    writer.add(columnar);
+    writer.finish();
+    const std::size_t a = out.str().find("export-order-a");
+    const std::size_t z = out.str().find("export-order-z");
+    ASSERT_NE(a, std::string::npos);
+    ASSERT_NE(z, std::string::npos);
+    EXPECT_LT(a, z);
 }
 
 TEST(TraceExportTest, SpanTraceNormalizesToZeroOrigin)

@@ -280,10 +280,44 @@ TEST(CliTest, ExportRejectsMalformedStepRange)
 {
     const std::string profile = tempPath("range.profile");
     writeProfile(profile);
-    const auto result = run(std::string(TPUPOINT_EXPORT_BIN) +
-                            " '" + profile + "' --steps 9:2");
-    EXPECT_EQ(result.exit_code, 2);
-    EXPECT_NE(result.output.find("--steps"), std::string::npos);
+    // Reversed, negative, out-of-range and padded or signed ends
+    // are all refused; none may fall back to exporting every step.
+    for (const char *range : {"9:2", "0:-1", "3:99999999999999999999",
+                              "' 3:+7'"}) {
+        const auto result = run(std::string(TPUPOINT_EXPORT_BIN) +
+                                " '" + profile + "' --steps " + range);
+        EXPECT_EQ(result.exit_code, 2) << range;
+        EXPECT_NE(result.output.find("--steps wants A:B with A <= B"),
+                  std::string::npos)
+            << result.output;
+    }
+}
+
+// The analyze pipeline's one read/decode/fold loop runs under an
+// analyze.ingest span, so --trace-out accounts for ingest time.
+TEST(CliTest, AnalyzeTraceOutCoversIngest)
+{
+    const std::string profile = tempPath("spans.profile");
+    const std::string spans = tempPath("spans.trace.json");
+    writeProfile(profile);
+    const auto result =
+        run(std::string(TPUPOINT_ANALYZE_BIN) + " '" + profile +
+            "' --out '" + tempPath("spans") + "' --trace-out '" +
+            spans + "'");
+    EXPECT_EQ(result.exit_code, 0) << result.output;
+
+    std::ifstream in(spans);
+    ASSERT_TRUE(in.good());
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_TRUE(validateJson(text.str()));
+    const std::size_t ingest = text.str().find("\"analyze.ingest\"");
+    ASSERT_NE(ingest, std::string::npos) << text.str();
+    const std::size_t args = text.str().find("\"records\"", ingest);
+    ASSERT_NE(args, std::string::npos) << text.str();
+    EXPECT_NE(text.str().find("\"events\"", ingest),
+              std::string::npos)
+        << text.str();
 }
 
 TEST(CliTest, ExportSalvagesDamagedProfiles)

@@ -14,12 +14,13 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/json.hh"
+#include "core/strings.hh"
 #include "obs/trace_export.hh"
 #include "runtime/analysis_pipeline.hh"
 #include "tools/cli_common.hh"
@@ -28,21 +29,15 @@ using namespace tpupoint;
 
 namespace {
 
-/** Parse "A:B" into an inclusive step range. */
+/** Parse "A:B" into an inclusive step range (strict integers). */
 bool
-parseStepRange(const char *text, StepId *first, StepId *last)
+parseStepRange(std::string_view text, StepId *first, StepId *last)
 {
-    const char *colon = std::strchr(text, ':');
-    if (!colon || colon == text || colon[1] == '\0')
-        return false;
-    char *end = nullptr;
-    *first = std::strtoull(text, &end, 10);
-    if (end != colon)
-        return false;
-    *last = std::strtoull(colon + 1, &end, 10);
-    if (*end != '\0')
-        return false;
-    return *first <= *last;
+    const std::size_t colon = text.find(':');
+    return colon != std::string_view::npos &&
+        parseUint64(text.substr(0, colon), first) &&
+        parseUint64(text.substr(colon + 1), last) &&
+        *first <= *last;
 }
 
 } // namespace
@@ -127,7 +122,7 @@ main(int argc, char **argv)
     const runtime::AnalysisPipeline pipeline(pipeline_options);
     obs::ProfileTraceWriter writer(out, options);
     const runtime::PipelineReport report = pipeline.streamProfile(
-        profile_path, [&writer](const ProfileRecord &record) {
+        profile_path, [&writer](const ColumnarRecord &record) {
             writer.add(record);
         });
     if (!report.ok()) {
