@@ -39,18 +39,24 @@ StorageBucket::transferTime(std::uint64_t bytes) const
         static_cast<SimTime>(seconds * 1e9 + 0.5);
 }
 
+std::uint64_t
+StorageBucket::shareOf(std::uint64_t bytes, int streams, int index)
+{
+    const auto count = static_cast<std::uint64_t>(streams);
+    const std::uint64_t base = bytes / count;
+    // The last stream carries the remainder so the shares sum to
+    // exactly `bytes` (no rounded-up over-charge).
+    return index + 1 < streams ? base : bytes - base * (count - 1);
+}
+
 std::vector<std::uint64_t>
 StorageBucket::splitShares(std::uint64_t bytes, int streams)
 {
     if (streams < 1)
         fatal("StorageBucket::splitShares: need >= 1 stream");
-    const auto count = static_cast<std::uint64_t>(streams);
-    const std::uint64_t base = bytes / count;
-    std::vector<std::uint64_t> shares(
-        static_cast<std::size_t>(streams), base);
-    // The last stream carries the remainder so the shares sum to
-    // exactly `bytes` (no rounded-up over-charge).
-    shares.back() += bytes - base * count;
+    std::vector<std::uint64_t> shares;
+    for (int i = 0; i < streams; ++i)
+        shares.push_back(shareOf(bytes, streams, i));
     return shares;
 }
 
@@ -88,108 +94,126 @@ StorageBucket::emitRetry(SimTime start, SimTime duration,
     sink->record(event);
 }
 
+std::uint32_t
+StorageBucket::open(Done done, int stream_count)
+{
+    std::uint32_t index = free_operation;
+    if (index == UINT32_MAX) {
+        index = static_cast<std::uint32_t>(operations.size());
+        operations.emplace_back();
+    } else {
+        free_operation = operations[index].next_free;
+    }
+    operations[index].done = std::move(done);
+    operations[index].streams_left = stream_count;
+    return index;
+}
+
 void
-StorageBucket::transfer(std::uint64_t bytes, int attempt,
-                        SimTime op_start, StepId step,
-                        std::function<void()> done)
+StorageBucket::transfer(Attempt attempt)
 {
     FaultDecision fault;
     if (faults)
         fault = faults->sample(sim.now());
 
-    const SimTime clean = transferTime(bytes);
-    SimTime held = clean;
+    const SimTime clean = transferTime(attempt.bytes);
+    attempt.held = clean;
+    attempt.fault = fault.kind;
     switch (fault.kind) {
       case FaultKind::None:
         break;
       case FaultKind::LatencySpike:
-        held = clean + fault.extra_latency;
+        attempt.held = clean + fault.extra_latency;
         break;
       case FaultKind::TransientError:
         // The service answered the request with a retryable error:
         // only the round trip was paid.
-        held = config.request_latency;
+        attempt.held = config.request_latency;
         break;
       case FaultKind::StreamReset:
         // The connection died partway through the payload.
-        held = config.request_latency + static_cast<SimTime>(
+        attempt.held = config.request_latency + static_cast<SimTime>(
             fault.completed_fraction *
             static_cast<double>(clean - config.request_latency));
         break;
     }
 
-    streams.use(held, [this, bytes, attempt, op_start, step, fault,
-                       held, done = std::move(done)]() mutable {
-        if (!fault.failed()) {
-            if (done)
-                done();
-            return;
-        }
-        const SimTime attempt_start = sim.now() - held;
-        if (attempt >= retry_policy.max_attempts) {
-            fatal("StorageBucket: transfer of ", bytes,
-                  " bytes failed (", faultKindName(fault.kind),
-                  ") after ", attempt,
-                  " attempts; retry budget exhausted");
-        }
-        const SimTime backoff = backoffDelay(attempt);
-        if (retry_policy.op_timeout > 0 &&
-            sim.now() + backoff - op_start >
-                retry_policy.op_timeout) {
-            fatal("StorageBucket: transfer of ", bytes,
-                  " bytes exceeded its ",
-                  toSeconds(retry_policy.op_timeout),
-                  " s timeout after ", attempt, " attempts");
-        }
-        ++retries;
-        retry_time += held + backoff;
-        obs::MetricsRegistry::global()
-            .counter("storage.retries")
-            .add(1);
-        // The retry event spans the failed attempt plus the
-        // backoff — the time the fault actually cost this stream.
-        emitRetry(attempt_start, held + backoff, step);
-        sim.schedule(backoff, [this, bytes, attempt, op_start,
-                               step,
-                               done = std::move(done)]() mutable {
-            transfer(bytes, attempt + 1, op_start, step,
-                     std::move(done));
+    // Resource::use() would nest the continuation; holding the
+    // stream by hand keeps both closures inline.
+    streams.acquire([this, attempt]() {
+        sim.schedule(attempt.held, [this, attempt]() {
+            streams.release();
+            finishAttempt(attempt);
         });
     });
 }
 
 void
+StorageBucket::finishAttempt(Attempt attempt)
+{
+    if (!FaultDecision{attempt.fault}.failed()) {
+        Operation &operation = operations[attempt.operation];
+        if (--operation.streams_left > 0)
+            return;
+        Done done = std::move(operation.done);
+        operation.next_free = free_operation;
+        free_operation = attempt.operation;
+        if (done)
+            done();
+        return;
+    }
+    const SimTime attempt_start = sim.now() - attempt.held;
+    if (attempt.attempt >= retry_policy.max_attempts) {
+        fatal("StorageBucket: transfer of ", attempt.bytes,
+              " bytes failed (", faultKindName(attempt.fault),
+              ") after ", attempt.attempt,
+              " attempts; retry budget exhausted");
+    }
+    const SimTime backoff = backoffDelay(attempt.attempt);
+    if (retry_policy.op_timeout > 0 &&
+        sim.now() + backoff - attempt.op_start >
+            retry_policy.op_timeout) {
+        fatal("StorageBucket: transfer of ", attempt.bytes,
+              " bytes exceeded its ",
+              toSeconds(retry_policy.op_timeout),
+              " s timeout after ", attempt.attempt, " attempts");
+    }
+    ++retries;
+    retry_time += attempt.held + backoff;
+    obs::MetricsRegistry::global()
+        .counter("storage.retries")
+        .add(1);
+    // The retry event spans the failed attempt plus the
+    // backoff — the time the fault actually cost this stream.
+    emitRetry(attempt_start, attempt.held + backoff, attempt.step);
+    ++attempt.attempt;
+    sim.schedule(backoff, [this, attempt]() { transfer(attempt); });
+}
+
+void
 StorageBucket::read(std::uint64_t bytes, int parallel_streams,
-                    std::function<void()> done, StepId step)
+                    Done done, StepId step)
 {
     if (parallel_streams < 1)
         fatal("StorageBucket::read: need at least one stream");
     const int actual = std::min(parallel_streams,
                                 config.max_streams);
     bytes_read += bytes;
-    const std::vector<std::uint64_t> shares =
-        splitShares(bytes, actual);
 
     // Completion when the last stream finishes. Streams contend
     // for the bounded pool and retry independently.
-    auto remaining = std::make_shared<int>(actual);
-    auto completion = std::make_shared<std::function<void()>>(
-        std::move(done));
-    for (const std::uint64_t share : shares) {
-        transfer(share, 1, sim.now(), step,
-                 [remaining, completion]() {
-                     if (--(*remaining) == 0 && *completion)
-                         (*completion)();
-                 });
+    const std::uint32_t operation = open(std::move(done), actual);
+    for (int i = 0; i < actual; ++i) {
+        transfer(Attempt{shareOf(bytes, actual, i), sim.now(), step, 0,
+                         operation});
     }
 }
 
 void
-StorageBucket::write(std::uint64_t bytes,
-                     std::function<void()> done, StepId step)
+StorageBucket::write(std::uint64_t bytes, Done done, StepId step)
 {
     bytes_written += bytes;
-    transfer(bytes, 1, sim.now(), step, std::move(done));
+    transfer(Attempt{bytes, sim.now(), step, 0, open(std::move(done), 1)});
 }
 
 } // namespace tpupoint

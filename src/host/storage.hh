@@ -19,8 +19,6 @@
 #define TPUPOINT_HOST_STORAGE_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/types.hh"
@@ -78,6 +76,9 @@ struct RetryPolicy
 class StorageBucket
 {
   public:
+    /** Continuation of a read or write. */
+    using Done = InlineFunction<void()>;
+
     StorageBucket(Simulator &simulator, const StorageSpec &spec);
 
     /**
@@ -97,8 +98,8 @@ class StorageBucket
      * the remainder, so the shares always sum to exactly @p bytes.
      * @p step attributes retry events to a training step.
      */
-    void read(std::uint64_t bytes, int parallel_streams,
-              std::function<void()> done, StepId step = kNoStep);
+    void read(std::uint64_t bytes, int parallel_streams, Done done,
+              StepId step = kNoStep);
 
     /**
      * Write @p bytes (checkpoints) on one stream. A zero-byte
@@ -106,8 +107,7 @@ class StorageBucket
      * a storage round trip, and callers rely on @p done firing
      * strictly later than the call.
      */
-    void write(std::uint64_t bytes, std::function<void()> done,
-               StepId step = kNoStep);
+    void write(std::uint64_t bytes, Done done, StepId step = kNoStep);
 
     /**
      * The per-stream byte shares read() uses: as equal as possible,
@@ -133,18 +133,47 @@ class StorageBucket
     FaultPlan *faultPlan() const { return faults; }
 
   private:
+    /** A read or write in flight: its continuation fires when the
+     * last of its streams completes. Pooled, so closures carry an
+     * index instead of the continuation. */
+    struct Operation
+    {
+        Done done;
+        int streams_left = 0;
+        std::uint32_t next_free = 0;
+    };
+
+    /** One per-stream transfer attempt. */
+    struct Attempt
+    {
+        std::uint64_t bytes;
+        SimTime op_start; ///< When the transfer (attempt 1) began.
+        StepId step;
+        SimTime held = 0; ///< Stream time this attempt costs.
+        std::uint32_t operation;
+        int attempt = 1;  ///< 1-based attempt number.
+        FaultKind fault = FaultKind::None;
+    };
+
     SimTime transferTime(std::uint64_t bytes) const;
+
+    /** Share @p index of splitShares(@p bytes, @p streams). */
+    static std::uint64_t shareOf(std::uint64_t bytes, int streams,
+                                 int index);
+
+    /** Pool an operation of @p stream_count transfers; returns its
+     * index. */
+    std::uint32_t open(Done done, int stream_count);
 
     /**
      * One per-stream transfer: sample the fault plan, hold a
      * stream for the attempt, and either complete or back off and
      * try again.
-     * @param attempt 1-based attempt number.
-     * @param op_start When the transfer (attempt 1) began.
      */
-    void transfer(std::uint64_t bytes, int attempt,
-                  SimTime op_start, StepId step,
-                  std::function<void()> done);
+    void transfer(Attempt attempt);
+
+    /** The attempt's stream time is over: complete or retry. */
+    void finishAttempt(Attempt attempt);
 
     /** Jittered, capped exponential backoff after @p attempt. */
     SimTime backoffDelay(int attempt);
@@ -157,6 +186,8 @@ class StorageBucket
     FaultPlan *faults = nullptr;
     RetryPolicy retry_policy;
     TraceSink *sink = nullptr;
+    std::vector<Operation> operations;
+    std::uint32_t free_operation = UINT32_MAX; ///< Free-list head.
     std::uint64_t bytes_read = 0;
     std::uint64_t bytes_written = 0;
     std::uint64_t retries = 0;

@@ -9,6 +9,7 @@
 #include "graph/op.hh"
 #include "host/host_ops.hh"
 #include "obs/logger.hh"
+#include "trace/bytes.hh"
 
 namespace tpupoint {
 
@@ -122,9 +123,34 @@ StatsCollector::accumulatorFor(StepId step)
     // A resolved step is never kNoStep, so kNoStep marks "none".
     if (step != cached_step) {
         cached_step = step;
-        cached_accumulator = &steps[step];
+        cached_accumulator = &openStep(step);
     }
     return *cached_accumulator;
+}
+
+[[gnu::noinline]] StatsCollector::StepAccumulator &
+StatsCollector::openStep(StepId step)
+{
+    const auto by_step = [](const StepAccumulator &acc, StepId id) {
+        return acc.step < id;
+    };
+    const auto open_end =
+        steps.begin() + static_cast<std::ptrdiff_t>(open_steps);
+    const auto found =
+        std::lower_bound(steps.begin(), open_end, step, by_step);
+    if (found != open_end && found->step == step)
+        return *found;
+    // Rotate the first spare into the step's sorted position.
+    const auto at = found - steps.begin();
+    if (open_steps == steps.size())
+        steps.emplace_back();
+    std::rotate(steps.begin() + at,
+                steps.begin() + static_cast<std::ptrdiff_t>(open_steps),
+                steps.begin() + static_cast<std::ptrdiff_t>(open_steps + 1));
+    ++open_steps;
+    StepAccumulator &acc = steps[static_cast<std::size_t>(at)];
+    acc.step = step;
+    return acc;
 }
 
 [[gnu::noinline]] void
@@ -193,66 +219,105 @@ StatsCollector::idsByName()
     return sorted_ids;
 }
 
-ProfileRecord
-StatsCollector::harvest(SimTime window_end)
+std::uint64_t
+StatsCollector::harvest(SimTime window_end, std::string &payload,
+                        std::uint32_t attempt)
 {
     flushMetrics();
 
-    ProfileRecord record;
-    record.sequence = sequence++;
-    record.window_begin = window_begin;
-    record.window_end = window_end;
-    record.event_count = events;
-    record.truncated = truncated;
-    record.events_dropped = dropped;
+    // The v5 record payload, field for field as encodeProfileRecord
+    // writes it. Counts and totals that precede what they sum are
+    // written as zeros and patched once known.
+    ByteWriter out(std::move(payload));
+    out.putU64(sequence++);
+    out.putI64(window_begin);
+    out.putI64(window_end);
+    out.putU64(events);
+    out.putU32(truncated ? 1 : 0);
+    const std::size_t window_totals = out.size();
+    out.putF64(0.0); // tpu_idle_fraction
+    out.putF64(0.0); // mxu_utilization
+    out.putU64(0);   // retries
+    out.putI64(0);   // retry_time
+    out.putU32(static_cast<std::uint32_t>(open_steps));
 
-    // Build the name-keyed maps in name order, so every insertion
-    // lands at the end of its map. TPU time splits into busy and
-    // idle by label, and retries surface as window meta-data so
+    // Op entries go out in name order. TPU time splits into busy
+    // and idle by label, and retries surface as window meta-data so
     // the analyzer can attribute slowdown without op-name lookups.
     const std::vector<std::uint32_t> &ids = idsByName();
     SimTime busy = 0;
     SimTime mxu = 0;
-    record.steps.reserve(steps.size());
-    for (const auto &[step, acc] : steps) {
-        StepStats &stats = record.steps.emplace_back();
-        stats.step = step;
-        stats.begin = acc.begin;
-        stats.end = acc.end;
-        stats.mxu_active = acc.mxu_active;
-        for (const std::uint32_t id : ids) {
-            const std::size_t index = 2 * std::size_t{id};
-            if (index >= acc.ops.size())
-                continue;
-            const OpStats &host = acc.ops[index];
-            const OpStats &tpu = acc.ops[index + 1];
-            const std::uint8_t flags = label_flags[id];
-            if (host.count)
-                stats.host_ops.emplace_hint(stats.host_ops.end(),
-                                            label_names[id], host);
-            if (tpu.count) {
-                stats.tpu_ops.emplace_hint(stats.tpu_ops.end(),
-                                           label_names[id], tpu);
-                (flags & kTpuIdle ? stats.tpu_idle : stats.tpu_busy) +=
-                    tpu.total_duration;
+    OpStats retries;
+    for (std::size_t i = 0; i < open_steps; ++i) {
+        const StepAccumulator &acc = steps[i];
+        out.putU64(acc.step);
+        out.putI64(acc.begin);
+        out.putI64(acc.end);
+        const std::size_t step_totals = out.size();
+        out.putI64(0); // tpu_busy
+        out.putI64(0); // tpu_idle
+        out.putI64(acc.mxu_active);
+        SimTime step_busy = 0;
+        SimTime step_idle = 0;
+        for (const std::size_t side : {0, 1}) { // host, then TPU
+            const std::size_t count_at = out.size();
+            std::uint32_t count = 0;
+            out.putU32(0);
+            for (const std::uint32_t id : ids) {
+                const std::size_t index = 2 * std::size_t{id} + side;
+                if (index >= acc.ops.size() || acc.ops[index].count == 0)
+                    continue;
+                const OpStats &stats = acc.ops[index];
+                out.putString(label_names[id]);
+                out.putU64(stats.count);
+                out.putI64(stats.total_duration);
+                ++count;
+                const std::uint8_t flags = label_flags[id];
+                if (side == 1) {
+                    (flags & kTpuIdle ? step_idle : step_busy) +=
+                        stats.total_duration;
+                }
+                if (flags & kStorageRetry)
+                    retries.merge(stats);
             }
-            if (flags & kStorageRetry) {
-                record.retries += host.count + tpu.count;
-                record.retry_time +=
-                    host.total_duration + tpu.total_duration;
-            }
+            out.patchU32(count_at, count);
         }
-        busy += stats.tpu_busy;
+        out.patchU64(step_totals, static_cast<std::uint64_t>(step_busy));
+        out.patchU64(step_totals + 8,
+                     static_cast<std::uint64_t>(step_idle));
+        busy += step_busy;
         mxu += acc.mxu_active;
     }
-    const double span = static_cast<double>(record.span());
+    const double span = static_cast<double>(window_end - window_begin);
     if (span > 0) {
-        record.tpu_idle_fraction =
-            std::max(0.0, 1.0 - static_cast<double>(busy) / span);
-        record.mxu_utilization = static_cast<double>(mxu) / span;
+        out.patchU64(window_totals,
+                     std::bit_cast<std::uint64_t>(std::max(
+                         0.0, 1.0 - static_cast<double>(busy) / span)));
+        out.patchU64(window_totals + 8,
+                     std::bit_cast<std::uint64_t>(
+                         static_cast<double>(mxu) / span));
     }
+    out.patchU64(window_totals + 16, retries.count);
+    out.patchU64(window_totals + 24,
+                 static_cast<std::uint64_t>(retries.total_duration));
+    // The attempt-continuity tail of a plain window, then the drop
+    // count.
+    out.putU32(attempt);
+    out.putU32(0); // attempt_boundary
+    out.putU64(0); // preempted_at_step
+    out.putU64(0); // resume_step
+    out.putU64(dropped);
+    payload = std::move(out).str();
 
-    steps.clear();
+    const std::uint64_t harvested = events;
+    for (std::size_t i = 0; i < open_steps; ++i) {
+        StepAccumulator &acc = steps[i];
+        acc.begin = kTimeForever;
+        acc.end = 0;
+        acc.mxu_active = 0;
+        std::fill(acc.ops.begin(), acc.ops.end(), OpStats{});
+    }
+    open_steps = 0;
     cached_step = kNoStep;
     cached_accumulator = nullptr;
     events = 0;
@@ -260,7 +325,7 @@ StatsCollector::harvest(SimTime window_end)
     dropped = 0;
     truncated = false;
     window_begin = window_end;
-    return record;
+    return harvested;
 }
 
 } // namespace tpupoint

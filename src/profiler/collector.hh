@@ -11,7 +11,6 @@
 #define TPUPOINT_PROFILER_COLLECTOR_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,8 +32,9 @@ namespace tpupoint {
  * text gets a dense id the first time it is seen, and a small
  * pointer-keyed cache maps every label pointer to that id, so an
  * event costs one pointer-hash probe plus a few adds into the
- * step's id-indexed counters. The name-keyed `StepStats` maps are
- * built once per window, in harvest().
+ * step's id-indexed counters. harvest() writes the window's wire
+ * payload straight from those counters, in name order; no
+ * name-keyed map is built.
  *
  * Labels are interned strings: a `TraceEvent::type` pointer must
  * keep the same text for the collector's lifetime. The same text
@@ -46,7 +46,7 @@ class StatsCollector : public TraceSink
     /** Begin the first window at @p start. */
     explicit StatsCollector(SimTime start = 0);
 
-    /** Move-only: the last-step cache points into the step map. */
+    /** Move-only: the last-step cache points into `steps`. */
     StatsCollector(StatsCollector &&) = default;
     StatsCollector &operator=(StatsCollector &&) = default;
 
@@ -57,11 +57,17 @@ class StatsCollector : public TraceSink
     void record(const TraceEvent &event) override;
 
     /**
-     * Close the current window and return its record; a fresh
-     * window begins at @p window_end. Flushes the accepted-event
-     * count into `profiler.events_accepted`.
+     * Close the current window and write its record's wire payload
+     * (the bytes encodeProfileRecord gives, stamped with
+     * @p attempt) into @p payload, replacing its contents and
+     * reusing its capacity. A fresh window begins at
+     * @p window_end. Flushes the accepted-event count into
+     * `profiler.events_accepted`.
+     * @return events accepted into the closed window. A window with
+     *     none still uses up a sequence number.
      */
-    ProfileRecord harvest(SimTime window_end);
+    std::uint64_t harvest(SimTime window_end, std::string &payload,
+                          std::uint32_t attempt = 0);
 
     /**
      * Add the events accepted since the last flush to the
@@ -103,6 +109,7 @@ class StatsCollector : public TraceSink
      * host statistics and `ops[2 * id + 1]` its TPU statistics. */
     struct StepAccumulator
     {
+        StepId step = kNoStep;
         SimTime begin = kTimeForever;
         SimTime end = 0;
         SimTime mxu_active = 0;
@@ -112,6 +119,7 @@ class StatsCollector : public TraceSink
     std::uint32_t lookupLabel(const char *type);
     std::uint32_t internLabel(const char *type);
     StepAccumulator &accumulatorFor(StepId step);
+    StepAccumulator &openStep(StepId step);
     void reject(const TraceEvent &event, const char *why);
     const std::vector<std::uint32_t> &idsByName();
 
@@ -122,7 +130,11 @@ class StatsCollector : public TraceSink
     std::unordered_map<std::string, std::uint32_t> label_ids;
     std::vector<std::uint32_t> sorted_ids; ///< Ids in name order.
 
-    std::map<StepId, StepAccumulator> steps;
+    /** The window's steps in ascending step order, then spares
+     * from earlier windows, cleared, whose `ops` keep their
+     * capacity: after warm-up a new step allocates nothing. */
+    std::vector<StepAccumulator> steps;
+    std::size_t open_steps = 0; ///< Steps in the current window.
     StepId cached_step = kNoStep;
     StepAccumulator *cached_accumulator = nullptr;
 

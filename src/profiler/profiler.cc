@@ -98,10 +98,8 @@ void
 TpuPointProfiler::handleResponse()
 {
     ++requests;
-    ProfileRecord record = collector.harvest(sim.now());
-    if (record.event_count == 0 && record.steps.empty())
+    if (collector.harvest(sim.now(), payload, opts.attempt) == 0)
         return; // nothing happened in this window
-    record.attempt = opts.attempt;
     ++records_recorded;
     RecordSpool *out_spool =
         external_spool ? external_spool : spool.get();
@@ -110,14 +108,17 @@ TpuPointProfiler::handleResponse()
         // through the spool and streams it toward cloud storage
         // while profiling continues.
         const std::uint64_t before = out_spool->bytesSpooled();
-        out_spool->push(encodeProfileRecord(record));
+        out_spool->push(payload);
         const std::uint64_t bytes =
             out_spool->bytesSpooled() - before;
         recorded_bytes += bytes;
         session.storageBucket().write(bytes, nullptr);
     }
-    if (opts.retain_records)
-        profile_records.push_back(std::move(record));
+    // Retained records are the payload decoded: one encoding, so
+    // the in-memory records cannot drift from the spooled bytes.
+    if (opts.retain_records &&
+        !decodeProfileRecord(payload, profile_records.emplace_back()))
+        panic("TpuPointProfiler: harvested payload does not decode");
 }
 
 const std::vector<ProfileRecord> &

@@ -156,6 +156,7 @@ class TpuPointProfiler
     StatsCollector collector;
     std::unique_ptr<obs::TraceSpan> run_span;
     std::vector<ProfileRecord> profile_records;
+    std::string payload; ///< The last harvested window's payload.
     std::unique_ptr<RecordSpool> spool;
     RecordSpool *external_spool = nullptr;
     std::ostream *sink = nullptr;

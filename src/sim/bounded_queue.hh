@@ -10,26 +10,33 @@
 #ifndef TPUPOINT_SIM_BOUNDED_QUEUE_HH
 #define TPUPOINT_SIM_BOUNDED_QUEUE_HH
 
-#include <deque>
-#include <functional>
 #include <utility>
 
 #include "core/logging.hh"
+#include "sim/fifo.hh"
 #include "sim/simulator.hh"
 
 namespace tpupoint {
 
 /**
- * Bounded FIFO channel of T with continuation-passing push/pop.
+ * Bounded FIFO channel of a default-constructible T with
+ * continuation-passing push/pop.
  * All handoffs are scheduled through the simulator at zero delay so
  * that callbacks never nest re-entrantly.
+ *
+ * A consumer's continuation and its item wait together in
+ * `handoffs` rather than in one closure (a closure holding a PopDone
+ * could never be stored inline). Each handoff schedules one
+ * zero-delay event that delivers the oldest waiting pair: same-time
+ * events fire in scheduling order and time never runs backwards, so
+ * the events fire in the order the pairs were queued.
  */
 template <typename T>
 class BoundedQueue
 {
   public:
-    using PushDone = std::function<void()>;
-    using PopDone = std::function<void(T)>;
+    using PushDone = InlineFunction<void()>;
+    using PopDone = InlineFunction<void(T)>;
 
     /**
      * @param simulator The owning simulation kernel.
@@ -57,10 +64,7 @@ class BoundedQueue
             // Hand the item straight to the parked consumer.
             PopDone consumer = std::move(waiting_consumers.front());
             waiting_consumers.pop_front();
-            sim.schedule(0, [fn = std::move(consumer),
-                             v = std::move(item)]() mutable {
-                fn(std::move(v));
-            });
+            deliver(std::move(consumer), std::move(item));
             completePush(std::move(on_accepted));
             return;
         }
@@ -69,8 +73,8 @@ class BoundedQueue
             completePush(std::move(on_accepted));
             return;
         }
-        waiting_producers.emplace_back(std::move(item),
-                                       std::move(on_accepted));
+        waiting_producers.push_back(
+            {std::move(item), std::move(on_accepted)});
     }
 
     /**
@@ -85,10 +89,7 @@ class BoundedQueue
             T item = std::move(items.front());
             items.pop_front();
             admitParkedProducer();
-            sim.schedule(0, [fn = std::move(on_item),
-                             v = std::move(item)]() mutable {
-                fn(std::move(v));
-            });
+            deliver(std::move(on_item), std::move(item));
             return;
         }
         if (!waiting_producers.empty()) {
@@ -99,13 +100,10 @@ class BoundedQueue
             auto [item, done] = std::move(waiting_producers.front());
             waiting_producers.pop_front();
             completePush(std::move(done));
-            sim.schedule(0, [fn = std::move(on_item),
-                             v = std::move(item)]() mutable {
-                fn(std::move(v));
-            });
+            deliver(std::move(on_item), std::move(item));
             return;
         }
-        waiting_consumers.emplace_back(std::move(on_item));
+        waiting_consumers.push_back(std::move(on_item));
     }
 
     /** Items currently buffered (excludes parked producers). */
@@ -150,6 +148,18 @@ class BoundedQueue
     }
 
   private:
+    /** Hand @p item to @p consumer at zero delay. */
+    void
+    deliver(PopDone consumer, T item)
+    {
+        handoffs.push_back({std::move(consumer), std::move(item)});
+        sim.schedule(0, [this]() {
+            auto [fn, value] = std::move(handoffs.front());
+            handoffs.pop_front();
+            fn(std::move(value));
+        });
+    }
+
     void
     completePush(PushDone done)
     {
@@ -171,9 +181,10 @@ class BoundedQueue
 
     Simulator &sim;
     std::size_t max_items;
-    std::deque<T> items;
-    std::deque<std::pair<T, PushDone>> waiting_producers;
-    std::deque<PopDone> waiting_consumers;
+    Fifo<T> items;
+    Fifo<std::pair<T, PushDone>> waiting_producers;
+    Fifo<PopDone> waiting_consumers;
+    Fifo<std::pair<PopDone, T>> handoffs;
 };
 
 } // namespace tpupoint

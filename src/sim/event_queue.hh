@@ -1,37 +1,44 @@
 /**
  * @file
  * Pending-event set for the discrete-event simulator: a binary heap
- * ordered by (timestamp, insertion sequence) with O(log n) insertion
- * and lazy cancellation.
+ * ordered by (timestamp, insertion sequence) over a pool of callback
+ * slots, with O(log n) insertion and lazy cancellation.
  */
 
 #ifndef TPUPOINT_SIM_EVENT_QUEUE_HH
 #define TPUPOINT_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/types.hh"
+#include "sim/inline_function.hh"
 
 namespace tpupoint {
 
-/** Opaque handle to a scheduled event, used for cancellation. */
+/**
+ * Opaque handle to a scheduled event, used for cancellation. The low
+ * 32 bits name the event's slot and the high 32 bits the slot's
+ * generation when it was scheduled. Generations start at 1, so no
+ * issued id is 0 and callers may use 0 to mean "no event".
+ */
 using EventId = std::uint64_t;
 
 /**
  * Time-ordered queue of callbacks. Events with equal timestamps fire
  * in insertion order, which makes simulations deterministic.
- * Cancellation is lazy: heap entries whose callback was cancelled are
- * skipped on pop.
+ *
+ * Callbacks live in a pool of slots recycled through a free list;
+ * the heap holds only (timestamp, sequence, slot, generation).
+ * Firing or cancelling an event frees its slot and bumps the slot's
+ * generation, so a cancelled event's heap entry becomes a tombstone
+ * (skipped on pop) and an id that outlived its event matches nothing.
  */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = InlineFunction<void()>;
 
     /** Insert an event; returns a handle usable with cancel(). */
     EventId schedule(SimTime when, Callback fn);
@@ -43,10 +50,10 @@ class EventQueue
     bool cancel(EventId id);
 
     /** True when no live events remain. */
-    bool empty() const { return pending.empty(); }
+    bool empty() const { return live == 0; }
 
     /** Number of live (non-cancelled, unfired) events. */
-    std::size_t size() const { return pending.size(); }
+    std::size_t size() const { return live; }
 
     /** Timestamp of the earliest live event; kTimeForever if none. */
     SimTime nextTime() const;
@@ -61,24 +68,31 @@ class EventQueue
     struct Entry
     {
         SimTime when;
-        EventId id;
-
-        bool
-        operator>(const Entry &other) const
-        {
-            if (when != other.when)
-                return when > other.when;
-            return id > other.id;
-        }
+        std::uint64_t sequence;
+        std::uint32_t slot;
+        std::uint32_t generation;
     };
 
-    /** Discard heap entries whose callbacks were cancelled. */
+    struct Slot
+    {
+        Callback fn;
+        std::uint32_t generation = 1;
+        std::uint32_t next_free = 0;
+    };
+
+    /** Free @p slot: drop its callback, retire its generation. */
+    void release(std::uint32_t slot);
+
+    /** Discard heap entries whose events were cancelled. */
     void purgeDead() const;
 
-    mutable std::priority_queue<Entry, std::vector<Entry>,
-                                std::greater<Entry>> heap;
-    std::unordered_map<EventId, Callback> pending;
-    EventId next_id = 1;
+    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+    mutable std::vector<Entry> heap;
+    std::vector<Slot> slots;
+    std::uint32_t free_head = kNoSlot; ///< Free-list head.
+    std::uint64_t next_sequence = 0;
+    std::size_t live = 0;
 };
 
 } // namespace tpupoint

@@ -7,10 +7,8 @@
 #ifndef TPUPOINT_SIM_RESOURCE_HH
 #define TPUPOINT_SIM_RESOURCE_HH
 
-#include <deque>
-#include <functional>
-
 #include "core/logging.hh"
+#include "sim/fifo.hh"
 #include "sim/simulator.hh"
 
 namespace tpupoint {
@@ -22,7 +20,7 @@ namespace tpupoint {
 class Resource
 {
   public:
-    using Granted = std::function<void()>;
+    using Granted = InlineFunction<void()>;
 
     /**
      * @param simulator The owning simulation kernel.
@@ -67,7 +65,9 @@ class Resource
 
     /**
      * Convenience: acquire, hold for @p duration, then release and
-     * invoke @p done.
+     * invoke @p done. Its closures capture @p done, so they are too
+     * large to store inline; a hot path calls acquire() and
+     * release() itself.
      */
     void
     use(SimTime duration, Granted done)
@@ -95,7 +95,7 @@ class Resource
     Simulator &sim;
     std::size_t total_units;
     std::size_t free_units;
-    std::deque<Granted> waiters;
+    Fifo<Granted> waiters;
 };
 
 } // namespace tpupoint

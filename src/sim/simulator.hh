@@ -9,7 +9,6 @@
 #define TPUPOINT_SIM_SIMULATOR_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "core/types.hh"
 #include "sim/event_queue.hh"

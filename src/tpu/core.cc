@@ -1,7 +1,6 @@
 #include "tpu/core.hh"
 
 #include <utility>
-#include <vector>
 
 #include "core/logging.hh"
 #include "tpu/timing.hh"
@@ -35,23 +34,25 @@ TpuCore::emit(const char *type, SimTime start, SimTime duration,
 }
 
 void
-TpuCore::runStep(const StepSchedule &schedule, StepId step,
-                 std::function<void()> done)
+TpuCore::runStep(const StepSchedule &schedule, StepId step, Done done)
 {
     if (step_in_flight)
         panic("TpuCore::runStep: a step is already in flight");
     step_in_flight = true;
-    execute(&schedule, 0, step, std::move(done));
+    step_done = std::move(done);
+    execute(&schedule, 0, step);
 }
 
 void
 TpuCore::execute(const StepSchedule *schedule, std::size_t index,
-                 StepId step, std::function<void()> done)
+                 StepId step)
 {
     const auto &ops = schedule->ops;
     if (index >= ops.size()) {
         step_in_flight = false;
         ++stats.steps_completed;
+        // Moved out first: the continuation may start the next step.
+        Done done = std::move(step_done);
         if (done)
             done();
         return;
@@ -65,8 +66,7 @@ TpuCore::execute(const StepSchedule *schedule, std::size_t index,
         // idle and appears in profiles as an `Infeed` event.
         const SimTime wait_start = sim.now();
         infeed.pop([this, schedule, index, step,
-                    done = std::move(done),
-                    wait_start](DeviceBatch batch) mutable {
+                    wait_start](DeviceBatch batch) {
             const SimTime wait = sim.now() - wait_start;
             if (wait > 0) {
                 emit(opKindName(OpKind::Infeed), wait_start, wait,
@@ -77,14 +77,13 @@ TpuCore::execute(const StepSchedule *schedule, std::size_t index,
             const SimTime stage =
                 hbmTime(device, batch.bytes) + device.op_overhead;
             const SimTime start = sim.now();
-            sim.schedule(stage, [this, schedule, index, step,
-                                 done = std::move(done), start,
-                                 stage]() mutable {
+            sim.schedule(stage, [this, schedule, index, step, start,
+                                 stage]() {
                 emit(opKindName(OpKind::InfeedDequeueTuple), start,
                      stage, step, false);
                 stats.busy += stage;
                 ++stats.ops_executed;
-                execute(schedule, index + 1, step, std::move(done));
+                execute(schedule, index + 1, step);
             });
         });
         return;
@@ -97,9 +96,8 @@ TpuCore::execute(const StepSchedule *schedule, std::size_t index,
         const SimTime enqueue =
             hbmTime(device, result_bytes) + device.op_overhead;
         const SimTime start = sim.now();
-        sim.schedule(enqueue, [this, schedule, index, step,
-                               done = std::move(done), start,
-                               enqueue, result_bytes]() mutable {
+        sim.schedule(enqueue, [this, schedule, index, step, start,
+                               enqueue, result_bytes]() {
             emit(opKindName(OpKind::OutfeedEnqueueTuple), start,
                  enqueue, step, false);
             stats.busy += enqueue;
@@ -111,15 +109,14 @@ TpuCore::execute(const StepSchedule *schedule, std::size_t index,
             result.bytes = result_bytes;
             result.tpu_finished = sim.now();
             outfeed.push(result, [this, schedule, index, step,
-                                  done = std::move(done),
-                                  push_start]() mutable {
+                                  push_start]() {
                 const SimTime wait = sim.now() - push_start;
                 if (wait > 0) {
                     emit(opKindName(OpKind::Outfeed), push_start,
                          wait, step, false);
                     stats.idle += wait;
                 }
-                execute(schedule, index + 1, step, std::move(done));
+                execute(schedule, index + 1, step);
             });
         });
         return;
@@ -127,15 +124,7 @@ TpuCore::execute(const StepSchedule *schedule, std::size_t index,
 
     // A run of regular operators: execute back to back, then emit
     // their events once the run retires (timestamps are exact).
-    struct PendingEvent
-    {
-        const char *type;
-        SimTime start;
-        SimTime duration;
-        bool mxu;
-        SimTime mxu_active;
-    };
-    std::vector<PendingEvent> batch_events;
+    run_events.clear();
     SimTime cursor = sim.now();
     std::size_t next = index;
     while (next < ops.size()) {
@@ -148,24 +137,22 @@ TpuCore::execute(const StepSchedule *schedule, std::size_t index,
         const SimTime duration =
             opDuration(device, run_op) + trace_overhead;
         const SimTime active = mxuActiveTime(device, run_op);
-        batch_events.push_back(PendingEvent{run_op.typeName(),
-                                            cursor, duration,
-                                            run_op.mxu, active});
+        run_events.push_back(PendingEvent{run_op.typeName(), cursor,
+                                          duration, run_op.mxu,
+                                          active});
         cursor += duration;
         stats.mxu_active += active;
         ++next;
     }
 
     const SimTime total = cursor - sim.now();
-    sim.schedule(total, [this, schedule, next, step,
-                         done = std::move(done), total,
-                         events = std::move(batch_events)]() mutable {
-        for (const auto &e : events)
+    sim.schedule(total, [this, schedule, next, step, total]() {
+        for (const auto &e : run_events)
             emit(e.type, e.start, e.duration, step, e.mxu,
                  e.mxu_active);
         stats.busy += total;
-        stats.ops_executed += events.size();
-        execute(schedule, next, step, std::move(done));
+        stats.ops_executed += run_events.size();
+        execute(schedule, next, step);
     });
 }
 

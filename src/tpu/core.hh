@@ -12,7 +12,7 @@
 #define TPUPOINT_TPU_CORE_HH
 
 #include <cstdint>
-#include <functional>
+#include <vector>
 
 #include "graph/schedule.hh"
 #include "proto/event.hh"
@@ -29,6 +29,9 @@ namespace tpupoint {
 class TpuCore
 {
   public:
+    /** Continuation of a step. */
+    using Done = InlineFunction<void()>;
+
     /** Cumulative device counters (profile meta-data source). */
     struct Counters
     {
@@ -66,8 +69,7 @@ class TpuCore
      * done fires when the last operator (and outfeed push) retires.
      * Only one step may be in flight at a time.
      */
-    void runStep(const StepSchedule &schedule, StepId step,
-                 std::function<void()> done);
+    void runStep(const StepSchedule &schedule, StepId step, Done done);
 
     /** Device counters. */
     const Counters &counters() const { return stats; }
@@ -76,8 +78,18 @@ class TpuCore
     const TpuDeviceSpec &spec() const { return device; }
 
   private:
+    /** An operator of the current run, emitted when the run retires. */
+    struct PendingEvent
+    {
+        const char *type;
+        SimTime start;
+        SimTime duration;
+        bool mxu;
+        SimTime mxu_active;
+    };
+
     void execute(const StepSchedule *schedule, std::size_t index,
-                 StepId step, std::function<void()> done);
+                 StepId step);
 
     void emit(const char *type, SimTime start, SimTime duration,
               StepId step, bool mxu, SimTime mxu_active = 0);
@@ -90,6 +102,11 @@ class TpuCore
     Counters stats;
     SimTime trace_overhead = 0;
     bool step_in_flight = false;
+    /** The in-flight step's continuation (one step at a time, so
+     * the operator closures need not carry it). */
+    Done step_done;
+    /** The in-flight run's operators; reused across runs. */
+    std::vector<PendingEvent> run_events;
 };
 
 } // namespace tpupoint

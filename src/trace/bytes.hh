@@ -23,6 +23,15 @@ namespace tpupoint {
 class ByteWriter
 {
   public:
+    ByteWriter() = default;
+
+    /** Write into @p reuse's storage: its contents are dropped, its
+     * capacity kept. */
+    explicit ByteWriter(std::string reuse) : buffer(std::move(reuse))
+    {
+        buffer.clear();
+    }
+
     void
     putU32(std::uint32_t v)
     {
@@ -30,6 +39,22 @@ class ByteWriter
         for (int i = 0; i < 4; ++i)
             bytes[i] = static_cast<char>(v >> (8 * i));
         buffer.append(bytes, sizeof(bytes));
+    }
+
+    /** Overwrite the four bytes at @p offset with @p v. */
+    void
+    patchU32(std::size_t offset, std::uint32_t v)
+    {
+        for (std::size_t i = 0; i < 4; ++i)
+            buffer[offset + i] = static_cast<char>(v >> (8 * i));
+    }
+
+    /** Overwrite the eight bytes at @p offset with @p v. */
+    void
+    patchU64(std::size_t offset, std::uint64_t v)
+    {
+        for (std::size_t i = 0; i < 8; ++i)
+            buffer[offset + i] = static_cast<char>(v >> (8 * i));
     }
 
     void

@@ -32,6 +32,17 @@ makeEvent(const char *type, SimTime start, SimTime duration,
     return e;
 }
 
+/** Harvest @p collector's window and decode its payload. */
+ProfileRecord
+harvestRecord(StatsCollector &collector, SimTime window_end)
+{
+    std::string payload;
+    collector.harvest(window_end, payload);
+    ProfileRecord record;
+    EXPECT_TRUE(decodeProfileRecord(payload, record));
+    return record;
+}
+
 TEST(CollectorTest, AggregatesByStep)
 {
     StatsCollector collector(0);
@@ -40,7 +51,7 @@ TEST(CollectorTest, AggregatesByStep)
     collector.record(makeEvent("fusion", 30, 10, 2));
     EXPECT_EQ(collector.eventsInWindow(), 3u);
 
-    const ProfileRecord record = collector.harvest(100);
+    const ProfileRecord record = harvestRecord(collector, 100);
     EXPECT_EQ(record.event_count, 3u);
     ASSERT_EQ(record.steps.size(), 2u);
     EXPECT_EQ(record.steps[0].step, 1u);
@@ -55,14 +66,48 @@ TEST(CollectorTest, HarvestResetsWindow)
 {
     StatsCollector collector(0);
     collector.record(makeEvent("MatMul", 0, 10, 1));
-    (void)collector.harvest(50);
+    (void)harvestRecord(collector, 50);
     EXPECT_EQ(collector.eventsInWindow(), 0u);
     EXPECT_EQ(collector.windowBegin(), 50);
     collector.record(makeEvent("fusion", 60, 5, 2));
-    const ProfileRecord second = collector.harvest(100);
+    const ProfileRecord second = harvestRecord(collector, 100);
     EXPECT_EQ(second.sequence, 1u);
     ASSERT_EQ(second.steps.size(), 1u);
     EXPECT_EQ(second.steps[0].step, 2u);
+}
+
+TEST(CollectorTest, EmptyWindowStillUsesSequenceNumber)
+{
+    StatsCollector collector(0);
+    std::string payload;
+    collector.record(makeEvent("MatMul", 0, 10, 1));
+    EXPECT_EQ(collector.harvest(50, payload), 1u);
+    // Nothing happened in (50, 100]: harvest reports no events but
+    // still writes a (stepless) payload and spends sequence 1.
+    EXPECT_EQ(collector.harvest(100, payload), 0u);
+    ProfileRecord empty;
+    ASSERT_TRUE(decodeProfileRecord(payload, empty));
+    EXPECT_EQ(empty.sequence, 1u);
+    EXPECT_TRUE(empty.steps.empty());
+    collector.record(makeEvent("MatMul", 110, 10, 2));
+    const ProfileRecord third = harvestRecord(collector, 150);
+    EXPECT_EQ(third.sequence, 2u);
+    EXPECT_EQ(third.window_begin, 100);
+}
+
+TEST(CollectorTest, HarvestStampsAttemptAndReusesBuffer)
+{
+    StatsCollector collector(0);
+    std::string payload = "stale bytes from an earlier window";
+    collector.record(makeEvent("MatMul", 0, 10, 1));
+    collector.harvest(50, payload, 4);
+    ProfileRecord record;
+    ASSERT_TRUE(decodeProfileRecord(payload, record));
+    EXPECT_EQ(record.attempt, 4u);
+    EXPECT_FALSE(record.attempt_boundary);
+    EXPECT_EQ(record.preempted_at_step, 0u);
+    EXPECT_EQ(record.resume_step, 0u);
+    EXPECT_EQ(encodeProfileRecord(record), payload);
 }
 
 TEST(CollectorTest, NoStepEventsJoinLatestStep)
@@ -71,7 +116,7 @@ TEST(CollectorTest, NoStepEventsJoinLatestStep)
     collector.record(makeEvent("MatMul", 0, 10, 7));
     collector.record(
         makeEvent("Recv", 10, 5, kNoStep, EventDevice::Host));
-    const ProfileRecord record = collector.harvest(100);
+    const ProfileRecord record = harvestRecord(collector, 100);
     ASSERT_EQ(record.steps.size(), 1u);
     EXPECT_EQ(record.steps[0].step, 7u);
     EXPECT_EQ(record.steps[0].host_ops.at("Recv").count, 1u);
@@ -83,7 +128,7 @@ TEST(CollectorTest, EventCapTruncates)
     for (std::uint64_t i = 0; i < kMaxEventsPerProfile + 10; ++i)
         collector.record(makeEvent("MatMul", 0, 1, 0));
     EXPECT_TRUE(collector.overflowed());
-    const ProfileRecord record = collector.harvest(1);
+    const ProfileRecord record = harvestRecord(collector, 1);
     EXPECT_TRUE(record.truncated);
     EXPECT_EQ(record.event_count, kMaxEventsPerProfile);
     // The cap resets with the window.
@@ -111,12 +156,12 @@ TEST(CollectorTest, DroppedEventsAreCountedNotJustFlagged)
     }
     EXPECT_EQ(collector.eventsDropped(), kOverflow);
 
-    const ProfileRecord record = collector.harvest(1);
+    const ProfileRecord record = harvestRecord(collector, 1);
     EXPECT_TRUE(record.truncated);
     EXPECT_EQ(record.events_dropped, kOverflow);
     // The drop count resets with the window, like the cap flag.
     EXPECT_EQ(collector.eventsDropped(), 0u);
-    const ProfileRecord clean = collector.harvest(2);
+    const ProfileRecord clean = harvestRecord(collector, 2);
     EXPECT_EQ(clean.events_dropped, 0u);
     EXPECT_FALSE(clean.truncated);
 }
@@ -128,7 +173,7 @@ TEST(CollectorTest, MetadataComputedOverWindow)
     busy.mxu = true;
     busy.mxu_active = 100;
     collector.record(busy);
-    const ProfileRecord record = collector.harvest(1000);
+    const ProfileRecord record = harvestRecord(collector, 1000);
     // 400 of 1000 ns busy -> 60% idle; 100/1000 MXU.
     EXPECT_NEAR(record.tpu_idle_fraction, 0.6, 1e-9);
     EXPECT_NEAR(record.mxu_utilization, 0.1, 1e-9);
@@ -139,7 +184,7 @@ TEST(CollectorTest, HostEventsDoNotCountAsTpuBusy)
     StatsCollector collector(0);
     collector.record(
         makeEvent("RunGraph", 0, 500, 0, EventDevice::Host));
-    const ProfileRecord record = collector.harvest(1000);
+    const ProfileRecord record = harvestRecord(collector, 1000);
     EXPECT_NEAR(record.tpu_idle_fraction, 1.0, 1e-9);
 }
 
@@ -154,7 +199,7 @@ TEST(CollectorTest, AccumulatesOpStatistics)
     collector.record(second);
     collector.record(makeEvent("RunGraph", 0, 3, 4, EventDevice::Host));
 
-    const ProfileRecord record = collector.harvest(100);
+    const ProfileRecord record = harvestRecord(collector, 100);
     ASSERT_EQ(record.steps.size(), 1u);
     const StepStats &s = record.steps[0];
     EXPECT_EQ(s.tpu_ops.at("MatMul").count, 2u);
@@ -172,7 +217,7 @@ TEST(CollectorTest, InfeedWaitCountsAsIdleNotBusy)
     StatsCollector collector(0);
     collector.record(makeEvent(opKindName(OpKind::Infeed), 0, 100, 1));
     collector.record(makeEvent("MatMul", 100, 50, 1));
-    const ProfileRecord record = collector.harvest(1000);
+    const ProfileRecord record = harvestRecord(collector, 1000);
     ASSERT_EQ(record.steps.size(), 1u);
     EXPECT_EQ(record.steps[0].tpu_idle, 100);
     EXPECT_EQ(record.steps[0].tpu_busy, 50);
@@ -187,7 +232,7 @@ TEST(CollectorTest, SameTextAtTwoAddressesIsOneLabel)
     collector.record(makeEvent(a.c_str(), 0, 1, 1));
     collector.record(makeEvent(b.c_str(), 1, 2, 1));
     collector.record(makeEvent("MatMul", 3, 4, 1));
-    const ProfileRecord record = collector.harvest(100);
+    const ProfileRecord record = harvestRecord(collector, 100);
     ASSERT_EQ(record.steps.size(), 1u);
     ASSERT_EQ(record.steps[0].tpu_ops.size(), 1u);
     EXPECT_EQ(record.steps[0].tpu_ops.at("MatMul").count, 3u);
@@ -357,6 +402,27 @@ expectSameRecord(const ProfileRecord &got, const ProfileRecord &want)
 }
 
 /**
+ * Harvest @p collector and require its payload to be exactly the
+ * encoding of @p oracle's record for the same window. On a mismatch
+ * the decoded records are compared field by field to name the
+ * difference.
+ */
+void
+expectHarvestMatchesOracle(StatsCollector &collector,
+                           MapFoldCollector &oracle, SimTime window_end)
+{
+    std::string payload;
+    collector.harvest(window_end, payload);
+    const ProfileRecord want = oracle.harvest(window_end);
+    if (payload == encodeProfileRecord(want))
+        return;
+    ADD_FAILURE() << "harvested payload differs from the oracle's";
+    ProfileRecord got;
+    ASSERT_TRUE(decodeProfileRecord(payload, got));
+    expectSameRecord(got, want);
+}
+
+/**
  * Label pointers for random streams: the special labels, prefixes
  * and bytes above 0x7f (name order), enough distinct labels to grow
  * the pointer cache, and heap copies of every text at a second
@@ -437,9 +503,7 @@ TEST(CollectorTest, MatchesMapFoldOracleProperty)
                 oracle.record(e);
             }
             now += static_cast<SimTime>(rng.nextBounded(kSec));
-            const ProfileRecord got = collector.harvest(now);
-            const ProfileRecord want = oracle.harvest(now);
-            expectSameRecord(got, want);
+            expectHarvestMatchesOracle(collector, oracle, now);
             if (HasFailure())
                 return;
         }
@@ -466,13 +530,12 @@ TEST(CollectorTest, EventCapWindowMatchesMapFoldOracle)
     }
     EXPECT_EQ(collector.eventsDropped(), 25u);
     const SimTime end = static_cast<SimTime>(kMaxEventsPerProfile + 25);
-    expectSameRecord(collector.harvest(end), oracle.harvest(end));
+    expectHarvestMatchesOracle(collector, oracle, end);
     // The next window starts clean in both.
     TraceEvent e = makeEvent("MatMul", end, 5, 300);
     collector.record(e);
     oracle.record(e);
-    expectSameRecord(collector.harvest(end + 10),
-                     oracle.harvest(end + 10));
+    expectHarvestMatchesOracle(collector, oracle, end + 10);
 }
 
 } // namespace

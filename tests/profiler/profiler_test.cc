@@ -6,10 +6,13 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "obs/metrics.hh"
 #include "profiler/profiler.hh"
 #include "proto/serialize.hh"
+#include "trace/record_stream.hh"
 #include "workloads/catalog.hh"
 
 namespace tpupoint {
@@ -192,6 +195,69 @@ TEST(ProfilerTest, StreamedProfileMatchesBufferedWriteRecords)
 
     // Retention off means the in-memory accessors refuse.
     EXPECT_THROW(streamed.records(), std::runtime_error);
+}
+
+TEST(ProfilerTest, RetainedRecordsAreTheStreamedPayloadsDecoded)
+{
+    // Retention and streaming together: records() must be exactly
+    // the decode of the payloads that reached the stream.
+    Simulator sim;
+    const RuntimeWorkload w = smallWorkload();
+    TrainingSession session(sim, SessionConfig{}, w);
+    ProfilerOptions options;
+    options.profile_interval = 100 * kMsec;
+    options.attempt = 3;
+    TpuPointProfiler profiler(sim, session, options);
+    std::stringstream bytes;
+    profiler.streamTo(bytes);
+    profiler.start(true);
+    session.start(nullptr);
+    sim.run();
+    profiler.stop();
+
+    RecordStreamReader reader(bytes);
+    std::string_view payload;
+    std::size_t index = 0;
+    while (reader.next(payload) == StreamStatus::Ok) {
+        ProfileRecord decoded;
+        ASSERT_TRUE(decodeProfileRecord(payload, decoded));
+        ASSERT_LT(index, profiler.records().size());
+        EXPECT_EQ(decoded.attempt, 3u);
+        EXPECT_EQ(encodeProfileRecord(decoded),
+                  encodeProfileRecord(profiler.records()[index]));
+        EXPECT_EQ(encodeProfileRecord(decoded), payload);
+        ++index;
+    }
+    EXPECT_EQ(reader.status(), StreamStatus::End);
+    EXPECT_EQ(index, profiler.records().size());
+    EXPECT_GT(index, 2u);
+}
+
+TEST(ProfilerTest, EmptyWindowsLeaveSequenceGaps)
+{
+    // Windows with no events are not recorded, but each one still
+    // used up a sequence number.
+    Simulator sim;
+    const RuntimeWorkload w = smallWorkload();
+    TrainingSession session(sim, SessionConfig{}, w);
+    ProfilerOptions options;
+    options.profile_interval = 1 * kMsec;
+    TpuPointProfiler profiler(sim, session, options);
+    profiler.start(true);
+    session.start(nullptr);
+    sim.run();
+    profiler.stop();
+
+    const auto &records = profiler.records();
+    ASSERT_GT(records.size(), 1u);
+    EXPECT_LT(records.size(), profiler.requestsIssued());
+    bool gap = false;
+    for (std::size_t i = 1; i < records.size(); ++i) {
+        EXPECT_GT(records[i].sequence, records[i - 1].sequence);
+        gap |= records[i].sequence > records[i - 1].sequence + 1;
+    }
+    EXPECT_TRUE(gap || records.front().sequence > 0);
+    EXPECT_LT(records.back().sequence, profiler.requestsIssued());
 }
 
 TEST(ProfilerTest, StreamToAfterStartIsRejected)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -100,6 +101,68 @@ TEST(EventQueueTest, SizeTracksLiveEvents)
     EXPECT_EQ(q.size(), 1u);
     q.pop();
     EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(EventQueueTest, IdsAreNeverZero)
+{
+    // Recycle slots through fire and cancel: every id, first issue
+    // or reuse, stays nonzero (callers use 0 for "no event").
+    EventQueue q;
+    for (int round = 0; round < 50; ++round) {
+        std::vector<EventId> ids;
+        for (int i = 0; i < 8; ++i) {
+            ids.push_back(q.schedule(round, [] {}));
+            EXPECT_NE(ids.back(), EventId{0});
+        }
+        for (std::size_t i = 0; i < ids.size(); i += 2)
+            q.cancel(ids[i]);
+        while (!q.empty())
+            q.pop();
+    }
+    EXPECT_FALSE(q.cancel(0));
+}
+
+TEST(EventQueueTest, StaleIdAfterSlotReuseCancelsNothing)
+{
+    for (const bool fire : {true, false}) {
+        SCOPED_TRACE(fire ? "first event fired" : "first cancelled");
+        EventQueue q;
+        const EventId stale = q.schedule(1, [] {});
+        if (fire)
+            q.pop();
+        else
+            q.cancel(stale);
+        bool fired = false;
+        const EventId fresh = q.schedule(2, [&] { fired = true; });
+        // The low half of an id names its slot: the new event
+        // reuses the freed one under a new generation.
+        EXPECT_EQ(static_cast<std::uint32_t>(fresh),
+                  static_cast<std::uint32_t>(stale));
+        EXPECT_NE(fresh, stale);
+        EXPECT_FALSE(q.cancel(stale));
+        ASSERT_EQ(q.size(), 1u);
+        q.pop().second();
+        EXPECT_TRUE(fired);
+    }
+}
+
+TEST(EventQueueTest, DoubleCancelReturnsFalse)
+{
+    EventQueue q;
+    std::vector<int> order;
+    q.schedule(1, [&] { order.push_back(1); });
+    const EventId id = q.schedule(2, [&] { order.push_back(2); });
+    q.schedule(3, [&] { order.push_back(3); });
+    EXPECT_TRUE(q.cancel(id));
+    EXPECT_FALSE(q.cancel(id));
+    EXPECT_EQ(q.size(), 2u);
+    while (!q.empty())
+        q.pop().second();
+    EXPECT_EQ(order, (std::vector<int>{1, 3}));
+    // A fired event cannot be cancelled either.
+    const EventId fired = q.schedule(4, [] {});
+    q.pop();
+    EXPECT_FALSE(q.cancel(fired));
 }
 
 } // namespace

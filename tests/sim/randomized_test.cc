@@ -73,6 +73,93 @@ TEST_P(EventQueueModelProperty, MatchesStableSortReference)
         EXPECT_EQ(fired[i], live[i].tag);
 }
 
+TEST_P(EventQueueModelProperty, InterleavedMatchesStableSortReference)
+{
+    // Schedule, cancel and pop mixed at random, with every pop
+    // checked against the stable-sort order of the live events,
+    // then a drain whose callbacks schedule more events at the
+    // current timestamp (they must fire after the ones already
+    // queued there).
+    Rng rng(GetParam());
+    EventQueue queue;
+    struct Expected
+    {
+        SimTime when;
+        std::uint64_t order;
+        int tag;
+        EventId id;
+    };
+    std::vector<Expected> live;
+    std::vector<EventId> retired; ///< Ids of fired or cancelled events.
+    std::vector<int> fired;
+    std::uint64_t order = 0;
+    SimTime now = 0;
+    int next_tag = 0;
+    bool draining = false;
+
+    std::function<void(SimTime)> add = [&](SimTime when) {
+        const int tag = next_tag++;
+        const EventId id = queue.schedule(when, [&, tag] {
+            fired.push_back(tag);
+            if (draining && rng.nextBounded(3) == 0 && next_tag < 2000)
+                add(now); // same timestamp, mid-drain
+        });
+        live.push_back({when, order++, tag, id});
+    };
+    const auto expectedNext = [&]() {
+        return std::min_element(
+            live.begin(), live.end(),
+            [](const Expected &a, const Expected &b) {
+                return a.when != b.when ? a.when < b.when
+                                        : a.order < b.order;
+            });
+    };
+    const auto popOne = [&]() {
+        const auto want = expectedNext();
+        const int tag = want->tag;
+        retired.push_back(want->id);
+        live.erase(want);
+        auto [when, fn] = queue.pop();
+        now = when;
+        const std::size_t before = fired.size();
+        fn();
+        ASSERT_GT(fired.size(), before);
+        EXPECT_EQ(fired[before], tag);
+    };
+
+    for (int i = 0; i < 1500; ++i) {
+        const std::uint64_t op = rng.nextBounded(10);
+        if (op < 5) {
+            // Mostly near the clock, often exactly on it.
+            add(now + static_cast<SimTime>(rng.nextBounded(3) == 0
+                                               ? 0
+                                               : rng.nextBounded(40)));
+        } else if (op < 7 && (!live.empty() || !retired.empty())) {
+            if (!live.empty() && rng.nextBounded(4) != 0) {
+                const std::size_t pick = rng.nextBounded(live.size());
+                EXPECT_TRUE(queue.cancel(live[pick].id));
+                retired.push_back(live[pick].id);
+                live.erase(live.begin() +
+                           static_cast<std::ptrdiff_t>(pick));
+            } else if (!retired.empty()) {
+                // A stale id (its slot may be reused) is a no-op.
+                EXPECT_FALSE(queue.cancel(
+                    retired[rng.nextBounded(retired.size())]));
+            }
+        } else if (!live.empty()) {
+            popOne();
+        }
+        ASSERT_EQ(queue.size(), live.size());
+        ASSERT_FALSE(HasFailure());
+    }
+    draining = true;
+    while (!live.empty()) {
+        popOne();
+        ASSERT_FALSE(HasFailure());
+    }
+    EXPECT_TRUE(queue.empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueModelProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21,
                                            34));
