@@ -123,8 +123,14 @@ main(int argc, char **argv)
     // Write the analyzer's output files.
     const std::string base = "tpupoint_analysis";
     {
+        std::vector<ProfileWindowInfo> windows;
+        ColumnarRecord columnar;
+        for (const auto &record : profiler.records()) {
+            toColumnar(record, columnar);
+            windows.emplace_back(columnar);
+        }
         std::ofstream out(base + ".trace.json");
-        writeChromeTrace(analysis, profiler.records(), out);
+        writeChromeTrace(analysis, windows, out);
     }
     {
         std::ofstream out(base + ".phases.csv");

@@ -434,20 +434,25 @@ bench_smoke() {
             return 1
         }
     done
-    # The producer path end to end: perfbench's profile job checks
-    # its own output (strict decode, event accounting, repeatable
-    # bytes). Only its verdict gates; its figures are not compared.
-    echo "== bench: perfbench profile reports correct output"
-    python3 perfbench/run.py --workload profile --seed 1 --seconds 2 \
-        --trace 0 2>/dev/null | tail -n 1 > "${work}/perfbench.json"
-    python3 -c 'import json, sys
+    # Every workload end to end: each perfbench job checks its own
+    # output (perfbench/README.md, "Output checks"). Only the
+    # verdict gates; figures are not compared.
+    local workload
+    for workload in profile analyze characterize serve; do
+        echo "== bench: perfbench ${workload} reports correct output"
+        python3 perfbench/run.py --workload "${workload}" --seed 1 \
+            --seconds 2 --trace 0 2>/dev/null | tail -n 1 \
+            > "${work}/perfbench.json"
+        python3 -c 'import json, sys
 result = json.load(open(sys.argv[1]))
 sys.exit(0 if result["correct"] is True else 1)' \
-        "${work}/perfbench.json" || {
-        echo "bench: perfbench profile reported incorrect output" >&2
-        cat "${work}/perfbench.json" >&2
-        return 1
-    }
+            "${work}/perfbench.json" || {
+            echo "bench: perfbench ${workload} reported incorrect" \
+                "output" >&2
+            cat "${work}/perfbench.json" >&2
+            return 1
+        }
+    done
     rm -rf "${work}"
 }
 

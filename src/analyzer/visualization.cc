@@ -6,6 +6,7 @@
 #include "core/csv.hh"
 #include "core/json.hh"
 #include "core/strings.hh"
+#include "obs/trace_export.hh"
 
 namespace tpupoint {
 
@@ -36,34 +37,7 @@ phaseLabel(const Phase &phase)
         std::to_string(phase.last_step) + "]";
 }
 
-void
-traceEvent(JsonWriter &w, const std::string &name, int pid,
-           int tid, SimTime start, SimTime duration)
-{
-    w.beginObject();
-    w.field("name", name);
-    w.field("ph", "X");
-    w.field("pid", pid);
-    w.field("tid", tid);
-    // chrome://tracing expects microseconds.
-    w.field("ts", static_cast<double>(start) / 1e3);
-    w.field("dur", static_cast<double>(duration) / 1e3);
-    w.endObject();
-}
-
 } // namespace
-
-void
-writeChromeTrace(const AnalysisResult &analysis,
-                 const std::vector<ProfileRecord> &records,
-                 std::ostream &out)
-{
-    std::vector<ProfileWindowInfo> windows;
-    windows.reserve(records.size());
-    for (const auto &record : records)
-        windows.emplace_back(record);
-    writeChromeTrace(analysis, windows, out);
-}
 
 void
 writeChromeTrace(const AnalysisResult &analysis,
@@ -71,49 +45,35 @@ writeChromeTrace(const AnalysisResult &analysis,
                  std::ostream &out)
 {
     JsonWriter w(out);
-    w.beginObject();
-    w.key("traceEvents");
-    w.beginArray();
-
-    // Track metadata.
-    for (const auto &[tid, label] :
-         {std::pair<int, const char *>{1, "Profile Breakdown"},
-          std::pair<int, const char *>{2, "Phase Breakdown"}}) {
-        w.beginObject();
-        w.field("name", "thread_name");
-        w.field("ph", "M");
-        w.field("pid", 1);
-        w.field("tid", tid);
-        w.key("args");
-        w.beginObject();
-        w.field("name", label);
-        w.endObject();
-        w.endObject();
-    }
+    obs::beginTraceDocument(w);
+    obs::writeThreadName(w, 1, 1, "Profile Breakdown");
+    obs::writeThreadName(w, 1, 2, "Phase Breakdown");
 
     // Profile Breakdown: one slice per profile window.
+    std::string name;
     for (const auto &window : windows) {
         const SimTime span =
             window.window_end > window.window_begin
                 ? window.window_end - window.window_begin
                 : 0;
-        traceEvent(w,
-                   "profile " + std::to_string(window.sequence) +
-                       (window.truncated ? " (truncated)" : ""),
-                   1, 1, window.window_begin, span);
+        name = "profile ";
+        name += std::to_string(window.sequence);
+        if (window.truncated)
+            name += " (truncated)";
+        obs::beginDurationEvent(w, name, 1, 1, window.window_begin,
+                                span);
+        w.endObject();
     }
 
     // Phase Breakdown: one slice per phase.
     for (const auto &phase : analysis.phases) {
         const auto [begin, end] =
             phaseExtent(phase, analysis.table);
-        traceEvent(w, phaseLabel(phase), 1, 2, begin,
-                   end > begin ? end - begin : 0);
+        obs::beginDurationEvent(w, phaseLabel(phase), 1, 2, begin,
+                                end > begin ? end - begin : 0);
+        w.endObject();
     }
-
-    w.endArray();
-    w.field("displayTimeUnit", "ms");
-    w.endObject();
+    obs::endTraceDocument(w);
 }
 
 void

@@ -1,10 +1,26 @@
 #include "core/interner.hh"
 
+#include <atomic>
 #include <mutex>
 
 #include "core/logging.hh"
 
 namespace tpupoint {
+
+namespace {
+
+std::uint64_t
+nextInternerSerial()
+{
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+} // namespace
+
+StringInterner::StringInterner() : serial_number(nextInternerSerial())
+{
+}
 
 StringInterner &
 StringInterner::global()
@@ -18,20 +34,32 @@ StringInterner::global()
 std::uint32_t
 StringInterner::intern(std::string_view name)
 {
+    std::string_view stored;
+    return intern(name, stored);
+}
+
+std::uint32_t
+StringInterner::intern(std::string_view name, std::string_view &stored)
+{
     {
         std::shared_lock<std::shared_mutex> read(guard);
         const auto it = index.find(name);
-        if (it != index.end())
+        if (it != index.end()) {
+            stored = it->first;
             return it->second;
+        }
     }
     std::unique_lock<std::shared_mutex> write(guard);
     // Re-check: another thread may have interned it between locks.
     const auto it = index.find(name);
-    if (it != index.end())
+    if (it != index.end()) {
+        stored = it->first;
         return it->second;
+    }
     const auto id = static_cast<std::uint32_t>(strings.size());
     strings.emplace_back(name);
-    index.emplace(std::string_view(strings.back()), id);
+    stored = std::string_view(strings.back());
+    index.emplace(stored, id);
     return id;
 }
 

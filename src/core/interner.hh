@@ -32,7 +32,7 @@ namespace tpupoint {
 class StringInterner
 {
   public:
-    StringInterner() = default;
+    StringInterner();
     StringInterner(const StringInterner &) = delete;
     StringInterner &operator=(const StringInterner &) = delete;
 
@@ -51,6 +51,14 @@ class StringInterner
     std::uint32_t intern(std::string_view name);
 
     /**
+     * intern() that also returns, in @p stored, the interner's own
+     * copy of the name (valid for the interner's lifetime), so a
+     * caller can cache the pair and later match names against it.
+     */
+    std::uint32_t intern(std::string_view name,
+                         std::string_view &stored);
+
+    /**
      * Id for @p name if already interned.
      * @return true and sets @p id when present.
      */
@@ -66,7 +74,16 @@ class StringInterner
     /** Distinct strings interned so far. */
     std::size_t size() const;
 
+    /**
+     * A number unique to this interner among all interners the
+     * process ever constructs — unlike its address, which a later
+     * interner can reuse. Caches of ids key on it.
+     */
+    std::uint64_t serial() const { return serial_number; }
+
   private:
+    const std::uint64_t serial_number;
+
     mutable std::shared_mutex guard;
 
     /** Stable storage: deque never moves existing elements. */

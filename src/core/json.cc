@@ -1,8 +1,8 @@
 #include "core/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "core/logging.hh"
 
@@ -13,14 +13,28 @@ JsonWriter::JsonWriter(std::ostream &out, bool pretty)
 {
 }
 
+JsonWriter::~JsonWriter()
+{
+    flush();
+}
+
+void
+JsonWriter::flush()
+{
+    if (buffer.empty())
+        return;
+    stream.write(buffer.data(),
+                 static_cast<std::streamsize>(buffer.size()));
+    buffer.clear();
+}
+
 void
 JsonWriter::newlineIndent()
 {
     if (!pretty_print)
         return;
-    stream << '\n';
-    for (std::size_t i = 0; i < scopes.size(); ++i)
-        stream << "  ";
+    buffer += '\n';
+    buffer.append(2 * scopes.size(), ' ');
 }
 
 void
@@ -40,16 +54,23 @@ JsonWriter::beforeValue()
     }
     // Array element.
     if (has_items.back())
-        stream << ',';
+        buffer += ',';
     has_items.back() = true;
     newlineIndent();
+}
+
+void
+JsonWriter::afterValue()
+{
+    if (scopes.empty() || buffer.size() >= kFlushBytes)
+        flush();
 }
 
 void
 JsonWriter::beginObject()
 {
     beforeValue();
-    stream << '{';
+    buffer += '{';
     scopes.push_back(Scope::Object);
     has_items.push_back(false);
 }
@@ -66,14 +87,15 @@ JsonWriter::endObject()
     has_items.pop_back();
     if (had_items)
         newlineIndent();
-    stream << '}';
+    buffer += '}';
+    afterValue();
 }
 
 void
 JsonWriter::beginArray()
 {
     beforeValue();
-    stream << '[';
+    buffer += '[';
     scopes.push_back(Scope::Array);
     has_items.push_back(false);
 }
@@ -88,7 +110,8 @@ JsonWriter::endArray()
     has_items.pop_back();
     if (had_items)
         newlineIndent();
-    stream << ']';
+    buffer += ']';
+    afterValue();
 }
 
 void
@@ -99,12 +122,11 @@ JsonWriter::key(std::string_view name)
     if (key_pending)
         panic("JsonWriter: two keys in a row");
     if (has_items.back())
-        stream << ',';
+        buffer += ',';
     has_items.back() = true;
     newlineIndent();
-    stream << '"' << escape(name) << "\":";
-    if (pretty_print)
-        stream << ' ';
+    quoted(name);
+    buffer += pretty_print ? ": " : ":";
     key_pending = true;
 }
 
@@ -112,7 +134,8 @@ void
 JsonWriter::value(std::string_view text)
 {
     beforeValue();
-    stream << '"' << escape(text) << '"';
+    quoted(text);
+    afterValue();
 }
 
 void
@@ -121,40 +144,60 @@ JsonWriter::value(double number)
     beforeValue();
     if (!std::isfinite(number)) {
         // JSON has no NaN/Inf; emit null as browsers' tracing does.
-        stream << "null";
-        return;
+        buffer += "null";
+    } else {
+        // The standard defines general format with a precision as
+        // printf's "%.12g" in the C locale.
+        char digits[32];
+        const char *const end =
+            std::to_chars(digits, digits + sizeof(digits), number,
+                          std::chars_format::general, 12)
+                .ptr;
+        buffer.append(digits, static_cast<std::size_t>(end - digits));
     }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.12g", number);
-    stream << buf;
+    afterValue();
+}
+
+template <typename Integer>
+void
+JsonWriter::appendInteger(Integer number)
+{
+    char digits[24];
+    const char *const end =
+        std::to_chars(digits, digits + sizeof(digits), number).ptr;
+    buffer.append(digits, static_cast<std::size_t>(end - digits));
 }
 
 void
 JsonWriter::value(std::int64_t number)
 {
     beforeValue();
-    stream << number;
+    appendInteger(number);
+    afterValue();
 }
 
 void
 JsonWriter::value(std::uint64_t number)
 {
     beforeValue();
-    stream << number;
+    appendInteger(number);
+    afterValue();
 }
 
 void
 JsonWriter::value(bool flag)
 {
     beforeValue();
-    stream << (flag ? "true" : "false");
+    buffer += flag ? "true" : "false";
+    afterValue();
 }
 
 void
 JsonWriter::nullValue()
 {
     beforeValue();
-    stream << "null";
+    buffer += "null";
+    afterValue();
 }
 
 bool
@@ -402,12 +445,24 @@ validateJson(std::string_view text, std::string *error)
     return JsonValidator(text).validate(error);
 }
 
-std::string
-JsonWriter::escape(std::string_view text)
+namespace {
+
+/**
+ * Append @p text to @p out escaped per JSON rules. Runs of bytes
+ * that need no escape are copied in one append.
+ */
+void
+appendEscaped(std::string &out, std::string_view text)
 {
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    const char *run = text.data();
+    const char *const end = run + text.size();
+    for (const char *at = run; at != end; ++at) {
+        const auto c = static_cast<unsigned char>(*at);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(run, static_cast<std::size_t>(at - run));
+        run = at + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -417,16 +472,30 @@ JsonWriter::escape(std::string_view text)
           case '\b': out += "\\b"; break;
           case '\f': out += "\\f"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
+            out += "\\u00";
+            out += kHex[c >> 4];
+            out += kHex[c & 0xf];
         }
     }
+    out.append(run, static_cast<std::size_t>(end - run));
+}
+
+} // namespace
+
+void
+JsonWriter::quoted(std::string_view text)
+{
+    buffer += '"';
+    appendEscaped(buffer, text);
+    buffer += '"';
+}
+
+std::string
+JsonWriter::escape(std::string_view text)
+{
+    std::string out;
+    out.reserve(text.size());
+    appendEscaped(out, text);
     return out;
 }
 

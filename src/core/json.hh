@@ -3,11 +3,17 @@
  * A small streaming JSON writer. TPUPoint emits chrome://tracing
  * files and analysis summaries as JSON; a streaming writer keeps the
  * memory footprint flat even for traces with millions of events.
+ *
+ * Tokens go into an owned buffer: escaping appends straight into
+ * it and numbers are formatted with std::to_chars. The buffer
+ * reaches the stream when the root value closes, whenever it passes
+ * kFlushBytes, on flush(), and on destruction.
  */
 
 #ifndef TPUPOINT_CORE_JSON_HH
 #define TPUPOINT_CORE_JSON_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -38,6 +44,13 @@ class JsonWriter
   public:
     /** Write to @p out; the stream must outlive the writer. */
     explicit JsonWriter(std::ostream &out, bool pretty = false);
+
+    JsonWriter(const JsonWriter &) = delete;
+    JsonWriter &operator=(const JsonWriter &) = delete;
+
+    /** Flushes whatever is still buffered, even an unfinished
+     * document. */
+    ~JsonWriter();
 
     /** Open an object value. */
     void beginObject();
@@ -80,16 +93,26 @@ class JsonWriter
     /** True when every container has been closed. */
     bool complete() const;
 
+    /** Write the buffered bytes to the stream now. */
+    void flush();
+
     /** Escape a string per JSON rules (exposed for tests). */
     static std::string escape(std::string_view text);
+
+    /** Buffered bytes past which the writer flushes. */
+    static constexpr std::size_t kFlushBytes = 64 * 1024;
 
   private:
     enum class Scope { Object, Array };
 
     void beforeValue();
+    void afterValue();
     void newlineIndent();
+    void quoted(std::string_view text);
+    template <typename Integer> void appendInteger(Integer number);
 
     std::ostream &stream;
+    std::string buffer;
     bool pretty_print;
     bool key_pending = false;
     bool root_written = false;

@@ -23,31 +23,30 @@ toTraceUs(SimTime t)
 
 } // namespace
 
-ProfileTraceWriter::ProfileTraceWriter(
-    std::ostream &out, const ProfileTraceOptions &options)
-    : stream(out), opts(options), json(out, options.pretty)
+void
+beginTraceDocument(JsonWriter &json)
 {
     json.beginObject();
     json.key("traceEvents");
     json.beginArray();
-    metadataEvent(kStepTrack, "Steps");
-    metadataEvent(kTpuTrack, "TPU ops");
-    metadataEvent(kHostTrack, "Host ops");
-    metadataEvent(kWindowTrack, "Profile windows");
-}
-
-ProfileTraceWriter::~ProfileTraceWriter()
-{
-    finish();
 }
 
 void
-ProfileTraceWriter::metadataEvent(int tid, const char *label)
+endTraceDocument(JsonWriter &json)
+{
+    json.endArray();
+    json.field("displayTimeUnit", "ms");
+    json.endObject();
+}
+
+void
+writeThreadName(JsonWriter &json, int pid, std::uint64_t tid,
+                std::string_view label)
 {
     json.beginObject();
     json.field("name", "thread_name");
     json.field("ph", "M");
-    json.field("pid", 1);
+    json.field("pid", pid);
     json.field("tid", tid);
     json.key("args");
     json.beginObject();
@@ -57,17 +56,41 @@ ProfileTraceWriter::metadataEvent(int tid, const char *label)
 }
 
 void
-ProfileTraceWriter::durationEvent(std::string_view name, int tid,
-                                  SimTime start, SimTime duration,
-                                  std::uint64_t count)
+beginDurationEvent(JsonWriter &json, std::string_view name, int pid,
+                   std::uint64_t tid, SimTime start, SimTime duration)
 {
     json.beginObject();
     json.field("name", name);
     json.field("ph", "X");
-    json.field("pid", 1);
+    json.field("pid", pid);
     json.field("tid", tid);
     json.field("ts", toTraceUs(start));
     json.field("dur", toTraceUs(duration));
+}
+
+ProfileTraceWriter::ProfileTraceWriter(
+    std::ostream &out, const ProfileTraceOptions &options)
+    : opts(options), json(out, options.pretty)
+{
+    beginTraceDocument(json);
+    writeThreadName(json, 1, kStepTrack, "Steps");
+    writeThreadName(json, 1, kTpuTrack, "TPU ops");
+    writeThreadName(json, 1, kHostTrack, "Host ops");
+    writeThreadName(json, 1, kWindowTrack, "Profile windows");
+}
+
+ProfileTraceWriter::~ProfileTraceWriter()
+{
+    finish();
+}
+
+void
+ProfileTraceWriter::durationEvent(std::string_view name, int tid,
+                                  SimTime start, SimTime duration,
+                                  std::uint64_t count)
+{
+    beginDurationEvent(json, name, 1, static_cast<std::uint64_t>(tid),
+                       start, duration);
     if (count > 0) {
         json.key("args");
         json.beginObject();
@@ -183,9 +206,7 @@ ProfileTraceWriter::finish()
     if (finished)
         return;
     finished = true;
-    json.endArray();
-    json.field("displayTimeUnit", "ms");
-    json.endObject();
+    endTraceDocument(json);
 }
 
 void
@@ -204,19 +225,10 @@ writeSpanTrace(const std::vector<SpanRecord> &spans,
     }
 
     JsonWriter w(out, pretty);
-    w.beginObject();
-    w.key("traceEvents");
-    w.beginArray();
+    beginTraceDocument(w);
     for (const auto &span : spans) {
-        w.beginObject();
-        w.field("name", span.name);
-        w.field("ph", "X");
-        w.field("pid", 2);
-        w.field("tid", span.thread_id);
-        w.field("ts",
-                static_cast<double>(span.begin_ns - origin) / 1e3);
-        w.field("dur",
-                static_cast<double>(span.duration_ns()) / 1e3);
+        beginDurationEvent(w, span.name, 2, span.thread_id,
+                           span.begin_ns - origin, span.duration_ns());
         if (!span.args.empty()) {
             w.key("args");
             w.beginObject();
@@ -226,9 +238,7 @@ writeSpanTrace(const std::vector<SpanRecord> &spans,
         }
         w.endObject();
     }
-    w.endArray();
-    w.field("displayTimeUnit", "ms");
-    w.endObject();
+    endTraceDocument(w);
 }
 
 void

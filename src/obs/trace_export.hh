@@ -13,6 +13,10 @@
  *  - writeSpanTrace turns the obs::SpanBuffer self-telemetry into
  *    one track per tool thread.
  *
+ * The analyzer's chrome://tracing file (writeChromeTrace) is a
+ * third. All three build their documents from the helpers below,
+ * so the event shapes are written in one place.
+ *
  * All timestamps are microseconds, as the trace-event spec
  * requires; profile tracks carry simulated time, span tracks carry
  * wall time (normalized to start at zero).
@@ -34,6 +38,26 @@
 
 namespace tpupoint {
 namespace obs {
+
+/** Open a trace document: `{"traceEvents":[`. */
+void beginTraceDocument(JsonWriter &json);
+
+/** Close a trace document opened by beginTraceDocument. */
+void endTraceDocument(JsonWriter &json);
+
+/** One `"ph":"M"` event naming track @p tid of process @p pid. */
+void writeThreadName(JsonWriter &json, int pid, std::uint64_t tid,
+                     std::string_view label);
+
+/**
+ * Open one `"ph":"X"` duration event and write its name, pid, tid,
+ * ts and dur; @p start and @p duration are nanoseconds, written as
+ * microseconds. The caller may add fields (e.g. "args") and closes
+ * the event with endObject().
+ */
+void beginDurationEvent(JsonWriter &json, std::string_view name,
+                        int pid, std::uint64_t tid, SimTime start,
+                        SimTime duration);
 
 /** Profile-export knobs. */
 struct ProfileTraceOptions
@@ -90,13 +114,11 @@ class ProfileTraceWriter
     std::uint64_t stepsFiltered() const { return filtered; }
 
   private:
-    void metadataEvent(int tid, const char *label);
     void durationEvent(std::string_view name, int tid,
                        SimTime start, SimTime duration,
                        std::uint64_t count = 0);
     void opRows(SimTime begin, OpStatsSpan ops, int tid);
 
-    std::ostream &stream;
     ProfileTraceOptions opts;
     JsonWriter json;
     bool finished = false;

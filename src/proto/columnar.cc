@@ -37,35 +37,55 @@ ColumnarRecord::clear()
     tpu_ops.clear();
 }
 
-namespace {
-
 /**
- * Decode one wire op-stats map into @p ops, interning names from
- * views borrowed off the payload (no string copies). Appended
- * entries are id-sorted afterwards so consumers can merge them
- * linearly; a name repeated within the map is malformed, as in
- * decodeProfileRecord.
+ * Decode one wire op-stats map into @p ops. Each name is a view
+ * borrowed off the payload, matched against @p cache's slot for its
+ * position and interned only on a mismatch. Entries are id-sorted
+ * afterwards (skipped when the ids already arrive strictly
+ * increasing, which also rules out duplicates) so consumers can
+ * merge them linearly; a name repeated within the map is malformed,
+ * as in decodeProfileRecord.
  */
 bool
-getOpStatsColumnar(ByteReader &in,
-                   std::vector<ColumnarOpStats> &ops,
-                   StringInterner &interner)
+ColumnarDecoder::decodeOps(ByteReader &in,
+                           std::vector<ColumnarOpStats> &ops,
+                           std::vector<CachedName> &cache,
+                           StringInterner &interner)
 {
     std::uint32_t count;
     if (!in.getU32(count))
         return false;
+    // Every entry takes at least 20 bytes (length, count, total):
+    // reject an implausible count before anything grows by it.
+    if (count > in.remaining() / 20)
+        return false;
+    if (cache.size() < count)
+        cache.resize(count);
     const std::size_t first = ops.size();
-    for (std::uint32_t i = 0; i < count; ++i) {
+    ops.resize(first + count);
+    ColumnarOpStats *entry = ops.data() + first;
+    bool increasing = true;
+    for (std::uint32_t i = 0; i < count; ++i, ++entry) {
+        // The name, then its u64 count and total as one block.
         std::uint32_t length;
-        std::string_view name;
-        ColumnarOpStats entry;
-        if (!in.getU32(length) || !in.getBytes(length, name) ||
-            !in.getU64(entry.count) ||
-            !in.getI64(entry.total_duration))
+        if (!in.getU32(length))
             return false;
-        entry.op = interner.intern(name);
-        ops.push_back(entry);
+        const char *fixed = in.block(std::size_t{length} + 16);
+        if (!fixed)
+            return false;
+        const std::string_view name(fixed, length);
+        fixed += length;
+        CachedName &slot = cache[i];
+        if (slot.id == kNoId || slot.name != name)
+            slot.id = interner.intern(name, slot.name);
+        entry->op = slot.id;
+        entry->count = loadLE64(fixed);
+        entry->total_duration = static_cast<SimTime>(loadLE64(fixed + 8));
+        if (i > 0 && entry->op <= entry[-1].op)
+            increasing = false;
     }
+    if (increasing)
+        return true;
     const auto run = ops.begin() + static_cast<std::ptrdiff_t>(first);
     std::sort(run, ops.end(),
               [](const ColumnarOpStats &a,
@@ -77,13 +97,17 @@ getOpStatsColumnar(ByteReader &in,
                               }) == ops.end();
 }
 
-} // namespace
-
 bool
-decodeProfileRecordColumnar(std::string_view payload,
-                            ColumnarRecord &record,
-                            StringInterner &interner)
+ColumnarDecoder::decode(std::string_view payload,
+                        ColumnarRecord &record,
+                        StringInterner &interner)
 {
+    if (bound_serial != interner.serial()) {
+        // The cached names and ids belong to another interner.
+        host_names.clear();
+        tpu_names.clear();
+        bound_serial = interner.serial();
+    }
     record.clear();
     ByteReader in(payload);
     std::uint32_t truncated = 0;
@@ -107,25 +131,26 @@ decodeProfileRecordColumnar(std::string_view payload,
     record.host_offsets.push_back(0);
     record.tpu_offsets.push_back(0);
     for (std::uint32_t i = 0; i < num_steps; ++i) {
-        std::uint64_t step_id;
-        SimTime begin, end, busy, idle, mxu;
-        if (!in.getU64(step_id) || !in.getI64(begin) ||
-            !in.getI64(end) || !in.getI64(busy) ||
-            !in.getI64(idle) || !in.getI64(mxu) ||
-            !getOpStatsColumnar(in, record.host_ops, interner))
+        // Step id, begin, end, busy, idle, mxu: six u64 fields.
+        const char *header = in.block(48);
+        if (!header ||
+            !decodeOps(in, record.host_ops, host_names, interner))
             return false;
         record.host_offsets.push_back(
             static_cast<std::uint32_t>(record.host_ops.size()));
-        if (!getOpStatsColumnar(in, record.tpu_ops, interner))
+        if (!decodeOps(in, record.tpu_ops, tpu_names, interner))
             return false;
         record.tpu_offsets.push_back(
             static_cast<std::uint32_t>(record.tpu_ops.size()));
-        record.step.push_back(step_id);
-        record.begin.push_back(begin);
-        record.end.push_back(end);
-        record.tpu_busy.push_back(busy);
-        record.tpu_idle.push_back(idle);
-        record.mxu_active.push_back(mxu);
+        const auto field = [header](int k) {
+            return static_cast<SimTime>(loadLE64(header + 8 * k));
+        };
+        record.step.push_back(loadLE64(header));
+        record.begin.push_back(field(1));
+        record.end.push_back(field(2));
+        record.tpu_busy.push_back(field(3));
+        record.tpu_idle.push_back(field(4));
+        record.mxu_active.push_back(field(5));
     }
     // Version tails, mirroring decodeProfileRecord: v3 ends after
     // the steps, v4 adds attempt continuity, v5 the drop count.
@@ -142,6 +167,14 @@ decodeProfileRecordColumnar(std::string_view payload,
     if (!in.getU64(record.events_dropped))
         return false;
     return in.atEnd();
+}
+
+bool
+decodeProfileRecordColumnar(std::string_view payload,
+                            ColumnarRecord &record,
+                            StringInterner &interner)
+{
+    return ColumnarDecoder().decode(payload, record, interner);
 }
 
 void

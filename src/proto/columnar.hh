@@ -9,12 +9,13 @@
  * operator lists, with operator names replaced by dense
  * StringInterner ids.
  *
- * The decode path is built for reuse: `decodeProfileRecordColumnar`
- * writes into a caller-owned record whose `clear()` retains vector
- * capacity, and it reads op names as `string_view`s borrowed from
- * the chunk buffer (ByteReader::getBytes) straight into the
- * interner — so after the vocabulary stabilizes, steady-state
- * decoding performs no heap allocation at all.
+ * The decode path is built for reuse: ColumnarDecoder writes into a
+ * caller-owned record whose `clear()` retains vector capacity, and
+ * it reads op names as `string_view`s borrowed from the chunk
+ * buffer, matching them against its positional name cache before
+ * falling back to the interner — so after the vocabulary
+ * stabilizes, steady-state decoding performs no heap allocation at
+ * all.
  *
  * ColumnarRecord is the only record form the analyzer accepts.
  * In-memory ProfileRecords (the live profiler, test fixtures)
@@ -117,12 +118,61 @@ struct ColumnarRecord
     void clear();
 };
 
+class ByteReader;
+
 /**
- * Decode one record's wire payload (the same format
- * decodeProfileRecord reads) into columnar form, interning operator
- * names into @p interner as they stream past. @p record is cleared
- * first; capacity is reused.
- * @return false when the payload is malformed or has slack bytes.
+ * Decodes record wire payloads (the format decodeProfileRecord
+ * reads) into columnar form. A long-lived decoder — one per
+ * ProfileReader and per serve session — keeps a positional op-name
+ * cache: for each of the host and TPU op lists and each position i
+ * in it, the (interned name, id) pair last decoded there. Steps of
+ * one stream repeat their operator lists in the same (name) order,
+ * so a name usually matches the cached bytes at its position and
+ * takes its id without touching the interner's lock or hash.
+ *
+ * The cached names are views into the interner's storage, bound to
+ * one interner (by its serial(), not its address): decoding against
+ * a different interner drops the cache first, so ids of one
+ * interner never leak into a decode against another. The cache is
+ * purely an accelerator — a decode's result equals a fresh
+ * decoder's on every payload, valid or not.
+ */
+class ColumnarDecoder
+{
+  public:
+    /**
+     * Decode one payload into @p record, interning operator names
+     * into @p interner as they stream past. @p record is cleared
+     * first; capacity is reused.
+     * @return false when the payload is malformed or has slack
+     *     bytes.
+     */
+    bool decode(std::string_view payload, ColumnarRecord &record,
+                StringInterner &interner);
+
+  private:
+    /** One cache slot; id kNoId marks a slot never filled. */
+    struct CachedName
+    {
+        std::string_view name;
+        std::uint32_t id = kNoId;
+    };
+
+    static constexpr std::uint32_t kNoId = ~std::uint32_t{0};
+
+    bool decodeOps(ByteReader &in, std::vector<ColumnarOpStats> &ops,
+                   std::vector<CachedName> &cache,
+                   StringInterner &interner);
+
+    /** serial() of the interner the cache's ids belong to. */
+    std::uint64_t bound_serial = 0;
+    std::vector<CachedName> host_names;
+    std::vector<CachedName> tpu_names;
+};
+
+/**
+ * Decode one record's payload with a fresh ColumnarDecoder (no
+ * cache carried over); see ColumnarDecoder::decode.
  */
 bool decodeProfileRecordColumnar(std::string_view payload,
                                  ColumnarRecord &record,

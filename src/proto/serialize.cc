@@ -197,8 +197,7 @@ ProfileReader::read(ColumnarRecord &record,
     for (;;) {
         switch (framing.next(payload)) {
           case StreamStatus::Ok:
-            if (!decodeProfileRecordColumnar(payload, record,
-                                             interner)) {
+            if (!decoder.decode(payload, record, interner)) {
                 if (framing.salvaging()) {
                     ++undecodable;
                     continue;

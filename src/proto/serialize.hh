@@ -100,9 +100,11 @@ class ProfileReader
     /**
      * The analyzer's read: the next record straight into a
      * reusable ColumnarRecord, interning op names into
-     * @p interner (the process-global one by default). With one
-     * record reused across calls, the steady-state loop — chunk
-     * buffer, record columns, interner — does no heap allocation.
+     * @p interner (the process-global one by default) through the
+     * reader's own ColumnarDecoder, whose name cache carries over
+     * from record to record. With one record reused across calls,
+     * the steady-state loop — chunk buffer, record columns,
+     * interner — does no heap allocation.
      * @return false at end of stream.
      */
     bool read(ColumnarRecord &record,
@@ -157,6 +159,7 @@ class ProfileReader
 
   private:
     RecordStreamReader framing;
+    ColumnarDecoder decoder;
     std::uint64_t undecodable = 0;
 };
 

@@ -109,6 +109,7 @@ struct SessionManager::Session
 
         TailReader tail;
         AnalysisSession analysis;
+        ColumnarDecoder decoder;
         ColumnarRecord scratch;
     };
 
@@ -302,7 +303,7 @@ SessionManager::recoverFromJournal(std::int64_t now)
             if (entry.bytes > 0)
                 live.tail.poll(
                     [&](std::string_view payload) {
-                        if (decodeProfileRecordColumnar(
+                        if (live.decoder.decode(
                                 payload, live.scratch,
                                 StringInterner::global())) {
                             live.analysis.ingest(live.scratch);
@@ -509,9 +510,8 @@ SessionManager::ingestOne(Session &session, std::int64_t now)
 
         const TailPoll pass = live.tail.poll(
             [&](std::string_view payload) {
-                if (decodeProfileRecordColumnar(
-                        payload, live.scratch,
-                        StringInterner::global())) {
+                if (live.decoder.decode(payload, live.scratch,
+                                        StringInterner::global())) {
                     live.analysis.ingest(live.scratch);
                     ++status.records;
                     status.events += live.scratch.event_count;

@@ -11,6 +11,7 @@
 #ifndef TPUPOINT_TRACE_BYTES_HH
 #define TPUPOINT_TRACE_BYTES_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -18,6 +19,36 @@
 #include <utility>
 
 namespace tpupoint {
+
+/** The little-endian u32 at @p bytes (no alignment needed). */
+inline std::uint32_t
+loadLE32(const char *bytes)
+{
+    std::uint32_t v;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, bytes, sizeof(v));
+    } else {
+        v = 0;
+        for (int i = 3; i >= 0; --i)
+            v = (v << 8) | static_cast<unsigned char>(bytes[i]);
+    }
+    return v;
+}
+
+/** The little-endian u64 at @p bytes (no alignment needed). */
+inline std::uint64_t
+loadLE64(const char *bytes)
+{
+    std::uint64_t v;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, bytes, sizeof(v));
+    } else {
+        v = 0;
+        for (int i = 7; i >= 0; --i)
+            v = (v << 8) | static_cast<unsigned char>(bytes[i]);
+    }
+    return v;
+}
 
 /** Append-only little-endian encoder over an owned buffer. */
 class ByteWriter
@@ -119,11 +150,7 @@ class ByteReader
     {
         if (remaining() < 4)
             return false;
-        v = 0;
-        for (int i = 3; i >= 0; --i) {
-            v = (v << 8) |
-                static_cast<unsigned char>(cursor[i]);
-        }
+        v = loadLE32(cursor);
         cursor += 4;
         return true;
     }
@@ -133,11 +160,7 @@ class ByteReader
     {
         if (remaining() < 8)
             return false;
-        v = 0;
-        for (int i = 7; i >= 0; --i) {
-            v = (v << 8) |
-                static_cast<unsigned char>(cursor[i]);
-        }
+        v = loadLE64(cursor);
         cursor += 8;
         return true;
     }
@@ -173,15 +196,20 @@ class ByteReader
         return true;
     }
 
-    /** Borrow @p length bytes without copying. */
-    bool
-    getBytes(std::size_t length, std::string_view &view)
+    /**
+     * Consume a fixed-size block of @p length bytes with one bounds
+     * check; its fields are then read with loadLE32/loadLE64.
+     * @return the block's first byte, or nullptr (nothing consumed)
+     *     when fewer than @p length bytes remain.
+     */
+    const char *
+    block(std::size_t length)
     {
         if (remaining() < length)
-            return false;
-        view = std::string_view(cursor, length);
+            return nullptr;
+        const char *start = cursor;
         cursor += length;
-        return true;
+        return start;
     }
 
     std::size_t remaining() const

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "analyzer/visualization.hh"
+#include "proto/columnar.hh"
 #include "tests/analyzer/synthetic.hh"
 
 namespace tpupoint {
@@ -21,12 +22,25 @@ analyzed(std::vector<ProfileRecord> &records_out)
     return TpuPointAnalyzer(options).analyze(records_out);
 }
 
+/** The trace viewer's windows, taken off columnar records. */
+std::vector<ProfileWindowInfo>
+windowsOf(const std::vector<ProfileRecord> &records)
+{
+    std::vector<ProfileWindowInfo> windows;
+    ColumnarRecord columnar;
+    for (const auto &record : records) {
+        toColumnar(record, columnar);
+        windows.emplace_back(columnar);
+    }
+    return windows;
+}
+
 TEST(VisualizationTest, ChromeTraceHasBothTracks)
 {
     std::vector<ProfileRecord> records;
     const AnalysisResult analysis = analyzed(records);
     std::ostringstream out;
-    writeChromeTrace(analysis, records, out);
+    writeChromeTrace(analysis, windowsOf(records), out);
     const std::string json = out.str();
 
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);

@@ -10,6 +10,9 @@
  * tails) and one capped window (v5 drop count). For each mutant:
  * the two decoders accept or reject together, and on accept
  * toColumnar(row decode) equals the columnar decode field by field.
+ * A long-lived ColumnarDecoder, whose positional name cache stays
+ * warm across payloads, must decode every payload exactly as a
+ * fresh one does.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -113,7 +117,6 @@ lengthFields(std::string_view payload)
     const auto offset = [&] { return payload.size() - in.remaining(); };
     std::uint64_t u64 = 0;
     std::uint32_t u32 = 0;
-    std::string_view bytes;
     for (int i = 0; i < 4; ++i)
         in.getU64(u64); // sequence, window bounds, event count
     in.getU32(u32);     // truncated
@@ -132,9 +135,7 @@ lengthFields(std::string_view payload)
             for (std::uint32_t op = 0; op < ops; ++op) {
                 out.push_back(offset());
                 in.getU32(u32);
-                in.getBytes(u32, bytes);
-                in.getU64(u64);
-                in.getU64(u64);
+                in.block(std::size_t{u32} + 16); // name, count, total
             }
         }
     }
@@ -322,6 +323,134 @@ TEST(DecoderDifferential, SeededMutationsAgreeOnAcceptAndFields)
     // anything.
     EXPECT_GT(accepted, kTrials / 20);
     EXPECT_LT(accepted, kTrials - kTrials / 20);
+}
+
+// Valid and mutated payloads interleaved through one decoder whose
+// cache stays warm: every decode equals a fresh decoder's, so the
+// cache never changes a result, even after a mutant poisoned it.
+TEST(DecoderDifferential, WarmDecoderMatchesFreshDecoder)
+{
+    constexpr int kTrials = 4000;
+    const std::vector<std::string> &seeds = corpus();
+    std::vector<std::vector<std::size_t>> fields;
+    for (const std::string &payload : seeds)
+        fields.push_back(lengthFields(payload));
+
+    ColumnarDecoder warm;
+    ColumnarRecord warm_record;
+    ColumnarRecord fresh_record;
+    Rng rng(0x5741524dULL); // "WARM"
+    int accepted = 0;
+    for (int trial = 0; trial < kTrials; ++trial) {
+        const std::size_t seed = rng.nextBounded(seeds.size());
+        std::string payload = seeds[seed];
+        if (rng.nextBounded(2) == 0) {
+            const std::uint64_t rounds = 1 + rng.nextBounded(3);
+            for (std::uint64_t r = 0; r < rounds; ++r)
+                mutate(rng, payload, fields[seed]);
+        }
+        const bool warm_ok = warm.decode(payload, warm_record,
+                                         StringInterner::global());
+        const bool fresh_ok = decodeProfileRecordColumnar(
+            payload, fresh_record, StringInterner::global());
+        EXPECT_EQ(warm_ok, fresh_ok);
+        if (warm_ok && fresh_ok) {
+            ++accepted;
+            expectSameColumnar(warm_record, fresh_record);
+        }
+        ASSERT_FALSE(HasFailure())
+            << "trial " << trial << " (seed payload " << seed
+            << ", " << payload.size() << " bytes)";
+    }
+    EXPECT_GT(accepted, kTrials / 4);
+}
+
+/** A one-step payload whose host op map claims @p count entries
+ * but carries only one. */
+std::string
+payloadClaimingOps(std::uint32_t count)
+{
+    ProfileRecord record;
+    StepStats step;
+    step.step = 1;
+    step.host_ops["only-op"] = OpStats{1, 10};
+    record.steps.push_back(step);
+    std::string payload = encodeProfileRecord(record);
+    // Record header (72 bytes), then the step header (48 bytes),
+    // then the host op count.
+    const std::size_t at = 72 + 48;
+    std::uint32_t old = 0;
+    std::memcpy(&old, payload.data() + at, sizeof(old));
+    EXPECT_EQ(old, 1u);
+    putU32At(payload, at, count);
+    return payload;
+}
+
+// An op count no payload could hold is rejected before the decoder
+// sizes anything by it (the cache resize would otherwise attempt a
+// multi-gigabyte allocation).
+TEST(DecoderDifferential, HugeOpCountIsRejectedBeforeAllocation)
+{
+    ColumnarDecoder warm;
+    ColumnarRecord record;
+    ASSERT_TRUE(warm.decode(payloadClaimingOps(1), record,
+                            StringInterner::global()));
+    for (const std::uint32_t count :
+         {2u, 1000u, 0x00ffffffu, 0x7fffffffu, 0x80000000u,
+          0xffffffffu}) {
+        const std::string payload = payloadClaimingOps(count);
+        EXPECT_NO_THROW({
+            EXPECT_FALSE(warm.decode(payload, record,
+                                     StringInterner::global()))
+                << count;
+            EXPECT_FALSE(decodeBothWays(payload)) << count;
+        });
+    }
+}
+
+// Ids cached against one interner never show up in a decode
+// against another — not even one constructed at the same address
+// after the first is gone.
+TEST(DecoderDifferential, CachedIdsNeverCrossInterners)
+{
+    ColumnarDecoder warm;
+    ColumnarRecord warm_record;
+    ColumnarRecord fresh_record;
+    // The first corpus record that carries TPU ops.
+    std::string payload;
+    for (const std::string &candidate : corpus()) {
+        ASSERT_TRUE(decodeProfileRecordColumnar(
+            candidate, fresh_record, StringInterner::global()));
+        if (fresh_record.tpu_ops.size() > 1) {
+            payload = candidate;
+            break;
+        }
+    }
+    ASSERT_FALSE(payload.empty());
+
+    auto first = std::make_unique<StringInterner>();
+    // Shift the first interner's ids so the two disagree.
+    for (int i = 0; i < 10; ++i)
+        first->intern("padding-" + std::to_string(i));
+    ASSERT_TRUE(warm.decode(payload, warm_record, *first));
+
+    StringInterner second;
+    ASSERT_TRUE(warm.decode(payload, warm_record, second));
+    ASSERT_TRUE(decodeProfileRecordColumnar(payload, fresh_record,
+                                            second));
+    expectSameColumnar(warm_record, fresh_record);
+    for (const ColumnarOpStats &entry : warm_record.tpu_ops)
+        EXPECT_LT(entry.op, second.size());
+
+    // Drop the first interner and build a third, likely in its
+    // storage: a serial, not an address, names the binding.
+    ASSERT_TRUE(warm.decode(payload, warm_record, *first));
+    first.reset();
+    auto third = std::make_unique<StringInterner>();
+    ASSERT_TRUE(warm.decode(payload, warm_record, *third));
+    ASSERT_TRUE(decodeProfileRecordColumnar(payload, fresh_record,
+                                            *third));
+    expectSameColumnar(warm_record, fresh_record);
 }
 
 } // namespace

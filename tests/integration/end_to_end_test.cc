@@ -62,7 +62,13 @@ TEST(EndToEndTest, ProfileAnalyzeExportPipeline)
 
     // Every output artifact is producible.
     std::ostringstream trace, csv, json, profile_bin;
-    writeChromeTrace(analysis, run.records, trace);
+    std::vector<ProfileWindowInfo> windows;
+    ColumnarRecord columnar;
+    for (const auto &record : run.records) {
+        toColumnar(record, columnar);
+        windows.emplace_back(columnar);
+    }
+    writeChromeTrace(analysis, windows, trace);
     writePhaseCsv(analysis, csv);
     writeAnalysisJson(analysis, json);
     ProfileWriter writer(profile_bin);

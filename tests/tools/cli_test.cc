@@ -320,6 +320,32 @@ TEST(CliTest, AnalyzeTraceOutCoversIngest)
         << text.str();
 }
 
+// Each of analyze's three writers runs under its own
+// analyze.write.* span, so --trace-out accounts for output time.
+TEST(CliTest, AnalyzeTraceOutCoversEachWriter)
+{
+    const std::string profile = tempPath("writer_spans.profile");
+    const std::string spans = tempPath("writer_spans.trace.json");
+    writeProfile(profile);
+    const auto result =
+        run(std::string(TPUPOINT_ANALYZE_BIN) + " '" + profile +
+            "' --out '" + tempPath("writer_spans") +
+            "' --trace-out '" + spans + "'");
+    EXPECT_EQ(result.exit_code, 0) << result.output;
+
+    std::ifstream in(spans);
+    ASSERT_TRUE(in.good());
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_TRUE(validateJson(text.str()));
+    for (const char *span : {"analyze.write.trace", "analyze.write.csv",
+                             "analyze.write.summary"}) {
+        EXPECT_NE(text.str().find("\"" + std::string(span) + "\""),
+                  std::string::npos)
+            << span << " missing from " << text.str();
+    }
+}
+
 TEST(CliTest, ExportSalvagesDamagedProfiles)
 {
     const std::string profile = tempPath("export_damaged.profile");

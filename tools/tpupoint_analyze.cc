@@ -22,6 +22,7 @@
 
 #include "analyzer/visualization.hh"
 #include "core/strings.hh"
+#include "obs/span.hh"
 #include "runtime/analysis_pipeline.hh"
 #include "tools/cli_common.hh"
 
@@ -259,8 +260,12 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
+    // Each writer runs under its own analyze.write.* span, so
+    // --trace-out accounts for output time too.
     const auto write_artifact =
-        [](const std::string &path, const auto &writer) -> bool {
+        [](const char *span, const std::string &path,
+           const auto &writer) -> bool {
+        obs::TraceSpan write_span(span);
         std::ofstream out(path, std::ios::binary);
         if (out)
             writer(out);
@@ -272,16 +277,17 @@ main(int argc, char **argv)
         return true;
     };
     const bool wrote_all =
-        write_artifact(out_base + ".trace.json",
+        write_artifact("analyze.write.trace", out_base + ".trace.json",
                        [&](std::ostream &out) {
                            writeChromeTrace(analysis, windows,
                                             out);
                        }) &
-        write_artifact(out_base + ".phases.csv",
+        write_artifact("analyze.write.csv", out_base + ".phases.csv",
                        [&](std::ostream &out) {
                            writePhaseCsv(analysis, out);
                        }) &
-        write_artifact(out_base + ".summary.json",
+        write_artifact("analyze.write.summary",
+                       out_base + ".summary.json",
                        [&](std::ostream &out) {
                            writeAnalysisJson(analysis, out);
                        });
