@@ -62,10 +62,10 @@ BM_KMeansSweep(benchmark::State &state)
     const FeatureMatrix features = FeatureMatrix::build(table);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            kMeansSweep(features.rows(), 1, 15));
+            kMeansSweep(features.matrix(), 1, 15));
     }
     state.counters["working_set_bytes"] = static_cast<double>(
-        features.rows().size() * features.dimensions() *
+        features.matrix().rows() * features.dimensions() *
         sizeof(double));
 }
 
@@ -76,11 +76,11 @@ BM_DbscanSweep(benchmark::State &state)
         truncatedTable(static_cast<std::size_t>(state.range(0)));
     const FeatureMatrix features = FeatureMatrix::build(table);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(dbscanSweep(features.rows()));
+        benchmark::DoNotOptimize(dbscanSweep(features.matrix()));
     }
     // Feature vectors plus the sweep's shared eps-neighbourhood
     // graph: one bit per pair of steps, rows padded to 64-bit words.
-    const std::size_t steps = features.rows().size();
+    const std::size_t steps = features.matrix().rows();
     state.counters["working_set_bytes"] = static_cast<double>(
         steps * features.dimensions() * sizeof(double) +
         steps * ((steps + 63) / 64) * sizeof(std::uint64_t));

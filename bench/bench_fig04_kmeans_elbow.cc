@@ -44,8 +44,7 @@ sweepsIdentical(const KMeansSweep &a, const KMeansSweep &b)
 }
 
 double
-timedSweep(const std::vector<FeatureVector> &points,
-           ThreadPool *pool, KMeansSweep *out)
+timedSweep(const Matrix &points, ThreadPool *pool, KMeansSweep *out)
 {
     const auto begin = std::chrono::steady_clock::now();
     *out = kMeansSweep(points, 1, 15,
@@ -78,7 +77,7 @@ main(int argc, char **argv)
 
     // The ResNet-scale feature matrix is kept for the timing
     // section below — it is the largest step table in the sweep.
-    std::vector<FeatureVector> resnet_points;
+    Matrix resnet_points;
     for (const WorkloadId id : allWorkloads()) {
         const RuntimeWorkload w = benchutil::buildScaled(id);
         const auto run =
@@ -87,10 +86,10 @@ main(int argc, char **argv)
             StepTable::fromRecords(run.records);
         const FeatureMatrix features = FeatureMatrix::build(table);
         const KMeansSweep sweep = kMeansSweep(
-            features.rows(), 1, 15,
+            features.matrix(), 1, 15,
             /*seed=*/0x6b6d65616e73ULL, &pool);
         if (id == WorkloadId::ResnetImagenet)
-            resnet_points = features.rows();
+            resnet_points = features.matrix();
 
         // Normalize to k=1 so the curves are comparable.
         const double base = sweep.ssd_curve.front() > 0
@@ -120,7 +119,7 @@ main(int argc, char **argv)
     std::printf("\nresnet elbow sweep (%zu steps): serial "
                 "%.1fms, %u threads %.1fms (%.2fx), results "
                 "%s\n",
-                resnet_points.size(), serial_ms, workers,
+                resnet_points.rows(), serial_ms, workers,
                 parallel_ms, speedup,
                 identical ? "bit-identical" : "DIFFER");
     report.figure("elbow_serial_ms", serial_ms);

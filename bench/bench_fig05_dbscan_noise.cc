@@ -30,7 +30,7 @@ main()
         const StepTable table =
             StepTable::fromRecords(run.records);
         const FeatureMatrix features = FeatureMatrix::build(table);
-        const DbscanSweep sweep = dbscanSweep(features.rows());
+        const DbscanSweep sweep = dbscanSweep(features.matrix());
 
         if (!header_printed) {
             std::printf("%-16s", "min_samples =");

@@ -424,6 +424,15 @@ bench_smoke() {
         echo "bench: bench_fig05_dbscan_noise table moved" >&2
         return 1
     }
+    # Figure 4's stdout ends with the wall-clock elbow-sweep timing,
+    # so only the table (every line before it) is compared.
+    echo "== bench: Figure 4 k-means elbow table matches its golden"
+    "${build_dir}/bench/bench_fig04_kmeans_elbow" \
+        | sed '/^resnet elbow sweep/,$d' > "${work}/fig04.txt"
+    cmp "${work}/fig04.txt" tests/golden/fig04_kmeans_elbow.txt || {
+        echo "bench: bench_fig04_kmeans_elbow table moved" >&2
+        return 1
+    }
     echo "== bench: serve ingest, restart recovery, shedding"
     "${build_dir}/bench/bench_serve" --json "${work}/serve.json"
     "${build_dir}/tools/tpupoint-validate-json" \

@@ -365,12 +365,6 @@ suggestEps(const Matrix &points, ThreadPool *pool)
     return eps > 0 ? eps : 1.0;
 }
 
-double
-suggestEps(const std::vector<FeatureVector> &points)
-{
-    return suggestEps(Matrix::fromRows(points));
-}
-
 DbscanResult
 dbscanCluster(const Matrix &points, double eps,
               std::size_t min_samples, ThreadPool *pool)
@@ -381,14 +375,6 @@ dbscanCluster(const Matrix &points, double eps,
         fatal("dbscanCluster: min_samples must be positive");
     return clusterGraph(buildEpsGraph(points, eps * eps, pool), eps,
                         min_samples);
-}
-
-DbscanResult
-dbscanCluster(const std::vector<FeatureVector> &points, double eps,
-              std::size_t min_samples)
-{
-    return dbscanCluster(Matrix::fromRows(points), eps,
-                         min_samples);
 }
 
 DbscanSweep
@@ -432,15 +418,6 @@ dbscanSweep(const Matrix &points, double eps, std::size_t lo,
     sweep.elbow_min_samples = sweep.min_samples_values[idx];
     sweep.best = all[idx];
     return sweep;
-}
-
-DbscanSweep
-dbscanSweep(const std::vector<FeatureVector> &points, double eps,
-            std::size_t lo, std::size_t hi, std::size_t stride,
-            ThreadPool *pool)
-{
-    return dbscanSweep(Matrix::fromRows(points), eps, lo, hi,
-                       stride, pool);
 }
 
 } // namespace tpupoint

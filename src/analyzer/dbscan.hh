@@ -39,17 +39,10 @@ struct DbscanResult
 };
 
 /**
- * Classic DBSCAN with Euclidean eps-neighbourhoods.
- */
-DbscanResult dbscanCluster(const std::vector<FeatureVector> &points,
-                           double eps, std::size_t min_samples);
-
-/**
- * Row-major overload (the hot path: the graph build strides
- * contiguous rows). The vector-of-rows entry point packs its data
- * and delegates here, so both are bit-identical. When @p pool is
- * given the graph build fans out on it; the result is the same at
- * any pool size.
+ * Classic DBSCAN with Euclidean eps-neighbourhoods over the rows of
+ * @p points (the graph build strides contiguous rows). When @p pool
+ * is given the graph build fans out on it; the result is the same
+ * at any pool size.
  */
 DbscanResult dbscanCluster(const Matrix &points, double eps,
                            std::size_t min_samples,
@@ -58,12 +51,7 @@ DbscanResult dbscanCluster(const Matrix &points, double eps,
 /**
  * Suggest an eps from the data: 1.5x the 90th percentile of each
  * point's 24th-nearest-neighbour distance — dense step clusters
- * sit well inside it, stragglers outside.
- */
-double suggestEps(const std::vector<FeatureVector> &points);
-
-/**
- * Row-major overload (see dbscanCluster). Each pair is measured
+ * sit well inside it, stragglers outside. Each pair is measured
  * once; with @p pool the pairs fan out on it, with the same result
  * at any pool size.
  */
@@ -91,13 +79,6 @@ struct DbscanSweep
  * lo == 0, stride == 0 or a hi within one stride of SIZE_MAX is
  * fatal.
  */
-DbscanSweep dbscanSweep(const std::vector<FeatureVector> &points,
-                        double eps = 0.0, std::size_t lo = 5,
-                        std::size_t hi = 180,
-                        std::size_t stride = 25,
-                        ThreadPool *pool = nullptr);
-
-/** Row-major overload of the sweep (see dbscanCluster). */
 DbscanSweep dbscanSweep(const Matrix &points, double eps = 0.0,
                         std::size_t lo = 5, std::size_t hi = 180,
                         std::size_t stride = 25,

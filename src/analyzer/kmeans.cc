@@ -130,16 +130,6 @@ kMeansCluster(const Matrix &points, int k, Rng &rng,
     return result;
 }
 
-KMeansResult
-kMeansCluster(const std::vector<FeatureVector> &points, int k,
-              Rng &rng, int max_iterations)
-{
-    if (points.empty())
-        fatal("kMeansCluster: empty data set");
-    return kMeansCluster(Matrix::fromRows(points), k, rng,
-                         max_iterations);
-}
-
 KMeansSweep
 kMeansSweep(const Matrix &points, int k_min, int k_max,
             std::uint64_t seed, ThreadPool *pool)
@@ -180,14 +170,6 @@ kMeansSweep(const Matrix &points, int k_min, int k_max,
     sweep.elbow_k = sweep.k_values[idx];
     sweep.best = all[idx];
     return sweep;
-}
-
-KMeansSweep
-kMeansSweep(const std::vector<FeatureVector> &points, int k_min,
-            int k_max, std::uint64_t seed, ThreadPool *pool)
-{
-    return kMeansSweep(Matrix::fromRows(points), k_min, k_max, seed,
-                       pool);
 }
 
 } // namespace tpupoint

@@ -30,21 +30,14 @@ struct KMeansResult
 };
 
 /**
- * Lloyd's algorithm with k-means++ seeding.
+ * Lloyd's algorithm with k-means++ seeding. Assignment distances
+ * stride the matrix's contiguous rows.
  *
- * @param points Observations.
+ * @param points Observations, one per row; an empty matrix is
+ *     fatal.
  * @param k Clusters; clamped to the number of points.
  * @param rng Seeding source (deterministic given a seed).
  * @param max_iterations Lloyd iteration cap.
- */
-KMeansResult kMeansCluster(const std::vector<FeatureVector> &points,
-                           int k, Rng &rng,
-                           int max_iterations = 100);
-
-/**
- * Row-major overload (the hot path: assignment distances stride
- * contiguous rows). The vector-of-rows entry point packs its data
- * and delegates here, so both are bit-identical.
  */
 KMeansResult kMeansCluster(const Matrix &points, int k, Rng &rng,
                            int max_iterations = 100);
@@ -66,12 +59,6 @@ struct KMeansSweep
  * per-k clusterings fan out across its workers and the sweep stays
  * bit-identical to the serial path (pool == nullptr or inline).
  */
-KMeansSweep kMeansSweep(const std::vector<FeatureVector> &points,
-                        int k_min, int k_max,
-                        std::uint64_t seed = 0x6b6d65616e73ULL,
-                        ThreadPool *pool = nullptr);
-
-/** Row-major overload of the sweep (see kMeansCluster). */
 KMeansSweep kMeansSweep(const Matrix &points, int k_min, int k_max,
                         std::uint64_t seed = 0x6b6d65616e73ULL,
                         ThreadPool *pool = nullptr);

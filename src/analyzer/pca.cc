@@ -7,28 +7,6 @@
 
 namespace tpupoint {
 
-FeatureVector
-PcaModel::project(const FeatureVector &point) const
-{
-    FeatureVector centered = point;
-    for (std::size_t i = 0; i < centered.size(); ++i)
-        centered[i] -= mean[i];
-    FeatureVector out(components.size(), 0.0);
-    for (std::size_t c = 0; c < components.size(); ++c)
-        out[c] = dot(components[c], centered);
-    return out;
-}
-
-std::vector<FeatureVector>
-PcaModel::projectAll(const std::vector<FeatureVector> &points) const
-{
-    std::vector<FeatureVector> out;
-    out.reserve(points.size());
-    for (const auto &p : points)
-        out.push_back(project(p));
-    return out;
-}
-
 Matrix
 PcaModel::projectAll(const Matrix &points) const
 {
@@ -57,8 +35,7 @@ fitPca(const Matrix &points, std::size_t num_components, Rng &rng,
     num_components = std::min(num_components, dim);
 
     PcaModel model;
-    // Same accumulation order as meanVector(): row-order adds, one
-    // final scale.
+    // Row-order adds, one final scale (as Matrix::covariance).
     model.mean.assign(dim, 0.0);
     for (std::size_t r = 0; r < points.rows(); ++r)
         addN(model.mean.data(), points.rowPtr(r), dim);
@@ -99,16 +76,6 @@ fitPca(const Matrix &points, std::size_t num_components, Rng &rng,
         model.eigenvalues.push_back(eigenvalue);
     }
     return model;
-}
-
-PcaModel
-fitPca(const std::vector<FeatureVector> &points,
-       std::size_t num_components, Rng &rng, int iterations)
-{
-    if (points.empty())
-        fatal("fitPca: empty data set");
-    return fitPca(Matrix::fromRows(points), num_components, rng,
-                  iterations);
 }
 
 } // namespace tpupoint

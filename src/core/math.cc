@@ -1,6 +1,5 @@
 #include "core/math.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/logging.hh"
@@ -80,28 +79,6 @@ l2Norm(const FeatureVector &v)
     return std::sqrt(dot(v, v));
 }
 
-double
-squaredDistance(const FeatureVector &a, const FeatureVector &b)
-{
-    if (a.size() != b.size())
-        panic("squaredDistance: dimension mismatch");
-    return squaredDistanceN(a.data(), b.data(), a.size());
-}
-
-double
-euclideanDistance(const FeatureVector &a, const FeatureVector &b)
-{
-    return std::sqrt(squaredDistance(a, b));
-}
-
-void
-addInPlace(FeatureVector &a, const FeatureVector &b)
-{
-    if (a.size() != b.size())
-        panic("addInPlace: dimension mismatch");
-    addN(a.data(), b.data(), a.size());
-}
-
 void
 scaleInPlace(FeatureVector &v, double s)
 {
@@ -114,18 +91,6 @@ normalizeInPlace(FeatureVector &v)
     const double norm = l2Norm(v);
     if (norm > 0.0)
         scaleInPlace(v, 1.0 / norm);
-}
-
-FeatureVector
-meanVector(const std::vector<FeatureVector> &points)
-{
-    if (points.empty())
-        return {};
-    FeatureVector mean(points.front().size(), 0.0);
-    for (const auto &p : points)
-        addInPlace(mean, p);
-    scaleInPlace(mean, 1.0 / static_cast<double>(points.size()));
-    return mean;
 }
 
 Matrix::Matrix(std::size_t rows, std::size_t cols)
@@ -194,67 +159,12 @@ Matrix::multiply(const FeatureVector &v) const
 }
 
 Matrix
-Matrix::transposed() const
-{
-    Matrix out(num_cols, num_rows);
-    for (std::size_t r = 0; r < num_rows; ++r)
-        for (std::size_t c = 0; c < num_cols; ++c)
-            out.at(c, r) = at(r, c);
-    return out;
-}
-
-Matrix
-Matrix::fromRows(const std::vector<FeatureVector> &data)
-{
-    Matrix out(data.size(),
-               data.empty() ? 0 : data.front().size());
-    for (std::size_t r = 0; r < data.size(); ++r) {
-        if (data[r].size() != out.num_cols)
-            panic("Matrix::fromRows: ragged rows");
-        std::copy(data[r].begin(), data[r].end(), out.rowPtr(r));
-    }
-    return out;
-}
-
-Matrix
-Matrix::covariance(const std::vector<FeatureVector> &data)
-{
-    if (data.empty())
-        fatal("Matrix::covariance: empty data set");
-    const std::size_t dim = data.front().size();
-    for (const auto &row : data) {
-        if (row.size() != dim)
-            fatal("Matrix::covariance: ragged data set");
-    }
-    const FeatureVector mean = meanVector(data);
-    Matrix cov(dim, dim);
-    for (const auto &row : data) {
-        for (std::size_t i = 0; i < dim; ++i) {
-            const double di = row[i] - mean[i];
-            for (std::size_t j = i; j < dim; ++j) {
-                cov.at(i, j) += di * (row[j] - mean[j]);
-            }
-        }
-    }
-    const double inv = 1.0 / static_cast<double>(data.size());
-    for (std::size_t i = 0; i < dim; ++i) {
-        for (std::size_t j = i; j < dim; ++j) {
-            cov.at(i, j) *= inv;
-            cov.at(j, i) = cov.at(i, j);
-        }
-    }
-    return cov;
-}
-
-Matrix
 Matrix::covariance(const Matrix &data)
 {
     if (data.rows() == 0)
         fatal("Matrix::covariance: empty data set");
     const std::size_t dim = data.cols();
 
-    // Same accumulation order as the vector-of-rows overload: mean
-    // first (row-order adds), then per-row upper-triangle updates.
     FeatureVector mean(dim, 0.0);
     for (std::size_t r = 0; r < data.rows(); ++r)
         addN(mean.data(), data.rowPtr(r), dim);

@@ -57,9 +57,6 @@ struct StepStats
     SimTime tpu_idle = 0;  ///< TPU time stalled on infeed/outfeed.
     SimTime mxu_active = 0; ///< Equivalent full-MXU-activity time.
 
-    /** Merge a step summary for the same step id. */
-    void merge(const StepStats &other);
-
     /** Wall-clock span covered by this step's events. */
     SimTime span() const { return end > begin ? end - begin : 0; }
 
@@ -121,9 +118,6 @@ struct ProfileRecord
 
     /** Per-step summaries, ascending by step. */
     std::vector<StepStats> steps;
-
-    /** Total events in all steps (recomputed; for validation). */
-    std::uint64_t totalOpCount() const;
 
     /** Window duration. */
     SimTime span() const { return window_end - window_begin; }

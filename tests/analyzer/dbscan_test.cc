@@ -17,12 +17,15 @@
 #include "analyzer/elbow.hh"
 #include "core/rng.hh"
 #include "core/thread_pool.hh"
+#include "tests/analyzer/synthetic.hh"
 
 namespace tpupoint {
 namespace {
 
+using testutil::matrixOf;
+
 /** Two dense blobs plus a few stragglers. */
-std::vector<FeatureVector>
+Matrix
 blobsWithNoise()
 {
     Rng rng(1);
@@ -37,7 +40,7 @@ blobsWithNoise()
     points.push_back({100, -100});
     points.push_back({-100, 100});
     points.push_back({60, 60});
-    return points;
+    return matrixOf(points);
 }
 
 TEST(DbscanTest, FindsBlobsAndMarksNoise)
@@ -67,7 +70,7 @@ TEST(DbscanTest, HighMinSamplesTurnsEverythingToNoise)
     const auto points = blobsWithNoise();
     const DbscanResult result = dbscanCluster(points, 3.0, 80);
     EXPECT_EQ(result.clusters, 0);
-    EXPECT_EQ(result.noise_points, points.size());
+    EXPECT_EQ(result.noise_points, points.rows());
     EXPECT_DOUBLE_EQ(result.noise_ratio, 1.0);
 }
 
@@ -81,7 +84,7 @@ TEST(DbscanTest, HugeEpsMakesOneCluster)
 
 TEST(DbscanTest, ParameterValidation)
 {
-    const std::vector<FeatureVector> points{{0}};
+    const Matrix points = matrixOf({{0}});
     EXPECT_THROW(dbscanCluster(points, 0.0, 5),
                  std::runtime_error);
     EXPECT_THROW(dbscanCluster(points, 1.0, 0),
@@ -115,7 +118,7 @@ TEST(DbscanSweepTest, NoiseGrowsWithMinSamples)
 
 TEST(DbscanSweepTest, ZeroStrideRejected)
 {
-    const std::vector<FeatureVector> points{{0}, {1}};
+    const Matrix points = matrixOf({{0}, {1}});
     EXPECT_THROW(dbscanSweep(points, 1.0, 5, 50, 0),
                  std::runtime_error);
 }
@@ -124,7 +127,7 @@ TEST(DbscanSweepTest, ZeroStrideRejected)
 void
 expectInvalidRange(std::size_t lo, std::size_t hi, std::size_t stride)
 {
-    const std::vector<FeatureVector> points{{0}, {1}};
+    const Matrix points = matrixOf({{0}, {1}});
     try {
         dbscanSweep(points, 1.0, lo, hi, stride);
         ADD_FAILURE() << "range [" << lo << ", " << hi << "] step "
@@ -165,7 +168,8 @@ TEST(DbscanTest, BorderPointsJoinCluster)
     std::vector<FeatureVector> points;
     for (int i = 0; i < 10; ++i)
         points.push_back({static_cast<double>(i), 0.0});
-    const DbscanResult result = dbscanCluster(points, 1.5, 3);
+    const DbscanResult result =
+        dbscanCluster(matrixOf(points), 1.5, 3);
     EXPECT_EQ(result.clusters, 1);
     EXPECT_EQ(result.noise_points, 0u);
 }

@@ -5,9 +5,12 @@
 #include <cmath>
 
 #include "analyzer/pca.hh"
+#include "tests/analyzer/synthetic.hh"
 
 namespace tpupoint {
 namespace {
+
+using testutil::matrixOf;
 
 TEST(PcaTest, RecoversDominantDirection)
 {
@@ -20,7 +23,7 @@ TEST(PcaTest, RecoversDominantDirection)
         points.push_back({t + n, t - n});
     }
     Rng pca_rng(2);
-    const PcaModel model = fitPca(points, 1, pca_rng);
+    const PcaModel model = fitPca(matrixOf(points), 1, pca_rng);
     ASSERT_EQ(model.components.size(), 1u);
     const FeatureVector &c = model.components[0];
     // Direction (up to sign) is (1, 1)/sqrt(2).
@@ -38,7 +41,7 @@ TEST(PcaTest, ComponentsAreOrthonormal)
                           rng.gaussian(0, 1)});
     }
     Rng pca_rng(4);
-    const PcaModel model = fitPca(points, 3, pca_rng);
+    const PcaModel model = fitPca(matrixOf(points), 3, pca_rng);
     ASSERT_EQ(model.components.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {
         EXPECT_NEAR(l2Norm(model.components[i]), 1.0, 1e-6);
@@ -63,17 +66,17 @@ TEST(PcaTest, ProjectionReducesDimension)
             x = rng.nextDouble();
         points.push_back(std::move(p));
     }
+    const Matrix data = matrixOf(points);
     Rng pca_rng(6);
-    const PcaModel model = fitPca(points, 4, pca_rng);
-    const auto projected = model.projectAll(points);
-    ASSERT_EQ(projected.size(), points.size());
-    for (const auto &p : projected)
-        EXPECT_EQ(p.size(), model.components.size());
+    const PcaModel model = fitPca(data, 4, pca_rng);
+    const Matrix projected = model.projectAll(data);
+    ASSERT_EQ(projected.rows(), data.rows());
+    EXPECT_EQ(projected.cols(), model.components.size());
 }
 
 TEST(PcaTest, RequestedComponentsCappedByDimension)
 {
-    std::vector<FeatureVector> points{{1, 2}, {3, 4}, {5, 7}};
+    const Matrix points = matrixOf({{1, 2}, {3, 4}, {5, 7}});
     Rng rng(7);
     const PcaModel model = fitPca(points, 10, rng);
     EXPECT_LE(model.components.size(), 2u);
@@ -82,7 +85,8 @@ TEST(PcaTest, RequestedComponentsCappedByDimension)
 TEST(PcaTest, DegenerateDataStopsEarly)
 {
     // All identical points: zero variance everywhere.
-    std::vector<FeatureVector> points(10, FeatureVector{1, 2, 3});
+    const Matrix points =
+        matrixOf(std::vector<FeatureVector>(10, FeatureVector{1, 2, 3}));
     Rng rng(8);
     const PcaModel model = fitPca(points, 3, rng);
     EXPECT_TRUE(model.components.empty());
@@ -91,7 +95,7 @@ TEST(PcaTest, DegenerateDataStopsEarly)
 TEST(PcaTest, EmptyDataRejected)
 {
     Rng rng(9);
-    EXPECT_THROW(fitPca(std::vector<FeatureVector>{}, 2, rng), std::runtime_error);
+    EXPECT_THROW(fitPca(Matrix{}, 2, rng), std::runtime_error);
 }
 
 } // namespace

@@ -3,10 +3,13 @@
 #ifndef TPUPOINT_TESTS_ANALYZER_SYNTHETIC_HH
 #define TPUPOINT_TESTS_ANALYZER_SYNTHETIC_HH
 
+#include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/math.hh"
 #include "proto/columnar.hh"
 #include "proto/record.hh"
 
@@ -61,6 +64,23 @@ makeRecord(std::vector<StepStats> steps, std::uint64_t seq = 0)
             s.tpu_ops.size() + s.host_ops.size();
     record.steps = std::move(steps);
     return record;
+}
+
+/**
+ * A row-major point set from literal rows, e.g.
+ * `matrixOf({{0, 0}, {2, 2}})`. Rows must share one dimension; an
+ * empty list yields a 0 x 0 matrix.
+ */
+inline Matrix
+matrixOf(const std::vector<FeatureVector> &rows)
+{
+    Matrix out(rows.size(), rows.empty() ? 0 : rows.front().size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        if (rows[r].size() != out.cols())
+            throw std::invalid_argument("matrixOf: ragged rows");
+        std::copy(rows[r].begin(), rows[r].end(), out.rowPtr(r));
+    }
+    return out;
 }
 
 /** @p record in the columnar form the analyzer ingests. */

@@ -6,9 +6,12 @@
 #include <stdexcept>
 
 #include "core/math.hh"
+#include "tests/analyzer/synthetic.hh"
 
 namespace tpupoint {
 namespace {
+
+using testutil::matrixOf;
 
 TEST(VectorMathTest, DotAndNorm)
 {
@@ -25,15 +28,19 @@ TEST(VectorMathTest, DotDimensionMismatchPanics)
 
 TEST(VectorMathTest, Distances)
 {
-    EXPECT_EQ(squaredDistance({0, 0}, {3, 4}), 25.0);
-    EXPECT_EQ(euclideanDistance({0, 0}, {3, 4}), 5.0);
-    EXPECT_EQ(squaredDistance({1, 1}, {1, 1}), 0.0);
+    const double origin[] = {0, 0};
+    const double far[] = {3, 4};
+    const double ones[] = {1, 1};
+    EXPECT_EQ(squaredDistanceN(origin, far, 2), 25.0);
+    EXPECT_EQ(std::sqrt(squaredDistanceN(origin, far, 2)), 5.0);
+    EXPECT_EQ(squaredDistanceN(ones, ones, 2), 0.0);
 }
 
 TEST(VectorMathTest, AddAndScaleInPlace)
 {
     FeatureVector a{1, 2};
-    addInPlace(a, {3, 4});
+    const double b[] = {3, 4};
+    addN(a.data(), b, 2);
     EXPECT_EQ(a[0], 4.0);
     EXPECT_EQ(a[1], 6.0);
     scaleInPlace(a, 0.5);
@@ -51,15 +58,6 @@ TEST(VectorMathTest, NormalizeHandlesZeroVector)
     EXPECT_NEAR(l2Norm(v), 1.0, 1e-12);
 }
 
-TEST(VectorMathTest, MeanVector)
-{
-    const auto mean = meanVector({{0, 0}, {2, 4}, {4, 8}});
-    ASSERT_EQ(mean.size(), 2u);
-    EXPECT_EQ(mean[0], 2.0);
-    EXPECT_EQ(mean[1], 4.0);
-    EXPECT_TRUE(meanVector({}).empty());
-}
-
 TEST(MatrixTest, MultiplyAndTranspose)
 {
     Matrix m(2, 3);
@@ -72,11 +70,6 @@ TEST(MatrixTest, MultiplyAndTranspose)
     ASSERT_EQ(result.size(), 2u);
     EXPECT_EQ(result[0], 6.0);
     EXPECT_EQ(result[1], 15.0);
-
-    const Matrix t = m.transposed();
-    EXPECT_EQ(t.rows(), 3u);
-    EXPECT_EQ(t.cols(), 2u);
-    EXPECT_EQ(t.at(2, 1), 6.0);
 }
 
 TEST(MatrixTest, OutOfRangeAccessPanics)
@@ -89,8 +82,7 @@ TEST(MatrixTest, OutOfRangeAccessPanics)
 TEST(MatrixTest, CovarianceOfKnownData)
 {
     // Two perfectly correlated dimensions.
-    const std::vector<FeatureVector> data{
-        {1, 2}, {2, 4}, {3, 6}};
+    const Matrix data = matrixOf({{1, 2}, {2, 4}, {3, 6}});
     const Matrix cov = Matrix::covariance(data);
     // var(x) = 2/3, var(y) = 8/3, cov = 4/3.
     EXPECT_NEAR(cov.at(0, 0), 2.0 / 3.0, 1e-12);
@@ -101,11 +93,7 @@ TEST(MatrixTest, CovarianceOfKnownData)
 
 TEST(MatrixTest, CovarianceRejectsBadInput)
 {
-    EXPECT_THROW(
-        Matrix::covariance(std::vector<FeatureVector>{}),
-        std::runtime_error);
-    EXPECT_THROW(Matrix::covariance({{1, 2}, {1}}),
-                 std::runtime_error);
+    EXPECT_THROW(Matrix::covariance(Matrix{}), std::runtime_error);
 }
 
 } // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "graph/fusion.hh"
 #include "workloads/models.hh"
 
@@ -125,6 +127,17 @@ struct ModelCase
     const char *name;
     ModelGraphs (*build)();
 };
+
+/**
+ * Print a case by name: without this gtest prints the struct's raw
+ * bytes (two pointers), which move from build to build and leak
+ * into the ctest names.
+ */
+void
+PrintTo(const ModelCase &model, std::ostream *os)
+{
+    *os << model.name;
+}
 
 ModelGraphs buildBertCase() { return buildBert(8, 64); }
 ModelGraphs buildDcganCase() { return buildDcgan(32, 32, 3); }
