@@ -356,6 +356,37 @@ smoke_suite() {
         kill "${obs_pid}" 2>/dev/null || true
         return 1
     }
+    # Structural scrape check: each family is declared by one
+    # `# TYPE` line, and `_bucket`/`_sum`/`_count` samples appear
+    # only under histogram families.
+    awk '
+        /^# TYPE / {
+            if ($3 in kind) {
+                print "family declared twice: " $3
+                bad = 1
+            }
+            kind[$3] = $4
+            family = $3
+            next
+        }
+        /^#/ || NF == 0 { next }
+        {
+            name = $1
+            sub(/\{.*/, "", name)
+            if ((name == family "_bucket" || name == family "_sum" ||
+                 name == family "_count") &&
+                kind[family] != "histogram") {
+                print "histogram sample in " kind[family] \
+                    " family: " $0
+                bad = 1
+            }
+        }
+        END { exit bad }
+    ' "${work}/obs.metrics.txt" >&2 || {
+        echo "smoke: metrics scrape is not valid OpenMetrics" >&2
+        kill "${obs_pid}" 2>/dev/null || true
+        return 1
+    }
     # On-demand black box: SIGUSR2 writes the ring through the
     # async-signal-safe path; the document must still parse.
     kill -USR2 "${obs_pid}"

@@ -8,8 +8,17 @@
 
 namespace tpupoint {
 
-JsonWriter::JsonWriter(std::ostream &out, bool pretty)
-    : stream(out), pretty_print(pretty)
+JsonWriter::JsonWriter(std::ostream &out, bool pretty,
+                       std::size_t depth)
+    : stream(&out), buffer(own_buffer), pretty_print(pretty),
+      base_depth(depth)
+{
+}
+
+JsonWriter::JsonWriter(std::string &out, bool pretty,
+                       std::size_t depth)
+    : stream(nullptr), buffer(out), pretty_print(pretty),
+      base_depth(depth)
 {
 }
 
@@ -21,10 +30,10 @@ JsonWriter::~JsonWriter()
 void
 JsonWriter::flush()
 {
-    if (buffer.empty())
+    if (stream == nullptr || buffer.empty())
         return;
-    stream.write(buffer.data(),
-                 static_cast<std::streamsize>(buffer.size()));
+    stream->write(buffer.data(),
+                  static_cast<std::streamsize>(buffer.size()));
     buffer.clear();
 }
 
@@ -34,7 +43,7 @@ JsonWriter::newlineIndent()
     if (!pretty_print)
         return;
     buffer += '\n';
-    buffer.append(2 * scopes.size(), ' ');
+    buffer.append(2 * (base_depth + scopes.size()), ' ');
 }
 
 void
@@ -197,6 +206,14 @@ JsonWriter::nullValue()
 {
     beforeValue();
     buffer += "null";
+    afterValue();
+}
+
+void
+JsonWriter::rawValue(std::string_view json)
+{
+    beforeValue();
+    buffer.append(json);
     afterValue();
 }
 

@@ -7,7 +7,8 @@
  * Tokens go into an owned buffer: escaping appends straight into
  * it and numbers are formatted with std::to_chars. The buffer
  * reaches the stream when the root value closes, whenever it passes
- * kFlushBytes, on flush(), and on destruction.
+ * kFlushBytes, on flush(), and on destruction. A writer can instead
+ * append straight to a caller's string.
  */
 
 #ifndef TPUPOINT_CORE_JSON_HH
@@ -42,8 +43,21 @@ namespace tpupoint {
 class JsonWriter
 {
   public:
-    /** Write to @p out; the stream must outlive the writer. */
-    explicit JsonWriter(std::ostream &out, bool pretty = false);
+    /**
+     * Write to @p out; the stream must outlive the writer. A
+     * pretty writer indents as if its root sat @p depth
+     * containers deep, which renders a value for rawValue() to
+     * splice at that depth.
+     */
+    explicit JsonWriter(std::ostream &out, bool pretty = false,
+                        std::size_t depth = 0);
+
+    /**
+     * Append straight to @p out instead of buffering for a stream
+     * (flush() is then a no-op); @p out must outlive the writer.
+     */
+    explicit JsonWriter(std::string &out, bool pretty = false,
+                        std::size_t depth = 0);
 
     JsonWriter(const JsonWriter &) = delete;
     JsonWriter &operator=(const JsonWriter &) = delete;
@@ -81,6 +95,15 @@ class JsonWriter
     /** Emit a JSON null. */
     void nullValue();
 
+    /**
+     * Splice @p json verbatim as the next value: one complete
+     * value rendered by a writer with the same pretty setting
+     * constructed at this value's depth (the number of containers
+     * open around it), so the bytes equal rendering it in place.
+     * The bytes are trusted, not validated.
+     */
+    void rawValue(std::string_view json);
+
     /** Convenience: key + value in one call. */
     template <typename T>
     void
@@ -111,9 +134,11 @@ class JsonWriter
     void quoted(std::string_view text);
     template <typename Integer> void appendInteger(Integer number);
 
-    std::ostream &stream;
-    std::string buffer;
+    std::ostream *stream;  ///< Null when writing to a string.
+    std::string own_buffer;
+    std::string &buffer;   ///< own_buffer, or the target string.
     bool pretty_print;
+    std::size_t base_depth;
     bool key_pending = false;
     bool root_written = false;
     std::vector<Scope> scopes;

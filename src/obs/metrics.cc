@@ -1,5 +1,6 @@
 #include "obs/metrics.hh"
 
+#include <charconv>
 #include <limits>
 
 #include "core/json.hh"
@@ -64,6 +65,20 @@ Histogram::bucketCount(std::size_t index) const
     return counts[index].load(std::memory_order_relaxed);
 }
 
+HistogramData
+Histogram::data() const
+{
+    HistogramData data;
+    data.count = count();
+    data.sum = sum();
+    data.bounds = upper_bounds;
+    data.bucket_counts.reserve(counts.size());
+    for (const auto &bucket : counts)
+        data.bucket_counts.push_back(
+            bucket.load(std::memory_order_relaxed));
+    return data;
+}
+
 void
 Histogram::reset()
 {
@@ -80,32 +95,103 @@ MetricsRegistry::global()
     return *registry;
 }
 
+namespace {
+
+/** OpenMetrics name charset: [a-zA-Z0-9_:], no leading digit. */
+std::string
+sanitizeMetricName(std::string_view name)
+{
+    std::string out;
+    out.reserve(name.size());
+    for (const char c : name) {
+        const bool ok = (c >= 'a' && c <= 'z') ||
+            (c >= 'A' && c <= 'Z') ||
+            (c >= '0' && c <= '9') || c == '_' || c == ':';
+        out += ok ? c : '_';
+    }
+    if (out.empty() || (out[0] >= '0' && out[0] <= '9'))
+        out.insert(out.begin(), '_');
+    return out;
+}
+
+/** `{key="escaped",...}` or "" when label-less. */
+std::string
+renderLabels(const ParsedMetricName &parsed)
+{
+    if (parsed.labels.empty())
+        return "";
+    std::string out = "{";
+    bool first = true;
+    for (const auto &[key, value] : parsed.labels) {
+        if (!first)
+            out += ",";
+        out += sanitizeMetricName(key);
+        out += "=\"";
+        out += escapeLabelValue(value);
+        out += "\"";
+        first = false;
+    }
+    out += "}";
+    return out;
+}
+
+template <typename Integer>
+void
+appendInteger(std::string &out, Integer value)
+{
+    char digits[24];
+    const char *const end =
+        std::to_chars(digits, digits + sizeof(digits), value).ptr;
+    out.append(digits, static_cast<std::size_t>(end - digits));
+}
+
+/** Emit `# TYPE family kind` once per family (names arrive
+ * sorted, so labeled variants of one base are adjacent). */
+void
+typeLineOnce(std::string &out, std::string_view &last_family,
+             std::string_view family, std::string_view kind)
+{
+    if (family == last_family)
+        return;
+    out += "# TYPE ";
+    out += family;
+    out += ' ';
+    out += kind;
+    out += '\n';
+    last_family = family;
+}
+
+} // namespace
+
+template <typename Instrument, typename... Args>
+Instrument &
+MetricsRegistry::getOrCreate(EntryMap<Instrument> &entries,
+                             std::string_view name, Args &&...args)
+{
+    auto it = entries.find(name);
+    if (it == entries.end()) {
+        const ParsedMetricName parsed = parseMetricName(name);
+        Entry<Instrument> entry{
+            std::make_unique<Instrument>(std::forward<Args>(args)...),
+            sanitizeMetricName(parsed.base), renderLabels(parsed)};
+        it = entries.emplace(std::string(name), std::move(entry))
+                 .first;
+    }
+    return *it->second.instrument;
+}
+
 Counter &
 MetricsRegistry::counter(std::string_view name)
 {
     std::lock_guard<std::mutex> lock(registration);
-    auto it = counters.find(name);
-    if (it == counters.end()) {
-        it = counters
-                 .emplace(std::string(name),
-                          std::make_unique<Counter>())
-                 .first;
-    }
-    return *it->second;
+    return getOrCreate(counters, name);
 }
 
 Gauge &
 MetricsRegistry::gauge(std::string_view name)
 {
     std::lock_guard<std::mutex> lock(registration);
-    auto it = gauges.find(name);
-    if (it == gauges.end()) {
-        it = gauges
-                 .emplace(std::string(name),
-                          std::make_unique<Gauge>())
-                 .first;
-    }
-    return *it->second;
+    return getOrCreate(gauges, name);
 }
 
 Histogram &
@@ -113,14 +199,16 @@ MetricsRegistry::histogram(std::string_view name,
                            const HistogramOptions &options)
 {
     std::lock_guard<std::mutex> lock(registration);
-    auto it = histograms.find(name);
-    if (it == histograms.end()) {
-        it = histograms
-                 .emplace(std::string(name),
-                          std::make_unique<Histogram>(options))
-                 .first;
-    }
-    return *it->second;
+    return getOrCreate(histograms, name, options);
+}
+
+const Histogram *
+MetricsRegistry::findHistogram(std::string_view name) const
+{
+    std::lock_guard<std::mutex> lock(registration);
+    const auto it = histograms.find(name);
+    return it == histograms.end() ? nullptr
+                                  : it->second.instrument.get();
 }
 
 MetricsSnapshot
@@ -128,21 +216,12 @@ MetricsRegistry::snapshot() const
 {
     std::lock_guard<std::mutex> lock(registration);
     MetricsSnapshot snap;
-    for (const auto &[name, counter] : counters)
-        snap.counters[name] = counter->value();
-    for (const auto &[name, gauge] : gauges)
-        snap.gauges[name] = gauge->value();
-    for (const auto &[name, histogram] : histograms) {
-        MetricsSnapshot::HistogramData data;
-        data.count = histogram->count();
-        data.sum = histogram->sum();
-        data.bounds = histogram->bounds();
-        data.bucket_counts.reserve(data.bounds.size() + 1);
-        for (std::size_t i = 0; i <= data.bounds.size(); ++i)
-            data.bucket_counts.push_back(
-                histogram->bucketCount(i));
-        snap.histograms[name] = std::move(data);
-    }
+    for (const auto &[name, entry] : counters)
+        snap.counters[name] = entry.instrument->value();
+    for (const auto &[name, entry] : gauges)
+        snap.gauges[name] = entry.instrument->value();
+    for (const auto &[name, entry] : histograms)
+        snap.histograms[name] = entry.instrument->data();
     return snap;
 }
 
@@ -150,24 +229,18 @@ void
 MetricsRegistry::reset()
 {
     std::lock_guard<std::mutex> lock(registration);
-    for (const auto &[name, counter] : counters)
-        counter->reset();
-    for (const auto &[name, gauge] : gauges)
-        gauge->reset();
-    for (const auto &[name, histogram] : histograms)
-        histogram->reset();
+    for (auto &[name, entry] : counters)
+        entry.instrument->reset();
+    for (auto &[name, entry] : gauges)
+        entry.instrument->reset();
+    for (auto &[name, entry] : histograms)
+        entry.instrument->reset();
 }
 
 void
 MetricsRegistry::writeJson(std::ostream &out, bool pretty) const
 {
-    writeMetricsJson(snapshot(), out, pretty);
-}
-
-void
-writeMetricsJson(const MetricsSnapshot &snap, std::ostream &out,
-                 bool pretty)
-{
+    const MetricsSnapshot snap = snapshot();
     JsonWriter w(out, pretty);
     w.beginObject();
     w.key("counters");
@@ -254,127 +327,79 @@ escapeLabelValue(std::string_view value)
     return out;
 }
 
-namespace {
-
-/** OpenMetrics name charset: [a-zA-Z0-9_:], no leading digit. */
-std::string
-sanitizeMetricName(std::string_view name)
-{
-    std::string out;
-    out.reserve(name.size());
-    for (const char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-            (c >= 'A' && c <= 'Z') ||
-            (c >= '0' && c <= '9') || c == '_' || c == ':';
-        out += ok ? c : '_';
-    }
-    if (out.empty() || (out[0] >= '0' && out[0] <= '9'))
-        out.insert(out.begin(), '_');
-    return out;
-}
-
-/** `{key="escaped",...}` or "" when label-less. */
-std::string
-renderLabels(const ParsedMetricName &parsed)
-{
-    if (parsed.labels.empty())
-        return "";
-    std::string out = "{";
-    bool first = true;
-    for (const auto &[key, value] : parsed.labels) {
-        if (!first)
-            out += ",";
-        out += sanitizeMetricName(key);
-        out += "=\"";
-        out += escapeLabelValue(value);
-        out += "\"";
-        first = false;
-    }
-    out += "}";
-    return out;
-}
-
-/** Emit `# TYPE family kind` once per family (names arrive
- * sorted, so labeled variants of one base are adjacent). */
 void
-typeLineOnce(std::ostream &out, std::string &last_family,
-             const std::string &family, const char *kind)
+MetricsRegistry::writeOpenMetrics(std::string &out) const
 {
-    if (family == last_family)
-        return;
-    out << "# TYPE " << family << ' ' << kind << '\n';
-    last_family = family;
-}
+    out.clear();
+    std::lock_guard<std::mutex> lock(registration);
+    std::string_view last_family;
 
-} // namespace
-
-void
-writeOpenMetrics(const MetricsSnapshot &snap, std::ostream &out)
-{
-    std::string last_family;
-
-    for (const auto &[name, value] : snap.counters) {
-        const ParsedMetricName parsed = parseMetricName(name);
-        const std::string family =
-            sanitizeMetricName(parsed.base);
-        typeLineOnce(out, last_family, family, "counter");
-        out << family << "_total" << renderLabels(parsed) << ' '
-            << value << '\n';
+    for (const auto &[name, entry] : counters) {
+        typeLineOnce(out, last_family, entry.family, "counter");
+        out += entry.family;
+        out += "_total";
+        out += entry.labels;
+        out += ' ';
+        appendInteger(out, entry.instrument->value());
+        out += '\n';
     }
 
-    for (const auto &[name, value] : snap.gauges) {
-        const ParsedMetricName parsed = parseMetricName(name);
-        const std::string family =
-            sanitizeMetricName(parsed.base);
-        typeLineOnce(out, last_family, family, "gauge");
-        out << family << renderLabels(parsed) << ' ' << value
-            << '\n';
+    for (const auto &[name, entry] : gauges) {
+        typeLineOnce(out, last_family, entry.family, "gauge");
+        out += entry.family;
+        out += entry.labels;
+        out += ' ';
+        appendInteger(out, entry.instrument->value());
+        out += '\n';
     }
 
-    for (const auto &[name, data] : snap.histograms) {
-        const ParsedMetricName parsed = parseMetricName(name);
-        const std::string family =
-            sanitizeMetricName(parsed.base);
+    for (const auto &[name, entry] : histograms) {
+        const std::string &family = entry.family;
+        const std::string_view labels = entry.labels;
         typeLineOnce(out, last_family, family, "histogram");
+        const Histogram &histogram = *entry.instrument;
+        // Count first: its acquire covers the buckets and sum of
+        // at least that many observations.
+        const std::uint64_t count = histogram.count();
+        const std::uint64_t sum = histogram.sum();
         // OpenMetrics buckets are cumulative; `le` is the
         // inclusive upper bound. Extra labels precede le.
-        std::string labels = renderLabels(parsed);
-        std::string label_prefix;
-        if (labels.empty())
-            label_prefix = "{";
-        else {
-            label_prefix = labels;
-            label_prefix.back() = ',';
-        }
+        const std::vector<std::uint64_t> &bounds = histogram.bounds();
         std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < data.bucket_counts.size();
-             ++i) {
-            cumulative += data.bucket_counts[i];
-            out << family << "_bucket" << label_prefix << "le=\"";
-            if (i < data.bounds.size())
-                out << data.bounds[i];
+        for (std::size_t i = 0; i <= bounds.size(); ++i) {
+            cumulative += histogram.bucketCount(i);
+            out += family;
+            out += "_bucket";
+            if (labels.empty()) {
+                out += '{';
+            } else {
+                out += labels.substr(0, labels.size() - 1);
+                out += ',';
+            }
+            out += "le=\"";
+            if (i < bounds.size())
+                appendInteger(out, bounds[i]);
             else
-                out << "+Inf";
-            out << "\"} " << cumulative << '\n';
+                out += "+Inf";
+            out += "\"} ";
+            appendInteger(out, cumulative);
+            out += '\n';
         }
-        // A histogram constructed but never observed still closes
-        // its bucket series at +Inf.
-        if (data.bucket_counts.size() <= data.bounds.size())
-            out << family << "_bucket" << label_prefix
-                << "le=\"+Inf\"} " << cumulative << '\n';
-        out << family << "_sum" << labels << ' ' << data.sum
-            << '\n';
-        out << family << "_count" << labels << ' ' << data.count
-            << '\n';
+        out += family;
+        out += "_sum";
+        out += labels;
+        out += ' ';
+        appendInteger(out, sum);
+        out += '\n';
+        out += family;
+        out += "_count";
+        out += labels;
+        out += ' ';
+        appendInteger(out, count);
+        out += '\n';
     }
 
-    out << "# EOF\n";
-}
-
-void
-MetricsRegistry::writeOpenMetrics(std::ostream &out) const
-{
-    obs::writeOpenMetrics(snapshot(), out);
+    out += "# EOF\n";
 }
 
 void
@@ -392,8 +417,7 @@ MetricsRegistry::writeText(std::ostream &out) const
 }
 
 double
-histogramQuantile(const MetricsSnapshot::HistogramData &data,
-                  double q)
+histogramQuantile(const HistogramData &data, double q)
 {
     if (data.count == 0 || data.bucket_counts.empty())
         return 0.0;

@@ -88,6 +88,15 @@ struct HistogramOptions
     std::size_t buckets = 20;
 };
 
+/** Point-in-time copy of one histogram. */
+struct HistogramData
+{
+    std::uint64_t count = 0;
+    std::uint64_t sum = 0;
+    std::vector<std::uint64_t> bounds;
+    std::vector<std::uint64_t> bucket_counts; ///< +1 overflow.
+};
+
 /**
  * Fixed-exponential-bucket histogram. Bucket i counts observations
  * v <= first_bound * growth^i; the final (overflow) bucket counts
@@ -135,6 +144,9 @@ class Histogram
     /** Index of the bucket @p value falls into. */
     std::size_t bucketIndex(std::uint64_t value) const;
 
+    /** Copy of the current count, sum and buckets. */
+    HistogramData data() const;
+
     /** Reset all buckets (tests and per-run dumps). */
     void reset();
 
@@ -151,13 +163,7 @@ struct MetricsSnapshot
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, std::int64_t> gauges;
 
-    struct HistogramData
-    {
-        std::uint64_t count = 0;
-        std::uint64_t sum = 0;
-        std::vector<std::uint64_t> bounds;
-        std::vector<std::uint64_t> bucket_counts; ///< +1 overflow.
-    };
+    using HistogramData = obs::HistogramData;
     std::map<std::string, HistogramData> histograms;
 
     /**
@@ -195,8 +201,7 @@ struct MetricsSnapshot
  * behave as q=0 (the first occupied bucket's bound), q >= 1 as the
  * last occupied bucket's bound.
  */
-double histogramQuantile(const MetricsSnapshot::HistogramData &data,
-                         double q);
+double histogramQuantile(const HistogramData &data, double q);
 
 /**
  * Registry names are flat strings; the serve path labels
@@ -215,30 +220,8 @@ struct ParsedMetricName
 };
 ParsedMetricName parseMetricName(std::string_view name);
 
-/**
- * OpenMetrics text exposition of one snapshot. Conventions:
- * metric names sanitized to [a-zA-Z0-9_:] (dots become
- * underscores), counters suffixed `_total`, histograms expanded to
- * cumulative `_bucket{le="..."}` samples (closing with le="+Inf")
- * plus `_sum` and `_count`, label values escaped per the spec
- * ('\' -> '\\', '"' -> '\"', newline -> '\n'), one `# TYPE` line
- * per metric family, and a final `# EOF` terminator. Families are
- * name-sorted, so the output is golden-pinnable.
- */
-void writeOpenMetrics(const MetricsSnapshot &snapshot,
-                      std::ostream &out);
-
 /** OpenMetrics label-value escaping (exposed for tests). */
 std::string escapeLabelValue(std::string_view value);
-
-/**
- * JSON dump of one snapshot (the body of
- * MetricsRegistry::writeJson, exposed so callers can render the
- * same snapshot as both JSON and OpenMetrics text, guaranteed in
- * sync).
- */
-void writeMetricsJson(const MetricsSnapshot &snapshot,
-                      std::ostream &out, bool pretty = false);
 
 /**
  * The registry. Instruments are created on first use and live for
@@ -281,18 +264,52 @@ class MetricsRegistry
      * histogram summaries. */
     void writeText(std::ostream &out) const;
 
-    /** Dump the current snapshot as OpenMetrics text (see the
-     * free writeOpenMetrics for the format contract). */
-    void writeOpenMetrics(std::ostream &out) const;
+    /**
+     * The named histogram, or nullptr when it was never registered
+     * (never creates one).
+     */
+    const Histogram *findHistogram(std::string_view name) const;
+
+    /**
+     * Render every instrument as OpenMetrics text into @p out,
+     * replacing its contents (its capacity is reused), straight
+     * from the instruments under the registration lock: no
+     * snapshot. Conventions: metric names sanitized to
+     * [a-zA-Z0-9_:] (dots become underscores), counters suffixed
+     * `_total`, histograms expanded to cumulative
+     * `_bucket{le="..."}` samples (closing with le="+Inf") plus
+     * `_sum` and `_count`, label values escaped per the spec
+     * ('\' -> '\\', '"' -> '\"', newline -> '\n'), one `# TYPE`
+     * line per metric family, and a final `# EOF` terminator.
+     * Counters, then gauges, then histograms, each name-sorted, so
+     * the output is golden-pinnable.
+     */
+    void writeOpenMetrics(std::string &out) const;
 
   private:
+    /**
+     * One instrument with its exposition name parts, sanitized and
+     * escaped once at registration.
+     */
+    template <typename Instrument> struct Entry
+    {
+        std::unique_ptr<Instrument> instrument;
+        std::string family; ///< Sanitized base name.
+        std::string labels; ///< `{key="value",...}`, or empty.
+    };
+    template <typename Instrument>
+    using EntryMap =
+        std::map<std::string, Entry<Instrument>, std::less<>>;
+
+    template <typename Instrument, typename... Args>
+    static Instrument &getOrCreate(EntryMap<Instrument> &entries,
+                                   std::string_view name,
+                                   Args &&...args);
+
     mutable std::mutex registration;
-    std::map<std::string, std::unique_ptr<Counter>, std::less<>>
-        counters;
-    std::map<std::string, std::unique_ptr<Gauge>, std::less<>>
-        gauges;
-    std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
-        histograms;
+    EntryMap<Counter> counters;
+    EntryMap<Gauge> gauges;
+    EntryMap<Histogram> histograms;
 };
 
 } // namespace obs

@@ -57,7 +57,7 @@ chargeIngestMetrics(const std::string &session_label,
     buckets.first_bound = 64 * 1024;
     buckets.growth = 4;
     buckets.buckets = 14;
-    registry.histogram("analyzer.ingest_bytes_per_sec", buckets)
+    registry.histogram("analyzer.ingest_pass_bytes_per_sec", buckets)
         .observe(static_cast<std::uint64_t>(rate < 0 ? 0 : rate));
     const std::string gauge_name =
         session_label.empty()

@@ -46,8 +46,8 @@ struct PipelineOptions
      * per concurrent serve session) lands the rate in
      * `analyzer.ingest_bytes_per_sec{session=LABEL}` instead, so
      * concurrent sessions never clobber one another's gauge. The
-     * aggregate `analyzer.ingest_bytes_per_sec` histogram records
-     * every pass either way.
+     * aggregate `analyzer.ingest_pass_bytes_per_sec` histogram
+     * records every pass either way.
      */
     std::string session_label;
 
@@ -87,8 +87,10 @@ const char *pipelineErrorName(PipelineError error);
  * Charge one streaming pass's ingest volume to the metrics
  * registry: total events summarized by the ingested records, and
  * the raw profile-read rate of this pass. The rate always lands in
- * the aggregate `analyzer.ingest_bytes_per_sec` histogram (honest
- * across concurrent sessions: every pass is one observation); the
+ * the aggregate `analyzer.ingest_pass_bytes_per_sec` histogram
+ * (honest across concurrent sessions: every pass is one
+ * observation; its own name, because an OpenMetrics family has one
+ * type and the gauges below own the `ingest_bytes_per_sec` one); the
  * last-write-wins gauge is either per-session-labeled
  * (`analyzer.ingest_bytes_per_sec{session=LABEL}`) or, for the
  * single-session batch CLIs (empty label), the historical unlabeled

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <filesystem>
 #include <mutex>
-#include <sstream>
 
 #include "core/interner.hh"
 #include "core/io_faults.hh"
@@ -59,6 +58,31 @@ std::string
 sessionName(const std::string &filename, const std::string &suffix)
 {
     return filename.substr(0, filename.size() - suffix.size());
+}
+
+bool
+isLive(SessionState state)
+{
+    return state == SessionState::Discovering ||
+        state == SessionState::Ingesting ||
+        state == SessionState::Quiescent;
+}
+
+/**
+ * Phase/coverage sections serve final answers *and* live streaming
+ * snapshots: a live session appears as soon as its incremental
+ * detector has phases, tagged exact=false with its staleness, and
+ * is replaced in place by the exact batch entry at finalize.
+ * `--query phases` therefore refuses neither mid-ingest nor
+ * post-finalize.
+ */
+bool
+phaseWorthy(const SessionStatus &status)
+{
+    if (status.state == SessionState::Finalized ||
+        status.state == SessionState::Evicted)
+        return true;
+    return isLive(status.state) && !status.phases.empty();
 }
 
 } // namespace
@@ -130,7 +154,114 @@ struct SessionManager::Session
      * concurrently touched.
      */
     bool journal_dirty = false;
+
+    /** `serve.session_lag_ms{session=NAME}`; registered by the
+     * control thread on its first lag update. */
+    obs::Gauge *lag_gauge = nullptr;
+
+    /**
+     * This session's elements of the status document's
+     * "sessions", "phases" and "coverage" arrays as last rendered,
+     * with the status and pretty flag they were rendered from.
+     * Touched only by the control thread's statusDocument().
+     */
+    struct Fragments
+    {
+        bool rendered = false;
+        bool pretty = false;
+        SessionStatus source;
+        std::string session;
+        std::string phases;   ///< Empty unless phaseWorthy().
+        std::string coverage; ///< Empty unless phaseWorthy().
+
+        /** Re-render when @p status or @p pretty_now differ from
+         * the source; otherwise keep the cached bytes. */
+        void refresh(const SessionStatus &status, bool pretty_now);
+    };
+    Fragments fragments;
 };
+
+/** A fragment's depth in the status document: root object, then
+ * a section array. */
+constexpr std::size_t kElementDepth = 2;
+
+void
+SessionManager::Session::Fragments::refresh(
+    const SessionStatus &status, bool pretty_now)
+{
+    if (rendered && pretty == pretty_now && source == status)
+        return;
+    source = status;
+    pretty = pretty_now;
+    rendered = true;
+    session.clear();
+    {
+        JsonWriter w(session, pretty_now, kElementDepth);
+        w.beginObject();
+        w.field("name", status.name);
+        w.field("path", status.path);
+        w.field("state", sessionStateName(status.state));
+        w.field("pending", status.pending);
+        w.field("complete", status.complete);
+        w.field("records", status.records);
+        w.field("events", status.events);
+        w.field("bytes", status.bytes);
+        w.field("chunks", status.chunks);
+        w.field("chunks_dropped", status.chunks_dropped);
+        w.field("bytes_skipped", status.bytes_skipped);
+        w.field("records_dropped", status.records_dropped);
+        w.field("decode_failures", status.decode_failures);
+        if (!status.detector.empty())
+            w.field("detector", status.detector);
+        w.field("steps_behind", status.steps_behind);
+        if (status.recovered)
+            w.field("recovered", true);
+        if (!status.error.empty())
+            w.field("error", status.error);
+        w.endObject();
+    }
+    phases.clear();
+    coverage.clear();
+    if (!phaseWorthy(status))
+        return;
+    const std::string &algorithm =
+        status.algorithm.empty() ? status.detector : status.algorithm;
+    {
+        JsonWriter w(phases, pretty_now, kElementDepth);
+        w.beginObject();
+        w.field("name", status.name);
+        w.field("algorithm", algorithm);
+        w.field("exact", status.phases_exact);
+        w.field("steps_behind", status.steps_behind);
+        w.key("phases");
+        w.beginArray();
+        for (const PhaseSummary &phase : status.phases) {
+            w.beginObject();
+            w.field("id", phase.id);
+            w.field("first_step", phase.first_step);
+            w.field("last_step", phase.last_step);
+            w.field("steps", phase.steps);
+            w.field("duration_ms", phase.duration_ms);
+            w.field("noise", phase.noise);
+            w.endObject();
+        }
+        w.endArray();
+        w.endObject();
+    }
+    {
+        JsonWriter w(coverage, pretty_now, kElementDepth);
+        w.beginObject();
+        w.field("name", status.name);
+        w.field("algorithm", algorithm);
+        w.field("exact", status.phases_exact);
+        w.field("steps_behind", status.steps_behind);
+        w.field("steps", status.steps);
+        w.field("phase_count",
+                static_cast<std::uint64_t>(status.phases.size()));
+        w.field("top3_coverage", status.top3_coverage);
+        w.endObject();
+    }
+}
 
 SessionManager::SessionManager(const ServeOptions &options)
     : opts(options)
@@ -164,13 +295,9 @@ std::size_t
 SessionManager::liveCount() const
 {
     std::size_t live = 0;
-    for (const auto &session : all) {
-        const SessionState state = session->status.state;
-        if (state == SessionState::Discovering ||
-            state == SessionState::Ingesting ||
-            state == SessionState::Quiescent)
+    for (const auto &session : all)
+        if (isLive(session->status.state))
             ++live;
-    }
     return live;
 }
 
@@ -178,13 +305,9 @@ std::uint64_t
 SessionManager::liveBytes() const
 {
     std::uint64_t bytes = 0;
-    for (const auto &session : all) {
-        const SessionState state = session->status.state;
-        if (state == SessionState::Discovering ||
-            state == SessionState::Ingesting ||
-            state == SessionState::Quiescent)
+    for (const auto &session : all)
+        if (isLive(session->status.state))
             bytes += session->status.bytes;
-    }
     return bytes;
 }
 
@@ -281,11 +404,7 @@ SessionManager::recoverFromJournal(std::int64_t now)
         }
 
         const SessionState state = entry.state;
-        const bool was_live =
-            state == SessionState::Discovering ||
-            state == SessionState::Ingesting ||
-            state == SessionState::Quiescent;
-        if (was_live) {
+        if (isLive(state)) {
             // The analysis state (step table, phase builder) is
             // deliberately not journaled — it is large and
             // rebuildable. Replay the spool file up to the
@@ -670,14 +789,10 @@ SessionManager::poll()
     scanSpool(now);
 
     std::vector<Session *> active;
-    for (const auto &session : all) {
-        const SessionState state = session->status.state;
-        if (state == SessionState::Discovering ||
-            state == SessionState::Ingesting ||
-            state == SessionState::Quiescent)
-            if (!session->ready_to_finalize)
-                active.push_back(session.get());
-    }
+    for (const auto &session : all)
+        if (isLive(session->status.state) &&
+            !session->ready_to_finalize)
+            active.push_back(session.get());
     std::atomic<std::size_t> progressed{0};
     active_pool->forEach(
         active.size(),
@@ -800,24 +915,22 @@ SessionManager::stats() const
 }
 
 void
-SessionManager::updateLagGauges(std::int64_t now) const
+SessionManager::updateLagGauges(std::int64_t now)
 {
     auto &registry = obs::MetricsRegistry::global();
     std::int64_t max_lag = 0;
     for (const auto &session : all) {
-        const SessionState state = session->status.state;
-        const bool live = state == SessionState::Discovering ||
-            state == SessionState::Ingesting ||
-            state == SessionState::Quiescent;
         // A non-live session is by definition not lagging; pinning
         // its gauge to zero (instead of leaving the last live
         // value) keeps scrapes from alerting on finished work.
-        const std::int64_t lag =
-            live ? now - session->last_progress_ms : 0;
-        registry
-            .gauge("serve.session_lag_ms{session=" +
-                   session->status.name + "}")
-            .set(lag);
+        const std::int64_t lag = isLive(session->status.state)
+            ? now - session->last_progress_ms
+            : 0;
+        if (session->lag_gauge == nullptr)
+            session->lag_gauge =
+                &registry.gauge("serve.session_lag_ms{session=" +
+                                session->status.name + "}");
+        session->lag_gauge->set(lag);
         max_lag = std::max(max_lag, lag);
     }
     // The fleet staleness figure a single alert rule can watch:
@@ -829,7 +942,6 @@ HealthReport
 SessionManager::health() const
 {
     const std::int64_t now = nowMs();
-    updateLagGauges(now);
 
     HealthReport report;
     const auto degrade = [&](HealthState at_least) {
@@ -851,11 +963,7 @@ SessionManager::health() const
                 {"shed", status.name, status.error});
             continue;
         }
-        const bool live =
-            status.state == SessionState::Discovering ||
-            status.state == SessionState::Ingesting ||
-            status.state == SessionState::Quiescent;
-        if (!live)
+        if (!isLive(status.state))
             continue;
         const std::int64_t lag = now - session->last_progress_ms;
         if (lag > report.max_lag_ms) {
@@ -872,13 +980,12 @@ SessionManager::health() const
         }
     }
 
-    const obs::MetricsSnapshot snapshot =
-        obs::MetricsRegistry::global().snapshot();
-    const auto it =
-        snapshot.histograms.find("serve.ingest_chunk_us");
-    if (it != snapshot.histograms.end() && it->second.count > 0)
+    const obs::Histogram *chunk_latency =
+        obs::MetricsRegistry::global().findHistogram(
+            "serve.ingest_chunk_us");
+    if (chunk_latency != nullptr && chunk_latency->count() > 0)
         report.p99_ingest_us =
-            obs::histogramQuantile(it->second, 0.99);
+            obs::histogramQuantile(chunk_latency->data(), 0.99);
     if (opts.slo_p99_ingest_us > 0 &&
         report.p99_ingest_us >
             static_cast<double>(opts.slo_p99_ingest_us)) {
@@ -898,155 +1005,93 @@ void
 SessionManager::writeStatusJson(std::ostream &out,
                                 bool pretty) const
 {
-    JsonWriter w(out, pretty);
-    w.beginObject();
+    const std::string_view document = statusDocument(pretty);
+    out.write(document.data(),
+              static_cast<std::streamsize>(document.size() - 1));
+}
 
-    w.key("sessions");
-    w.beginArray();
-    for (const auto &session : all) {
-        const SessionStatus &status = session->status;
+std::string_view
+SessionManager::statusDocument(bool pretty) const
+{
+    for (const auto &session : all)
+        session->fragments.refresh(session->status, pretty);
+
+    status_buffer.clear();
+    {
+        JsonWriter w(status_buffer, pretty);
         w.beginObject();
-        w.field("name", status.name);
-        w.field("path", status.path);
-        w.field("state", sessionStateName(status.state));
-        w.field("pending", status.pending);
-        w.field("complete", status.complete);
-        w.field("records", status.records);
-        w.field("events", status.events);
-        w.field("bytes", status.bytes);
-        w.field("chunks", status.chunks);
-        w.field("chunks_dropped", status.chunks_dropped);
-        w.field("bytes_skipped", status.bytes_skipped);
-        w.field("records_dropped", status.records_dropped);
-        w.field("decode_failures", status.decode_failures);
-        if (!status.detector.empty())
-            w.field("detector", status.detector);
-        w.field("steps_behind", status.steps_behind);
-        if (status.recovered)
-            w.field("recovered", true);
-        if (!status.error.empty())
-            w.field("error", status.error);
-        w.endObject();
-    }
-    w.endArray();
 
-    // Phase/coverage sections serve final answers *and* live
-    // streaming snapshots: a live session appears as soon as its
-    // incremental detector has phases, tagged exact=false with its
-    // staleness, and is replaced in place by the exact batch entry
-    // at finalize. `--query phases` therefore refuses neither
-    // mid-ingest nor post-finalize.
-    const auto phase_worthy = [](const SessionStatus &status) {
-        if (status.state == SessionState::Finalized ||
-            status.state == SessionState::Evicted)
-            return true;
-        const bool live =
-            status.state == SessionState::Discovering ||
-            status.state == SessionState::Ingesting ||
-            status.state == SessionState::Quiescent;
-        return live && !status.phases.empty();
-    };
+        w.key("sessions");
+        w.beginArray();
+        for (const auto &session : all)
+            w.rawValue(session->fragments.session);
+        w.endArray();
 
-    w.key("phases");
-    w.beginArray();
-    for (const auto &session : all) {
-        const SessionStatus &status = session->status;
-        if (!phase_worthy(status))
-            continue;
-        w.beginObject();
-        w.field("name", status.name);
-        w.field("algorithm", status.algorithm.empty()
-                    ? status.detector
-                    : status.algorithm);
-        w.field("exact", status.phases_exact);
-        w.field("steps_behind", status.steps_behind);
         w.key("phases");
         w.beginArray();
-        for (const PhaseSummary &phase : status.phases) {
+        for (const auto &session : all)
+            if (!session->fragments.phases.empty())
+                w.rawValue(session->fragments.phases);
+        w.endArray();
+
+        w.key("coverage");
+        w.beginArray();
+        for (const auto &session : all)
+            if (!session->fragments.coverage.empty())
+                w.rawValue(session->fragments.coverage);
+        w.endArray();
+
+        const ServeStats tallies = stats();
+        w.key("stats");
+        w.beginObject();
+        w.field("polls", tallies.polls);
+        w.field("sessions",
+                static_cast<std::uint64_t>(tallies.sessions));
+        w.field("discovering",
+                static_cast<std::uint64_t>(tallies.discovering));
+        w.field("ingesting",
+                static_cast<std::uint64_t>(tallies.ingesting));
+        w.field("quiescent",
+                static_cast<std::uint64_t>(tallies.quiescent));
+        w.field("finalized",
+                static_cast<std::uint64_t>(tallies.finalized));
+        w.field("evicted",
+                static_cast<std::uint64_t>(tallies.evicted));
+        w.field("shed", static_cast<std::uint64_t>(tallies.shed));
+        w.field("quarantined",
+                static_cast<std::uint64_t>(tallies.quarantined));
+        w.field("recovered",
+                static_cast<std::uint64_t>(tallies.recovered));
+        w.field("records", tallies.records);
+        w.field("events", tallies.events);
+        w.field("bytes", tallies.bytes);
+        w.endObject();
+
+        const HealthReport verdict = health();
+        w.key("health");
+        w.beginObject();
+        w.field("state", healthStateName(verdict.state));
+        w.field("p99_ingest_us", verdict.p99_ingest_us);
+        w.field("max_lag_ms", verdict.max_lag_ms);
+        if (!verdict.max_lag_session.empty())
+            w.field("max_lag_session", verdict.max_lag_session);
+        w.key("issues");
+        w.beginArray();
+        for (const HealthIssue &issue : verdict.issues) {
             w.beginObject();
-            w.field("id", phase.id);
-            w.field("first_step", phase.first_step);
-            w.field("last_step", phase.last_step);
-            w.field("steps", phase.steps);
-            w.field("duration_ms", phase.duration_ms);
-            w.field("noise", phase.noise);
+            w.field("kind", issue.kind);
+            if (!issue.session.empty())
+                w.field("session", issue.session);
+            w.field("detail", issue.detail);
             w.endObject();
         }
         w.endArray();
         w.endObject();
-    }
-    w.endArray();
 
-    w.key("coverage");
-    w.beginArray();
-    for (const auto &session : all) {
-        const SessionStatus &status = session->status;
-        if (!phase_worthy(status))
-            continue;
-        w.beginObject();
-        w.field("name", status.name);
-        w.field("algorithm", status.algorithm.empty()
-                    ? status.detector
-                    : status.algorithm);
-        w.field("exact", status.phases_exact);
-        w.field("steps_behind", status.steps_behind);
-        w.field("steps", status.steps);
-        w.field("phase_count",
-                static_cast<std::uint64_t>(
-                    status.phases.size()));
-        w.field("top3_coverage", status.top3_coverage);
         w.endObject();
     }
-    w.endArray();
-
-    const ServeStats tallies = stats();
-    w.key("stats");
-    w.beginObject();
-    w.field("polls", tallies.polls);
-    w.field("sessions",
-            static_cast<std::uint64_t>(tallies.sessions));
-    w.field("discovering",
-            static_cast<std::uint64_t>(tallies.discovering));
-    w.field("ingesting",
-            static_cast<std::uint64_t>(tallies.ingesting));
-    w.field("quiescent",
-            static_cast<std::uint64_t>(tallies.quiescent));
-    w.field("finalized",
-            static_cast<std::uint64_t>(tallies.finalized));
-    w.field("evicted",
-            static_cast<std::uint64_t>(tallies.evicted));
-    w.field("shed", static_cast<std::uint64_t>(tallies.shed));
-    w.field("quarantined",
-            static_cast<std::uint64_t>(tallies.quarantined));
-    w.field("recovered",
-            static_cast<std::uint64_t>(tallies.recovered));
-    w.field("records", tallies.records);
-    w.field("events", tallies.events);
-    w.field("bytes", tallies.bytes);
-    w.endObject();
-
-    const HealthReport verdict = health();
-    w.key("health");
-    w.beginObject();
-    w.field("state", healthStateName(verdict.state));
-    w.field("p99_ingest_us", verdict.p99_ingest_us);
-    w.field("max_lag_ms", verdict.max_lag_ms);
-    if (!verdict.max_lag_session.empty())
-        w.field("max_lag_session", verdict.max_lag_session);
-    w.key("issues");
-    w.beginArray();
-    for (const HealthIssue &issue : verdict.issues) {
-        w.beginObject();
-        w.field("kind", issue.kind);
-        if (!issue.session.empty())
-            w.field("session", issue.session);
-        w.field("detail", issue.detail);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-
-    w.endObject();
+    status_buffer += '\n';
+    return status_buffer;
 }
 
 bool
@@ -1158,14 +1203,11 @@ bool
 publishStatus(const SessionManager &manager,
               const std::string &path, std::string *error)
 {
-    std::ostringstream json;
-    manager.writeStatusJson(json, /*pretty=*/true);
-    json << "\n";
-
     const std::string tmp = path + ".tmp";
     std::string why;
-    bool ok = io::writeFileWithFaults("serve.status_write", tmp,
-                                      json.str(), &why);
+    bool ok = io::writeFileWithFaults(
+        "serve.status_write", tmp,
+        manager.statusDocument(/*pretty=*/true), &why);
     if (ok &&
         !io::renameWithFaults("serve.status_rename", tmp, path,
                               &why))
@@ -1195,13 +1237,15 @@ sweepStalePublish(const std::string &path)
 bool
 publishMetrics(const std::string &path, std::string *error)
 {
-    std::ostringstream text;
+    // One exposition buffer per publishing thread, reused every
+    // tick.
+    thread_local std::string text;
     obs::MetricsRegistry::global().writeOpenMetrics(text);
 
     const std::string tmp = path + ".tmp";
     std::string why;
     bool ok = io::writeFileWithFaults("serve.metrics_write", tmp,
-                                      text.str(), &why);
+                                      text, &why);
     if (ok &&
         !io::renameWithFaults("serve.metrics_rename", tmp, path,
                               &why))

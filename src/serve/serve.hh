@@ -30,7 +30,8 @@
  *    `tpupoint-serve --query` extracts via extractStatusSection().
  *
  * Threading contract: poll(), the accessors and the JSON writers
- * are control-plane calls from one thread (the daemon loop). The
+ * are control-plane calls from one thread (the daemon loop); the
+ * status document's fragment caches rely on that. The
  * data plane — per-session ingest and capped finalizes — fans out
  * on the pool inside poll(), touching disjoint sessions plus the
  * thread-safe process-wide interner and metrics registry.
@@ -76,6 +77,8 @@ struct PhaseSummary
     std::uint64_t steps = 0;
     double duration_ms = 0.0;
     bool noise = false;
+
+    bool operator==(const PhaseSummary &) const = default;
 };
 
 /** Queryable per-session status (compact; survives eviction). */
@@ -145,6 +148,9 @@ struct SessionStatus
      * itself).
      */
     bool recovered = false;
+
+    /** Field-wise: the status-document fragment cache's key. */
+    bool operator==(const SessionStatus &) const = default;
 };
 
 /** Fleet-level tallies for one SessionManager. */
@@ -385,10 +391,22 @@ class SessionManager
     /**
      * The full status document: {"sessions":[...],
      * "phases":[...], "coverage":[...], "stats":{...},
-     * "health":{...}}.
+     * "health":{...}}, without statusDocument()'s trailing
+     * newline.
      */
     void writeStatusJson(std::ostream &out,
                          bool pretty = false) const;
+
+    /**
+     * The status document plus a trailing newline (the published
+     * file's bytes), rendered into a buffer the manager owns and
+     * reuses. Each session's "sessions", "phases" and "coverage"
+     * elements come from a per-session cache that is re-rendered
+     * only when the session's status (or @p pretty) differs from
+     * the one it was rendered from; "stats" and "health" are
+     * rendered fresh. The view is valid until the next call.
+     */
+    std::string_view statusDocument(bool pretty) const;
 
     /** The pool session work fans out on (owned or borrowed). */
     ThreadPool &pool() const { return *active_pool; }
@@ -412,7 +430,7 @@ class SessionManager
     void refreshLivePhases(Session &session);
     void finalizeOne(Session &session, std::int64_t now);
     void quarantine(Session &session, const std::string &why);
-    void updateLagGauges(std::int64_t now) const;
+    void updateLagGauges(std::int64_t now);
     void recoverFromJournal(std::int64_t now);
     std::size_t liveCount() const;
     std::uint64_t liveBytes() const;
@@ -426,15 +444,19 @@ class SessionManager
     std::uint64_t polls = 0;
     std::unique_ptr<JournalWriter> journal;
     std::size_t recovered_count = 0;
+
+    /** statusDocument()'s reused output buffer (control thread). */
+    mutable std::string status_buffer;
 };
 
 /**
- * Publish @p manager's status document to @p path via temp file +
- * atomic rename, hardened against publish failure: a failed write
- * or rename never throws, never leaves a stale `<path>.tmp` behind,
- * bumps the `serve.status_publish_errors` counter and reports false
- * so the caller simply retries next tick. Both steps run through
- * the io fail points "serve.status_write" / "serve.status_rename".
+ * Publish @p manager's statusDocument(true) to @p path via temp
+ * file + atomic rename, hardened against publish failure: a failed
+ * write or rename never throws, never leaves a stale `<path>.tmp`
+ * behind, bumps the `serve.status_publish_errors` counter and
+ * reports false so the caller simply retries next tick. Both steps
+ * run through the io fail points "serve.status_write" /
+ * "serve.status_rename".
  */
 bool publishStatus(const SessionManager &manager,
                    const std::string &path,
@@ -447,9 +469,10 @@ bool publishStatus(const SessionManager &manager,
 bool sweepStalePublish(const std::string &path);
 
 /**
- * Publish the process metrics registry as OpenMetrics text to
- * @p path, same atomic temp+rename discipline (and failure
- * contract) as publishStatus, through the "serve.metrics_write" /
+ * Publish the process metrics registry as OpenMetrics text
+ * (rendered into a reused per-thread buffer) to @p path, same
+ * atomic temp+rename discipline (and failure contract) as
+ * publishStatus, through the "serve.metrics_write" /
  * "serve.metrics_rename" io fail points. The daemon calls this on
  * every publish tick right after the status document, so scrapers
  * always find the two in step.

@@ -135,6 +135,73 @@ TEST(JsonWriterTest, PrettyPrintingIndents)
     EXPECT_EQ(out.str(), "{\n  \"a\": 1\n}");
 }
 
+TEST(JsonWriterTest, RawValueSplicesAsIfRenderedInPlace)
+{
+    // One value rendered for depth two, then spliced there, must
+    // give the bytes of rendering it in place.
+    const auto element = [](JsonWriter &w) {
+        w.beginObject();
+        w.field("name", "a\nb");
+        w.key("list");
+        w.beginArray();
+        w.value(std::int64_t{1});
+        w.endArray();
+        w.endObject();
+    };
+    for (const bool pretty : {false, true}) {
+        std::ostringstream fragment;
+        {
+            JsonWriter w(fragment, pretty, /*depth=*/2);
+            element(w);
+        }
+        std::ostringstream direct;
+        std::ostringstream spliced;
+        {
+            JsonWriter d(direct, pretty);
+            JsonWriter s(spliced, pretty);
+            for (JsonWriter *w : {&d, &s}) {
+                w->beginObject();
+                w->key("items");
+                w->beginArray();
+                w->value(std::int64_t{0});
+            }
+            element(d);
+            s.rawValue(fragment.str());
+            for (JsonWriter *w : {&d, &s}) {
+                w->endArray();
+                w->endObject();
+            }
+        }
+        EXPECT_EQ(spliced.str(), direct.str()) << "pretty=" << pretty;
+        EXPECT_TRUE(validateJson(spliced.str()));
+    }
+}
+
+TEST(JsonWriterTest, StringTargetGetsTheStreamBytes)
+{
+    std::ostringstream stream;
+    std::string target = "kept:";
+    {
+        JsonWriter s(stream, /*pretty=*/true);
+        JsonWriter t(target, /*pretty=*/true);
+        for (JsonWriter *w : {&s, &t}) {
+            w->beginObject();
+            w->field("a", std::int64_t{1});
+            w->key("big");
+            w->beginArray();
+            // Past the flush threshold: a string target never
+            // flushes, it just grows.
+            const std::string item(100, 'x');
+            for (std::size_t i = 0; i < JsonWriter::kFlushBytes / 50;
+                 ++i)
+                w->value(item);
+            w->endArray();
+            w->endObject();
+        }
+    }
+    EXPECT_EQ(target, "kept:" + stream.str());
+}
+
 TEST(JsonWriterTest, CompleteOnlyWhenBalanced)
 {
     std::ostringstream out;

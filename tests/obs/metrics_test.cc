@@ -284,23 +284,32 @@ TEST(MetricsTest, EscapeLabelValueCoversSpecCharacters)
     EXPECT_EQ(escapeLabelValue("\\\"\n"), "\\\\\\\"\\n");
 }
 
+/** The registry's OpenMetrics exposition as a string. */
+std::string
+openMetrics(const MetricsRegistry &registry)
+{
+    std::string out;
+    registry.writeOpenMetrics(out);
+    return out;
+}
+
 TEST(MetricsTest, OpenMetricsGoldenExposition)
 {
-    MetricsSnapshot snap;
-    snap.counters["analyzer.jobs{session=run1}"] = 7;
-    snap.counters["serve.records_ingested"] = 42;
-    snap.gauges["analyzer.ingest_bytes_per_sec{session=run1}"] =
-        1024;
-    MetricsSnapshot::HistogramData h;
-    h.count = 3;
-    h.sum = 30;
-    h.bounds = {10, 100};
-    h.bucket_counts = {2, 1, 0};
-    snap.histograms["serve.ingest_chunk_us"] = h;
+    MetricsRegistry registry;
+    registry.counter("analyzer.jobs{session=run1}").add(7);
+    registry.counter("serve.records_ingested").add(42);
+    registry.gauge("analyzer.ingest_bytes_per_sec{session=run1}")
+        .set(1024);
+    HistogramOptions options;
+    options.first_bound = 10;
+    options.growth = 10;
+    options.buckets = 2;
+    Histogram &h =
+        registry.histogram("serve.ingest_chunk_us", options);
+    for (const std::uint64_t v : {5, 5, 20})
+        h.observe(v);
 
-    std::ostringstream out;
-    writeOpenMetrics(snap, out);
-    EXPECT_EQ(out.str(),
+    EXPECT_EQ(openMetrics(registry),
               "# TYPE analyzer_jobs counter\n"
               "analyzer_jobs_total{session=\"run1\"} 7\n"
               "# TYPE serve_records_ingested counter\n"
@@ -319,17 +328,16 @@ TEST(MetricsTest, OpenMetricsGoldenExposition)
 
 TEST(MetricsTest, OpenMetricsEscapesHostileLabelValues)
 {
-    MetricsSnapshot snap;
-    snap.gauges["lag{session=evil\"name\\with\nnewline}"] = 5;
-    std::ostringstream out;
-    writeOpenMetrics(snap, out);
+    MetricsRegistry registry;
+    registry.gauge("lag{session=evil\"name\\with\nnewline}").set(5);
+    const std::string text = openMetrics(registry);
     EXPECT_NE(
-        out.str().find(
+        text.find(
             "lag{session=\"evil\\\"name\\\\with\\nnewline\"} 5"),
         std::string::npos)
-        << out.str();
+        << text;
     // The exposition never carries a raw newline inside a label.
-    EXPECT_EQ(out.str().find("evil\"name"), std::string::npos);
+    EXPECT_EQ(text.find("evil\"name"), std::string::npos);
 }
 
 TEST(MetricsTest, JsonAndOpenMetricsAgreeOnOneSnapshot)
@@ -342,43 +350,81 @@ TEST(MetricsTest, JsonAndOpenMetricsAgreeOnOneSnapshot)
     options.buckets = 2;
     registry.histogram("lat_us", options).observe(5);
 
-    // Both renderings come from the *same* snapshot, so a scraper
-    // reading the OpenMetrics file and an operator reading the
-    // JSON dump can never disagree about a value.
-    const MetricsSnapshot snap = registry.snapshot();
-    std::ostringstream json, text;
-    writeMetricsJson(snap, json);
-    writeOpenMetrics(snap, text);
+    // Both renderings read the same quiescent registry, so a
+    // scraper reading the OpenMetrics file and an operator reading
+    // the JSON dump never disagree about a value.
+    std::ostringstream json;
+    registry.writeJson(json);
+    const std::string text = openMetrics(registry);
 
     std::string error;
     EXPECT_TRUE(validateJson(json.str(), &error)) << error;
     EXPECT_NE(json.str().find("\"jobs\":9"), std::string::npos)
         << json.str();
-    EXPECT_NE(text.str().find("jobs_total 9"), std::string::npos);
+    EXPECT_NE(text.find("jobs_total 9"), std::string::npos);
     EXPECT_NE(json.str().find("\"depth{session=s1}\":-4"),
               std::string::npos)
         << json.str();
-    EXPECT_NE(text.str().find("depth{session=\"s1\"} -4"),
+    EXPECT_NE(text.find("depth{session=\"s1\"} -4"),
               std::string::npos);
-    EXPECT_NE(text.str().find("lat_us_count 1"),
-              std::string::npos);
+    EXPECT_NE(text.find("lat_us_count 1"), std::string::npos);
     // The terminator proves a scrape read the whole document.
-    const std::string exposition = text.str();
-    ASSERT_GE(exposition.size(), 6u);
-    EXPECT_EQ(exposition.substr(exposition.size() - 6), "# EOF\n");
+    ASSERT_GE(text.size(), 6u);
+    EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
 }
 
 TEST(MetricsTest, OpenMetricsSanitizesNames)
 {
-    MetricsSnapshot snap;
-    snap.counters["serve.odd-name"] = 1;
-    snap.counters["9starts_with_digit"] = 2;
-    std::ostringstream out;
-    writeOpenMetrics(snap, out);
-    EXPECT_NE(out.str().find("serve_odd_name_total 1"),
+    MetricsRegistry registry;
+    registry.counter("serve.odd-name").add(1);
+    registry.counter("9starts_with_digit").add(2);
+    const std::string text = openMetrics(registry);
+    EXPECT_NE(text.find("serve_odd_name_total 1"), std::string::npos);
+    EXPECT_NE(text.find("_9starts_with_digit_total 2"),
               std::string::npos);
-    EXPECT_NE(out.str().find("_9starts_with_digit_total 2"),
-              std::string::npos);
+}
+
+TEST(MetricsTest, OpenMetricsSeriesRegisteredAfterARenderSortIn)
+{
+    MetricsRegistry registry;
+    registry.gauge("lag{session=b}").set(2);
+    EXPECT_EQ(openMetrics(registry),
+              "# TYPE lag gauge\n"
+              "lag{session=\"b\"} 2\n"
+              "# EOF\n");
+    registry.gauge("lag{session=c}").set(3);
+    registry.gauge("lag{session=a}").set(1);
+    // New series land in name order inside their family, which
+    // keeps its single # TYPE line.
+    EXPECT_EQ(openMetrics(registry),
+              "# TYPE lag gauge\n"
+              "lag{session=\"a\"} 1\n"
+              "lag{session=\"b\"} 2\n"
+              "lag{session=\"c\"} 3\n"
+              "# EOF\n");
+}
+
+TEST(MetricsTest, OpenMetricsAfterResetRendersZeros)
+{
+    MetricsRegistry registry;
+    registry.counter("jobs").add(9);
+    registry.gauge("depth{session=s1}").set(-4);
+    HistogramOptions options;
+    options.first_bound = 8;
+    options.buckets = 1;
+    registry.histogram("lat_us", options).observe(100);
+    registry.reset();
+    EXPECT_EQ(openMetrics(registry),
+              "# TYPE jobs counter\n"
+              "jobs_total 0\n"
+              "# TYPE depth gauge\n"
+              "depth{session=\"s1\"} 0\n"
+              "# TYPE lat_us histogram\n"
+              "lat_us_bucket{le=\"8\"} 0\n"
+              "lat_us_bucket{le=\"+Inf\"} 0\n"
+              "lat_us_sum 0\n"
+              "lat_us_count 0\n"
+              "# EOF\n");
 }
 
 } // namespace

@@ -112,7 +112,7 @@ TEST(AnalysisPipelineTest, AnalyzeChargesUnlabeledGaugeForBatch)
     EXPECT_NE(snapshot.gauges.find("analyzer.ingest_bytes_per_sec"),
               snapshot.gauges.end());
     const auto histogram = snapshot.histograms.find(
-        "analyzer.ingest_bytes_per_sec");
+        "analyzer.ingest_pass_bytes_per_sec");
     ASSERT_NE(histogram, snapshot.histograms.end());
     EXPECT_GE(histogram->second.count, 1u);
     std::remove(path.c_str());
@@ -141,7 +141,7 @@ TEST(AnalysisPipelineTest, ConcurrentSessionLabelsDoNotClobber)
               snapshot.gauges.end());
     // ...but both passes landed in the aggregate histogram.
     const auto histogram = snapshot.histograms.find(
-        "analyzer.ingest_bytes_per_sec");
+        "analyzer.ingest_pass_bytes_per_sec");
     ASSERT_NE(histogram, snapshot.histograms.end());
     EXPECT_EQ(histogram->second.count, 2u);
 }

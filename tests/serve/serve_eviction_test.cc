@@ -17,19 +17,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <new>
-#include <sstream>
 #include <string>
-#ifdef __unix__
-#include <unistd.h>
-#endif
 
-#include "proto/serialize.hh"
 #include "serve/serve.hh"
-#include "tests/analyzer/synthetic.hh"
-#include "trace/record_stream.hh"
+#include "tests/serve/spool_fixture.hh"
 
 // Binary-wide live-byte accounting: every plain new carries a
 // size prefix so the matching delete can subtract what it frees.
@@ -103,38 +96,13 @@ operator delete[](void *p, std::size_t) noexcept
 namespace tpupoint {
 namespace {
 
-std::string
-tempDir()
-{
-    std::string dir = testing::TempDir();
-#ifdef __unix__
-    dir += std::to_string(getpid()) + ".";
-#endif
-    dir += "serve_eviction";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
-std::string
-sessionStream()
-{
-    std::ostringstream out(std::ios::binary);
-    RecordStreamOptions options;
-    options.chunk_records = 8;
-    RecordStreamWriter writer(out, options);
-    const auto steps = testutil::threePhaseRun();
-    for (std::size_t i = 0; i < steps.size(); ++i)
-        writer.append(encodeProfileRecord(
-            testutil::makeRecord({steps[i]}, i)));
-    writer.finish();
-    return out.str();
-}
+using testutil::analyzableStream;
+using testutil::tempDir;
 
 TEST(ServeEvictionTest, ChurnedSessionsDoNotAccumulateMemory)
 {
-    const std::string dir = tempDir();
-    const std::string stream = sessionStream();
+    const std::string dir = tempDir("serve_eviction");
+    const std::string stream = analyzableStream(/*chunk_records=*/8);
 
     serve::ServeOptions options;
     options.spool_dir = dir;

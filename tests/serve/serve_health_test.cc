@@ -3,108 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <memory>
-#include <sstream>
 #include <string>
 
 #include "core/io_faults.hh"
 #include "core/json.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/metrics.hh"
-#include "proto/serialize.hh"
 #include "serve/serve.hh"
-#include "tests/analyzer/synthetic.hh"
-#include "trace/record_stream.hh"
-
-#ifdef __unix__
-#include <unistd.h>
-#endif
+#include "tests/serve/spool_fixture.hh"
 
 namespace tpupoint {
 namespace {
 
-std::string
-tempDir(const std::string &name)
-{
-    std::string dir = testing::TempDir();
-#ifdef __unix__
-    dir += std::to_string(getpid()) + ".";
-#endif
-    dir += name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
-std::string
-analyzableStream()
-{
-    std::ostringstream out(std::ios::binary);
-    RecordStreamOptions options;
-    options.chunk_records = 4;
-    RecordStreamWriter writer(out, options);
-    const auto steps = testutil::threePhaseRun();
-    for (std::size_t i = 0; i < steps.size(); ++i)
-        writer.append(encodeProfileRecord(
-            testutil::makeRecord({steps[i]}, i)));
-    writer.finish();
-    return out.str();
-}
-
-void
-writeFile(const std::string &path, std::string_view bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
-/** Manager wired to a fake clock the test advances. */
-struct ManagedSpool
-{
-    explicit ManagedSpool(const std::string &dir_name)
-        : dir(tempDir(dir_name))
-    {
-        options.spool_dir = dir;
-        options.threads = 1;
-        options.idle_ttl_ms = 1000;
-        options.evict_ttl_ms = -1;
-        options.now_ms = [this] { return now; };
-    }
-
-    void
-    start()
-    {
-        manager = std::make_unique<serve::SessionManager>(options);
-    }
-
-    std::string
-    section(const std::string &key)
-    {
-        std::ostringstream json;
-        manager->writeStatusJson(json);
-        std::string out;
-        EXPECT_TRUE(serve::extractStatusSection(json.str(), key,
-                                                &out))
-            << "no section " << key;
-        return out;
-    }
-
-    std::string dir;
-    serve::ServeOptions options;
-    std::int64_t now = 0;
-    std::unique_ptr<serve::SessionManager> manager;
-};
+using testutil::analyzableStream;
+using testutil::ManagedSpool;
+using testutil::readFile;
+using testutil::writeFile;
 
 struct ServeHealthTest : ::testing::Test
 {

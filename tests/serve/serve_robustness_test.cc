@@ -14,119 +14,24 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
-#ifdef __unix__
-#include <unistd.h>
-#endif
 
 #include "core/io_faults.hh"
 #include "core/json.hh"
 #include "obs/metrics.hh"
-#include "proto/serialize.hh"
 #include "serve/journal.hh"
 #include "serve/serve.hh"
-#include "tests/analyzer/synthetic.hh"
-#include "trace/record_stream.hh"
+#include "tests/serve/spool_fixture.hh"
 
 namespace tpupoint {
 namespace {
 
-std::string
-tempDir(const std::string &name)
-{
-    std::string dir = testing::TempDir();
-#ifdef __unix__
-    dir += std::to_string(getpid()) + ".";
-#endif
-    dir += name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
-/** The canonical three-phase run as a multi-chunk stream. */
-std::string
-analyzableStream()
-{
-    std::ostringstream out(std::ios::binary);
-    RecordStreamOptions options;
-    options.chunk_records = 4;
-    RecordStreamWriter writer(out, options);
-    const auto steps = testutil::threePhaseRun();
-    for (std::size_t i = 0; i < steps.size(); ++i)
-        writer.append(encodeProfileRecord(
-            testutil::makeRecord({steps[i]}, i)));
-    writer.finish();
-    return out.str();
-}
-
-void
-writeFile(const std::string &path, std::string_view bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-}
-
-void
-appendFile(const std::string &path, std::string_view bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-}
-
-/** Manager wired to a fake clock the test advances. */
-struct ManagedSpool
-{
-    explicit ManagedSpool(const std::string &dir_name)
-        : dir(tempDir(dir_name))
-    {
-        options.spool_dir = dir;
-        options.threads = 1;
-        options.idle_ttl_ms = 1000;
-        options.evict_ttl_ms = -1;
-        options.now_ms = [this] { return now; };
-    }
-
-    void
-    start()
-    {
-        manager = std::make_unique<serve::SessionManager>(options);
-    }
-
-    // By value: two status() calls may appear in one EXPECT_EQ,
-    // where a reference into a cached vector would dangle.
-    serve::SessionStatus
-    status(const std::string &name)
-    {
-        for (const auto &status : manager->sessions())
-            if (status.name == name)
-                return status;
-        ADD_FAILURE() << "no session named " << name;
-        return {};
-    }
-
-    std::string
-    section(const std::string &key)
-    {
-        std::ostringstream json;
-        manager->writeStatusJson(json);
-        std::string out;
-        EXPECT_TRUE(serve::extractStatusSection(json.str(), key,
-                                                &out))
-            << "no section " << key;
-        return out;
-    }
-
-    std::string dir;
-    serve::ServeOptions options;
-    std::int64_t now = 0;
-    std::unique_ptr<serve::SessionManager> manager;
-};
+using testutil::analyzableStream;
+using testutil::appendFile;
+using testutil::ManagedSpool;
+using testutil::readFile;
+using testutil::tempDir;
+using testutil::writeFile;
 
 struct ServeRobustnessTest : ::testing::Test
 {
@@ -423,10 +328,7 @@ TEST_F(ServeRobustnessTest, PublishFailureIsCountedNotFatal)
     EXPECT_TRUE(
         serve::publishStatus(*spool.manager, status_path, &why))
         << why;
-    std::ifstream in(status_path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    EXPECT_TRUE(validateJson(text.str(), &why)) << why;
+    EXPECT_TRUE(validateJson(readFile(status_path), &why)) << why;
 
     const auto snapshot =
         obs::MetricsRegistry::global().snapshot();

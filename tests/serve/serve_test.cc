@@ -11,101 +11,25 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
-#ifdef __unix__
-#include <unistd.h>
-#endif
 
 #include "core/json.hh"
 #include "obs/metrics.hh"
-#include "proto/serialize.hh"
 #include "serve/serve.hh"
-#include "tests/analyzer/synthetic.hh"
-#include "trace/record_stream.hh"
+#include "tests/serve/spool_fixture.hh"
 
 namespace tpupoint {
 namespace {
 
-std::string
-tempDir(const std::string &name)
-{
-    std::string dir = testing::TempDir();
-#ifdef __unix__
-    dir += std::to_string(getpid()) + ".";
-#endif
-    dir += name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
-/** The canonical three-phase run as a multi-chunk stream. */
-std::string
-analyzableStream()
-{
-    std::ostringstream out(std::ios::binary);
-    RecordStreamOptions options;
-    options.chunk_records = 4;
-    RecordStreamWriter writer(out, options);
-    const auto steps = testutil::threePhaseRun();
-    // One record per step so the stream spans many chunks.
-    for (std::size_t i = 0; i < steps.size(); ++i)
-        writer.append(encodeProfileRecord(
-            testutil::makeRecord({steps[i]}, i)));
-    writer.finish();
-    return out.str();
-}
-
-void
-writeFile(const std::string &path, std::string_view bytes)
-{
-    std::ofstream out(path, std::ios::binary);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-}
-
-/** Manager wired to a fake clock the test advances. */
-struct ManagedSpool
-{
-    explicit ManagedSpool(const std::string &dir_name,
-                          unsigned threads = 1)
-        : dir(tempDir(dir_name))
-    {
-        options.spool_dir = dir;
-        options.threads = threads;
-        options.idle_ttl_ms = 1000;
-        options.evict_ttl_ms = 5000;
-        options.now_ms = [this] { return now; };
-        manager = std::make_unique<serve::SessionManager>(options);
-    }
-
-    const serve::SessionStatus &
-    status(const std::string &name)
-    {
-        statuses = manager->sessions();
-        for (const auto &status : statuses)
-            if (status.name == name)
-                return status;
-        static serve::SessionStatus missing;
-        ADD_FAILURE() << "no session named " << name;
-        return missing;
-    }
-
-    std::string dir;
-    serve::ServeOptions options;
-    std::int64_t now = 0;
-    std::unique_ptr<serve::SessionManager> manager;
-    std::vector<serve::SessionStatus> statuses;
-};
+using testutil::analyzableStream;
+using testutil::ManagedSpool;
+using testutil::writeFile;
 
 TEST(ServeTest, CompleteStreamFinalizesImmediately)
 {
     ManagedSpool spool("serve_complete");
+    spool.start();
     writeFile(spool.dir + "/run.tpp", analyzableStream());
     spool.manager->poll(); // Discover + ingest to Complete.
     spool.manager->poll(); // Finalize.
@@ -123,6 +47,7 @@ TEST(ServeTest, CompleteStreamFinalizesImmediately)
 TEST(ServeTest, LiveTraceWithNoRecordsYetIsPendingNotEmpty)
 {
     ManagedSpool spool("serve_pending");
+    spool.start();
     const std::string bytes = analyzableStream();
     // Header plus a sliver of the first chunk: zero complete
     // records, but the writer may still be appending.
@@ -141,6 +66,7 @@ TEST(ServeTest, LiveTraceWithNoRecordsYetIsPendingNotEmpty)
 TEST(ServeTest, QuiescentStreamFinalizesAfterIdleTtl)
 {
     ManagedSpool spool("serve_quiescent");
+    spool.start();
     const std::string bytes = analyzableStream();
     // Most of the stream, cut mid-chunk, never completed.
     writeFile(spool.dir + "/dead.tpp",
@@ -165,6 +91,7 @@ TEST(ServeTest, QuiescentStreamFinalizesAfterIdleTtl)
 TEST(ServeTest, RecordlessStreamDeclaredDeadReportsNoRecords)
 {
     ManagedSpool spool("serve_recordless");
+    spool.start();
     const std::string bytes = analyzableStream();
     writeFile(spool.dir + "/empty.tpp",
               std::string_view(bytes).substr(0, 10));
@@ -184,6 +111,8 @@ TEST(ServeTest, RecordlessStreamDeclaredDeadReportsNoRecords)
 TEST(ServeTest, EvictionReleasesResultKeepsSummary)
 {
     ManagedSpool spool("serve_evict");
+    spool.options.evict_ttl_ms = 5000;
+    spool.start();
     writeFile(spool.dir + "/run.tpp", analyzableStream());
     spool.manager->poll();
     spool.manager->poll();
@@ -210,6 +139,7 @@ TEST(ServeTest, PerSessionIngestMetricsDoNotClobber)
     auto &registry = obs::MetricsRegistry::global();
     registry.reset();
     ManagedSpool spool("serve_metrics");
+    spool.start();
     const std::string bytes = analyzableStream();
     writeFile(spool.dir + "/alpha.tpp", bytes);
     // Different size so equal rates are unlikely even in theory.
@@ -229,7 +159,7 @@ TEST(ServeTest, PerSessionIngestMetricsDoNotClobber)
     EXPECT_GT(beta->second, 0);
     // Both passes also landed in the aggregate histogram.
     const auto aggregate = snapshot.histograms.find(
-        "analyzer.ingest_bytes_per_sec");
+        "analyzer.ingest_pass_bytes_per_sec");
     ASSERT_NE(aggregate, snapshot.histograms.end());
     EXPECT_GE(aggregate->second.count, 2u);
     // The per-chunk ingest latency histogram saw every chunk.
@@ -245,8 +175,10 @@ TEST(ServeTest, PerSessionIngestMetricsDoNotClobber)
 // runs this against the thread sanitizer.
 TEST(ServeTest, ConcurrentSessionsIngestSafely)
 {
-    ManagedSpool spool("serve_concurrent", /*threads=*/8);
+    ManagedSpool spool("serve_concurrent");
+    spool.options.threads = 8;
     spool.options.idle_ttl_ms = 0;
+    spool.start();
     const std::string bytes = analyzableStream();
     constexpr int kSessions = 24;
     for (int i = 0; i < kSessions; ++i)
@@ -274,8 +206,7 @@ TEST(ServeTest, FinalizesAreCappedPerPoll)
 {
     ManagedSpool spool("serve_capped");
     spool.options.max_finalizes_per_poll = 1;
-    spool.manager = std::make_unique<serve::SessionManager>(
-        spool.options);
+    spool.start();
     const std::string bytes = analyzableStream();
     for (int i = 0; i < 3; ++i)
         writeFile(spool.dir + "/s" + std::to_string(i) + ".tpp",
@@ -292,6 +223,7 @@ TEST(ServeTest, FinalizesAreCappedPerPoll)
 TEST(ServeTest, StatusJsonValidatesAndSectionsExtract)
 {
     ManagedSpool spool("serve_status");
+    spool.start();
     writeFile(spool.dir + "/run.tpp", analyzableStream());
     spool.manager->poll();
     spool.manager->poll();
@@ -327,6 +259,7 @@ TEST(ServeTest, StatusJsonValidatesAndSectionsExtract)
 TEST(ServeTest, LivePhasesPublishMidIngest)
 {
     ManagedSpool spool("serve_live_phases");
+    spool.start();
     const std::string bytes = analyzableStream();
     // Most of the stream, cut mid-chunk: ingest makes progress
     // but the session stays live.
@@ -376,8 +309,7 @@ TEST(ServeTest, LivePhasesDisabledKeepsMidIngestQuiet)
 {
     ManagedSpool spool("serve_no_live");
     spool.options.live_phases = false;
-    spool.manager =
-        std::make_unique<serve::SessionManager>(spool.options);
+    spool.start();
     const std::string bytes = analyzableStream();
     writeFile(spool.dir + "/still.tpp",
               std::string_view(bytes).substr(
@@ -403,10 +335,8 @@ TEST(ServeTest, LivePhasesDisabledKeepsMidIngestQuiet)
 TEST(ServeTest, RestartMidIngestRecoversLivePhases)
 {
     ManagedSpool spool("serve_live_restart");
-    spool.options.journal_path =
-        spool.dir + "/serve.journal";
-    spool.manager =
-        std::make_unique<serve::SessionManager>(spool.options);
+    spool.options.journal_path = spool.dir + "/serve.journal";
+    spool.start();
     const std::string bytes = analyzableStream();
     writeFile(spool.dir + "/grow.tpp",
               std::string_view(bytes).substr(
@@ -418,8 +348,7 @@ TEST(ServeTest, RestartMidIngestRecoversLivePhases)
     ASSERT_TRUE(spool.manager->commitJournal());
 
     // "Crash" and restart against the same spool + journal.
-    spool.manager =
-        std::make_unique<serve::SessionManager>(spool.options);
+    spool.start();
     const auto after = spool.status("grow");
     EXPECT_EQ(after.state, serve::SessionState::Ingesting);
     EXPECT_EQ(after.detector, "OLS");
