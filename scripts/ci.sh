@@ -126,11 +126,19 @@ smoke_suite() {
     # complete and one truncated stream, answers a phases query
     # while ingest is live, and exits cleanly once drained. Runs
     # in every suite, so the sanitizer builds walk the concurrent
-    # session manager under instrumentation.
+    # session manager under instrumentation. The truncated stream
+    # also has its second chunk marker overwritten (the first
+    # chunk's payload size, at byte 16, locates it), so the serve
+    # tail reader must resynchronize past it.
     echo "== smoke: serve daemon over a live spool"
     mkdir "${work}/spool"
     cp "${work}/smoke.tpp" "${work}/spool/whole.tpp"
     cp "${work}/damaged.tpp" "${work}/spool/torn.tpp"
+    local second_marker
+    second_marker=$((24 + $(od -An -tu4 --endian=little -j16 -N4 \
+        "${work}/spool/torn.tpp")))
+    printf 'XXXX' | dd of="${work}/spool/torn.tpp" bs=1 \
+        seek="${second_marker}" conv=notrunc status=none
     "${build_dir}/tools/tpupoint-serve" \
         --spool "${work}/spool" \
         --status-out "${work}/serve.status.json" \
@@ -169,6 +177,24 @@ smoke_suite() {
         echo "smoke: serve lost the truncated session" >&2
         return 1
     }
+    # Live and offline salvage run one parser: the torn session's
+    # damage tallies must equal tpupoint-salvage's for the file.
+    local served salvaged
+    served=$(awk '/"name": "torn"/ { torn = 1 }
+        torn && /"chunks_dropped"|"bytes_skipped"/ {
+            gsub(/[^0-9]/, ""); printf "%s ", $0 }
+        torn && /}/ { exit }' "${work}/serve.sessions.json")
+    local tally='s/.*dropped \([0-9]*\) chunks, [0-9]* records,'
+    tally+=' skipped \([0-9]*\) bytes.*/\1 \2 /p'
+    salvaged=$("${build_dir}/tools/tpupoint-salvage" \
+        "${work}/spool/torn.tpp" "${work}/torn.clean.tpp" |
+        sed -n "${tally}")
+    if [ -z "${salvaged}" ] || [ "${served}" != "${salvaged}" ]; then
+        echo "smoke: serve tallies (chunks_dropped bytes_skipped)" \
+            "'${served}' differ from tpupoint-salvage's" \
+            "'${salvaged}'" >&2
+        return 1
+    fi
     # Live-phase path: the stream grows underneath the daemon. A
     # phases query answered mid-ingest must carry a provisional
     # streaming snapshot tagged with nonzero steps_behind

@@ -124,10 +124,9 @@ struct SessionManager::Session
     /** The heavy, evictable ingest state. */
     struct Live
     {
-        Live(const std::string &path,
-             const TailReaderOptions &tail_options,
+        Live(const std::string &path, bool salvage,
              const AnalyzerOptions &analyzer_options)
-            : tail(path, tail_options), analysis(analyzer_options)
+            : tail(path, salvage), analysis(analyzer_options)
         {
         }
 
@@ -412,10 +411,8 @@ SessionManager::recoverFromJournal(std::int64_t now)
             // ingest metrics (those events were charged before the
             // crash), then verify the replay reproduced exactly
             // the journaled tallies.
-            TailReaderOptions tail_options;
-            tail_options.salvage = opts.salvage;
             session->live = std::make_unique<Session::Live>(
-                entry.path, tail_options, opts.analyzer);
+                entry.path, opts.salvage, opts.analyzer);
             auto &live = *session->live;
             std::uint64_t replayed_records = 0;
             std::uint64_t replayed_events = 0;
@@ -525,10 +522,8 @@ SessionManager::scanSpool(std::int64_t now)
 
     auto &registry = obs::MetricsRegistry::global();
     const auto admit = [&](Session &session) {
-        TailReaderOptions tail_options;
-        tail_options.salvage = opts.salvage;
         session.live = std::make_unique<Session::Live>(
-            session.status.path, tail_options, opts.analyzer);
+            session.status.path, opts.salvage, opts.analyzer);
         session.status.state = SessionState::Discovering;
         session.status.error.clear();
         session.status.pending = true;

@@ -1,8 +1,10 @@
 #include "trace/record_stream.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/logging.hh"
+#include "trace/bytes.hh"
 #include "trace/checksum.hh"
 #include "trace/wire.hh"
 
@@ -33,30 +35,6 @@ putU64(std::ostream &out, std::uint64_t v)
     for (int i = 0; i < 8; ++i)
         bytes[i] = static_cast<char>(v >> (8 * i));
     out.write(bytes, sizeof(bytes));
-}
-
-bool
-getU32(std::istream &in, std::uint32_t &v)
-{
-    char bytes[4];
-    if (!in.read(bytes, sizeof(bytes)))
-        return false;
-    v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(bytes[i]);
-    return true;
-}
-
-bool
-getU64(std::istream &in, std::uint64_t &v)
-{
-    char bytes[8];
-    if (!in.read(bytes, sizeof(bytes)))
-        return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(bytes[i]);
-    return true;
 }
 
 } // namespace
@@ -147,285 +125,275 @@ RecordStreamWriter::finish()
         fatal("RecordStreamWriter: stream write failed");
 }
 
-RecordStreamReader::RecordStreamReader(std::istream &in,
-                                       bool salvage_mode)
-    : stream(in), salvage(salvage_mode)
+RecordStreamParser::RecordStreamParser(bool salvage, bool growing)
+    : salvage_mode(salvage), growing_stream(growing)
 {
-    char magic[4];
-    if (stream.read(magic, sizeof(magic)))
-        read_bytes += sizeof(magic);
-    else {
-        if (salvage) {
-            truncated_tail = true;
-            state = StreamStatus::End;
-            return;
-        }
-        fail(StreamStatus::Truncated,
-             "stream ended inside the header");
-        return;
+}
+
+void
+RecordStreamParser::attach(std::istream &in, std::uint64_t in_end)
+{
+    source = &in;
+    cursor = offset;
+    end = in_end;
+}
+
+std::uint64_t
+RecordStreamParser::readSome(char *into, std::uint64_t at,
+                             std::uint64_t size)
+{
+    const std::uint64_t from = offset + at;
+    if (from != cursor) {
+        // Only a resync moves backwards or skips: the steady state
+        // reads each unit right where the previous one ended.
+        source->clear();
+        source->seekg(static_cast<std::streamoff>(from) -
+                          static_cast<std::streamoff>(cursor),
+                      std::ios::cur);
+        cursor = from;
     }
-    if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-        if (salvage) {
-            // A damaged header loses nothing but the version:
-            // scan for the first chunk marker and carry on.
-            recover("bad magic");
-            return;
-        }
-        fail(StreamStatus::Corrupt,
-             "bad magic (not a TPUPoint profile)");
-        return;
+    source->read(into, static_cast<std::streamsize>(size));
+    const auto got = static_cast<std::uint64_t>(source->gcount());
+    cursor += got;
+    return got;
+}
+
+bool
+RecordStreamParser::cutOff(const char *where)
+{
+    if (growing_stream)
+        return false; // Pending: the unit stays unconsumed.
+    if (salvage_mode) {
+        truncated_tail = true;
+        state = StreamStatus::End;
+        return false;
     }
-    if (!getU32(stream, stream_version)) {
-        if (salvage) {
-            truncated_tail = true;
-            state = StreamStatus::End;
-            return;
+    detail = std::string("stream ended ") + where;
+    state = StreamStatus::Truncated;
+    return false;
+}
+
+bool
+RecordStreamParser::salvageOr(std::string why)
+{
+    detail = std::move(why);
+    if (!salvage_mode)
+        state = StreamStatus::Corrupt;
+    return salvage_mode;
+}
+
+RecordStreamParser::Step
+RecordStreamParser::step(std::string_view &payload)
+{
+    for (;;) {
+        if (state != StreamStatus::Ok)
+            return Step::Stop;
+        bool more = true;
+        switch (stage) {
+          case Stage::Header: more = parseHeader(); break;
+          case Stage::Marker: more = parseUnit(); break;
+          case Stage::Resync: more = resync(); break;
+          case Stage::Records: return nextRecord(payload);
         }
-        fail(StreamStatus::Truncated,
-             "stream ended inside the header");
-        return;
-    }
-    read_bytes += 4;
-    if (stream_version < kMinVersion || stream_version > kVersion) {
-        if (salvage) {
-            detail = "version " + std::to_string(stream_version) +
-                " salvaged as " + std::to_string(kVersion);
-            return;
-        }
-        fail(StreamStatus::Corrupt,
-             "unsupported profile version " +
-                 std::to_string(stream_version) +
-                 " (supported: " + std::to_string(kMinVersion) +
-                 ".." + std::to_string(kVersion) + ")");
+        if (!more)
+            return state == StreamStatus::Ok ? Step::Pending
+                                             : Step::Stop;
     }
 }
 
-StreamStatus
-RecordStreamReader::fail(StreamStatus status, std::string message)
+bool
+RecordStreamParser::parseHeader()
 {
-    state = status;
-    detail = std::move(message);
-    return state;
+    char header[8];
+    if (!read(header, 0, sizeof(header)))
+        return cutOff("inside the header");
+    if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
+        // A damaged header loses nothing but the version: scan for
+        // the first chunk marker and carry on.
+        if (!salvageOr("bad magic (not a TPUPoint profile)"))
+            return false;
+        stage = Stage::Resync;
+        return true;
+    }
+    stream_version = loadLE32(header + 4);
+    if (stream_version < kMinVersion || stream_version > kVersion) {
+        if (!salvage_mode) {
+            detail = "unsupported profile version " +
+                std::to_string(stream_version) + " (supported: " +
+                std::to_string(kMinVersion) + ".." +
+                std::to_string(kVersion) + ")";
+            state = StreamStatus::Corrupt;
+            return false;
+        }
+        detail = "version " + std::to_string(stream_version) +
+            " salvaged as " + std::to_string(kVersion);
+    }
+    if (!fits(sizeof(header)))
+        return cutOff("inside the header");
+    offset += sizeof(header);
+    stage = Stage::Marker;
+    return true;
+}
+
+bool
+RecordStreamParser::parseUnit()
+{
+    char head[16];
+    if (!read(head, 0, 4))
+        return cutOff("without an end marker");
+    const std::uint32_t marker = loadLE32(head);
+    if (marker == kEndMarker) {
+        if (!read(head + 4, 4, 8))
+            return cutOff("inside the end marker");
+        const std::uint64_t declared = loadLE64(head + 4);
+        if (declared != produced && !salvage_mode) {
+            detail = "end marker declares " +
+                std::to_string(declared) + " records but " +
+                std::to_string(produced) + " were read";
+            state = StreamStatus::Corrupt;
+            return false;
+        }
+        if (!fits(12))
+            return cutOff("inside the end marker");
+        if (declared > produced)
+            dropped_records = declared - produced;
+        offset += 12;
+        state = StreamStatus::End;
+        return false;
+    }
+    if (marker != kChunkMarker) {
+        if (!salvageOr("bad chunk marker"))
+            return false;
+        ++dropped_chunks;
+        stage = Stage::Resync; // Starting at the rejected bytes.
+        return true;
+    }
+
+    if (!read(head + 4, 4, 12))
+        return cutOff("inside a chunk header");
+    const std::uint32_t record_count = loadLE32(head + 4);
+    const std::uint32_t payload_size = loadLE32(head + 8);
+    if (record_count == 0 || payload_size > kMaxChunkPayload) {
+        // The header fields cannot be trusted to skip by (or to
+        // wait on): drop the marker and rescan from just past it.
+        if (!salvageOr(record_count == 0
+                           ? std::string("empty chunk")
+                           : "implausible chunk payload size " +
+                               std::to_string(payload_size)))
+            return false;
+        if (!fits(4))
+            return cutOff("inside a chunk header");
+        ++dropped_chunks;
+        offset += 4;
+        skipped_bytes += 4;
+        stage = Stage::Resync;
+        return true;
+    }
+    const std::uint64_t unit = 16 + std::uint64_t{payload_size};
+    if (!fits(unit))
+        return cutOff("inside a chunk payload");
+    // The one buffer the parser owns: capacity is retained across
+    // chunks, so growth happens only until the largest chunk has
+    // been seen — the steady state reads without touching the heap.
+    if (payload_size > chunk.capacity())
+        ++buffer_growths;
+    chunk.resize(payload_size);
+    if (!read(chunk.data(), 16, payload_size))
+        return cutOff("inside a chunk payload");
+    if (crc32(chunk) != loadLE32(head + 12)) {
+        // The framing around the chunk is intact, so the next
+        // marker follows it: drop exactly this chunk.
+        if (!salvageOr("chunk checksum mismatch"))
+            return false;
+        ++dropped_chunks;
+        offset += unit;
+        skipped_bytes += unit;
+        return true;
+    }
+    offset += unit;
+    chunk_at = 0;
+    chunk_remaining = record_count;
+    stage = Stage::Records;
+    return true;
+}
+
+RecordStreamParser::Step
+RecordStreamParser::nextRecord(std::string_view &payload)
+{
+    const char *why = nullptr;
+    if (chunk_remaining == 0) {
+        if (chunk_at != chunk.size())
+            why = "trailing bytes after the last chunk record";
+    } else if (chunk.size() - chunk_at < 4) {
+        why = "record length field overruns its chunk";
+    } else {
+        const std::uint32_t length = loadLE32(chunk.data() + chunk_at);
+        if (length > chunk.size() - chunk_at - 4) {
+            why = "record payload overruns its chunk";
+        } else {
+            payload = std::string_view(chunk.data() + chunk_at + 4,
+                                       length);
+            chunk_at += 4 + std::size_t{length};
+            --chunk_remaining;
+            ++produced;
+            return Step::Record;
+        }
+    }
+    if (why) {
+        // The CRC passed but the record framing disagrees with the
+        // header: the records already delivered stand, the rest of
+        // the chunk is lost.
+        if (!salvageOr(why))
+            return Step::Stop;
+        ++dropped_chunks;
+        skipped_bytes += chunk.size() - chunk_at;
+    }
+    stage = Stage::Marker;
+    return Step::Chunk;
+}
+
+bool
+RecordStreamParser::resync()
+{
+    // Scan for the literal "CHNK"/"ENDS" bytes (both markers are
+    // little-endian, so they appear in stream order as ASCII).
+    // Everything before a match is skipped; without one, the last
+    // three bytes stay unconsumed so a marker cut across the end
+    // of the input is still found once more bytes arrive.
+    char block[4096];
+    const std::uint64_t got = readSome(block, 0, sizeof(block));
+    const std::uint64_t room = std::min(got, end - offset);
+    std::uint64_t skip = got < 4 ? 0 : std::min(got - 3, room);
+    for (std::uint64_t i = 0; i < room && i + 4 <= got; ++i) {
+        const std::uint32_t window = loadLE32(block + i);
+        if (window == kChunkMarker || window == kEndMarker) {
+            skip = i;
+            stage = Stage::Marker;
+            break;
+        }
+    }
+    offset += skip;
+    skipped_bytes += skip;
+    if (stage == Stage::Resync && skip == 0)
+        return cutOff("while resynchronizing");
+    return true;
+}
+
+RecordStreamReader::RecordStreamReader(std::istream &stream,
+                                       bool salvage)
+    : RecordStreamParser(salvage, /*growing=*/false)
+{
+    attach(stream, ~0ull);
+    parseHeader();
 }
 
 StreamStatus
 RecordStreamReader::next(std::string_view &payload)
 {
-    if (state != StreamStatus::Ok)
-        return state;
-    for (;;) {
-        if (chunk_remaining == 0) {
-            const StreamStatus loaded = loadChunk();
-            if (loaded != StreamStatus::Ok)
-                return loaded;
-        }
-
-        if (chunk_offset + 4 > chunk.size()) {
-            if (salvage) {
-                // The CRC passed but the record framing is off:
-                // drop what remains of this chunk.
-                ++dropped_chunks;
-                chunk_remaining = 0;
-                continue;
-            }
-            return fail(StreamStatus::Corrupt,
-                        "record length field overruns its chunk");
-        }
-        std::uint32_t length = 0;
-        for (int i = 3; i >= 0; --i) {
-            length = (length << 8) |
-                static_cast<unsigned char>(
-                    chunk[chunk_offset + i]);
-        }
-        if (chunk_offset + 4 + length > chunk.size()) {
-            if (salvage) {
-                ++dropped_chunks;
-                chunk_remaining = 0;
-                continue;
-            }
-            chunk_offset += 4;
-            return fail(StreamStatus::Corrupt,
-                        "record payload overruns its chunk");
-        }
-        chunk_offset += 4;
-        payload = std::string_view(chunk.data() + chunk_offset,
-                                   length);
-        chunk_offset += length;
-        --chunk_remaining;
-        if (chunk_remaining == 0 && chunk_offset != chunk.size()) {
-            if (!salvage) {
-                return fail(
-                    StreamStatus::Corrupt,
-                    "trailing bytes after the last chunk record");
-            }
-            // Salvage: the record itself is intact; surrender the
-            // unaccounted tail bytes and keep the payload.
-            skipped_bytes += chunk.size() - chunk_offset;
-            chunk_offset = chunk.size();
-        }
-        ++produced;
-        return StreamStatus::Ok;
-    }
-}
-
-StreamStatus
-RecordStreamReader::loadChunk()
-{
-    for (;;) {
-        std::uint32_t marker;
-        if (resynced_marker != 0) {
-            marker = resynced_marker;
-            resynced_marker = 0;
-        } else if (getU32(stream, marker)) {
-            read_bytes += 4;
-        } else {
-            if (salvage) {
-                truncated_tail = true;
-                state = StreamStatus::End;
-                return state;
-            }
-            return fail(StreamStatus::Truncated,
-                        "stream ended without an end marker");
-        }
-        if (marker == kEndMarker) {
-            std::uint64_t declared;
-            if (getU64(stream, declared))
-                read_bytes += 8;
-            else {
-                if (salvage) {
-                    truncated_tail = true;
-                    state = StreamStatus::End;
-                    return state;
-                }
-                return fail(StreamStatus::Truncated,
-                            "stream ended inside the end marker");
-            }
-            if (declared != produced) {
-                if (salvage) {
-                    if (declared > produced)
-                        dropped_records = declared - produced;
-                    state = StreamStatus::End;
-                    return state;
-                }
-                return fail(
-                    StreamStatus::Corrupt,
-                    "end marker declares " +
-                        std::to_string(declared) + " records but " +
-                        std::to_string(produced) + " were read");
-            }
-            state = StreamStatus::End;
-            return state;
-        }
-        if (marker != kChunkMarker) {
-            if (salvage) {
-                ++dropped_chunks;
-                const StreamStatus rec =
-                    recover("bad chunk marker");
-                if (rec != StreamStatus::Ok)
-                    return rec;
-                continue;
-            }
-            return fail(StreamStatus::Corrupt, "bad chunk marker");
-        }
-
-        std::uint32_t record_count, payload_size, checksum;
-        if (getU32(stream, record_count) &&
-            getU32(stream, payload_size) &&
-            getU32(stream, checksum)) {
-            read_bytes += 12;
-        } else {
-            if (salvage) {
-                truncated_tail = true;
-                state = StreamStatus::End;
-                return state;
-            }
-            return fail(StreamStatus::Truncated,
-                        "stream ended inside a chunk header");
-        }
-        if (record_count == 0 || payload_size > kMaxChunkPayload) {
-            if (salvage) {
-                // The header fields cannot be trusted to skip by;
-                // rescan for the next marker instead.
-                ++dropped_chunks;
-                const StreamStatus rec =
-                    recover("implausible chunk header");
-                if (rec != StreamStatus::Ok)
-                    return rec;
-                continue;
-            }
-            if (record_count == 0)
-                return fail(StreamStatus::Corrupt, "empty chunk");
-            return fail(StreamStatus::Corrupt,
-                        "implausible chunk payload size " +
-                            std::to_string(payload_size));
-        }
-        // The one buffer the reader owns: capacity is retained
-        // across chunks, so growth happens only until the largest
-        // chunk has been seen — the steady state reads without
-        // touching the heap.
-        if (payload_size > chunk.capacity())
-            ++buffer_growths;
-        chunk.resize(payload_size);
-        if (stream.read(chunk.data(),
-                        static_cast<std::streamsize>(payload_size)))
-            read_bytes += payload_size;
-        else {
-            if (salvage) {
-                ++dropped_chunks;
-                truncated_tail = true;
-                state = StreamStatus::End;
-                return state;
-            }
-            return fail(StreamStatus::Truncated,
-                        "stream ended inside a chunk payload");
-        }
-        if (crc32(chunk) != checksum) {
-            if (salvage) {
-                // The chunk is structurally aligned: the stream is
-                // already positioned on the next marker, so simply
-                // drop this one.
-                ++dropped_chunks;
-                continue;
-            }
-            return fail(StreamStatus::Corrupt,
-                        "chunk checksum mismatch");
-        }
-        chunk_offset = 0;
-        chunk_remaining = record_count;
-        return StreamStatus::Ok;
-    }
-}
-
-StreamStatus
-RecordStreamReader::recover(const std::string &why)
-{
-    if (!detail.empty())
-        detail += "; ";
-    detail += "salvage: " + why;
-    // Both markers read LSB-first, so on the wire they appear in
-    // stream order as "CHNK"/"ENDS": a byte-by-byte sliding window
-    // matched the same way getU32 assembles values finds them.
-    std::uint32_t window = 0;
-    std::uint64_t consumed = 0;
-    char byte;
-    while (stream.get(byte)) {
-        ++read_bytes;
-        window = (window >> 8) |
-            (static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(byte))
-             << 24);
-        ++consumed;
-        if (consumed >= 4 &&
-            (window == kChunkMarker || window == kEndMarker)) {
-            skipped_bytes += consumed - 4;
-            resynced_marker = window;
-            return StreamStatus::Ok;
-        }
-    }
-    skipped_bytes += consumed;
-    truncated_tail = true;
-    state = StreamStatus::End;
-    return state;
+    Step outcome = step(payload);
+    while (outcome == Step::Chunk)
+        outcome = step(payload);
+    return outcome == Step::Record ? StreamStatus::Ok : state;
 }
 
 } // namespace tpupoint

@@ -7,17 +7,17 @@
  * chunk by chunk, may pause for seconds between flushes, and only
  * eventually (if the writer survives) gains its end marker.
  *
- * TailReader keeps a byte offset into the file and, on each poll(),
- * consumes every *complete* chunk that has appeared since the last
- * poll without re-reading anything before the offset. The crucial
- * distinction it draws — the one a batch reader cannot — is between
- * "the bytes stop mid-chunk, more may come" (TailStatus::Pending:
- * keep watching, nothing is consumed past the last whole chunk) and
- * "the bytes present are structurally wrong" (damage: a corrupt
- * CRC, a bad marker). Damage is handled with the salvage semantics
- * of the batch reader — drop the chunk, resynchronize on the next
- * marker, count what was lost — so a live session survives a torn
- * write the same way offline salvage survives a damaged file.
+ * TailReader parses nothing itself: it is a poll loop over the
+ * same RecordStreamParser the batch reader drives. Each poll opens
+ * the file, caps its size at the caller's offset limit, and feeds
+ * the parser every byte past the consumed offset. The one rule that
+ * differs from a batch read is the parser's "growing" mode: a unit
+ * the bytes stop inside is "pending, more may come"
+ * (TailStatus::Pending, nothing of it consumed) rather than a
+ * truncation. Damage is handled exactly as batch salvage handles it
+ * — drop the unit, resynchronize on the next marker, count what was
+ * lost — so a live session and an offline salvage of the same bytes
+ * deliver the same records and the same tallies.
  */
 
 #ifndef TPUPOINT_TRACE_TAIL_READER_HH
@@ -27,6 +27,8 @@
 #include <functional>
 #include <string>
 #include <string_view>
+
+#include "trace/record_stream.hh"
 
 namespace tpupoint {
 
@@ -60,23 +62,12 @@ struct TailPoll
     std::uint64_t bytes = 0;
 };
 
-/** TailReader knobs. */
-struct TailReaderOptions
-{
-    /**
-     * Drop damaged chunks and resynchronize instead of parking the
-     * reader in Damaged. On for serve sessions — a live trace that
-     * tore one chunk should keep streaming.
-     */
-    bool salvage = true;
-};
-
 /**
- * Incremental reader over a growing record-stream file. Not
- * thread-safe; a serve session owns one and polls it from one task
- * at a time.
+ * Incremental reader over a growing record-stream file: the
+ * RecordStreamParser driven by a poll loop. Not thread-safe; a serve
+ * session owns one and polls it from one task at a time.
  */
-class TailReader
+class TailReader : public RecordStreamParser
 {
   public:
     /** Called once per record payload (view valid for the call). */
@@ -89,8 +80,12 @@ class TailReader
      */
     using ChunkHook = std::function<void(std::size_t records)>;
 
-    explicit TailReader(std::string path,
-                        const TailReaderOptions &options = {});
+    /**
+     * @param salvage Drop damaged chunks and resynchronize instead
+     *     of parking the reader in Damaged. On for serve sessions —
+     *     a live trace that tore one chunk should keep streaming.
+     */
+    explicit TailReader(std::string path, bool salvage = true);
 
     /** poll() with no byte limit. */
     static constexpr std::uint64_t kNoLimit = ~0ull;
@@ -113,16 +108,10 @@ class TailReader
                   std::uint64_t offset_limit = kNoLimit);
 
     /** Terminal: the end marker was consumed. */
-    bool complete() const { return stage == Stage::Done; }
+    bool complete() const { return state == StreamStatus::End; }
 
     /** Terminal: strict-mode structural damage. */
-    bool damaged() const { return stage == Stage::Broken; }
-
-    /** Human-readable detail for damage/salvage events. */
-    const std::string &error() const { return detail; }
-
-    /** Container version (0 until the header has been read). */
-    std::uint32_t version() const { return stream_version; }
+    bool damaged() const { return state == StreamStatus::Corrupt; }
 
     /** Record payloads delivered over the reader's lifetime. */
     std::uint64_t recordsProduced() const { return produced; }
@@ -133,54 +122,20 @@ class TailReader
     /** Whole chunks consumed over the reader's lifetime. */
     std::uint64_t chunksConsumed() const { return chunks_consumed; }
 
-    /** Salvage: chunks dropped to structural damage. */
-    std::uint64_t chunksDropped() const { return dropped_chunks; }
-
-    /** Salvage: bytes skipped while resynchronizing. */
-    std::uint64_t bytesSkipped() const { return skipped_bytes; }
-
-    /** Salvage: records the end marker declared but we never saw. */
-    std::uint64_t recordsDropped() const { return dropped_records; }
-
     /** Any damage was encountered at all. */
     bool
     sawDamage() const
     {
-        return dropped_chunks > 0 || skipped_bytes > 0 ||
-            dropped_records > 0;
+        return chunksDropped() > 0 || bytesSkipped() > 0 ||
+            recordsDropped() > 0;
     }
 
     /** The watched path. */
     const std::string &path() const { return file_path; }
 
   private:
-    enum class Stage {
-        Header, ///< Waiting for the 8-byte container header.
-        Chunks, ///< At a marker boundary (the steady state).
-        Resync, ///< Salvage: scanning forward for a marker.
-        Done,   ///< End marker consumed.
-        Broken, ///< Strict-mode damage; terminal.
-    };
-
-    /** Enter Broken (strict) or Resync (salvage) on damage. */
-    bool failOrResync(const std::string &why);
-
     std::string file_path;
-    TailReaderOptions opts;
-
-    Stage stage = Stage::Header;
-    std::uint64_t offset = 0;
-    std::uint32_t stream_version = 0;
-    std::string detail;
-
-    /** Reusable chunk payload buffer (capacity retained). */
-    std::string buffer;
-
-    std::uint64_t produced = 0;
     std::uint64_t chunks_consumed = 0;
-    std::uint64_t dropped_chunks = 0;
-    std::uint64_t skipped_bytes = 0;
-    std::uint64_t dropped_records = 0;
 };
 
 } // namespace tpupoint

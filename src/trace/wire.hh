@@ -1,10 +1,12 @@
 /**
  * @file
- * The record-stream wire constants, shared between the batch reader
- * (record_stream) and the tail-following reader (tail_reader). Both
- * must agree byte-for-byte on the framing — magic, markers, version
- * window, payload cap — so the constants live here once instead of
- * drifting apart in two translation units.
+ * The record-stream wire constants: magic, markers, version window
+ * and payload cap. The container's writer and its one parser
+ * (record_stream; the batch and tail readers both drive that
+ * parser) use them, and so does everything else that frames bytes
+ * the same way — the serve journal's chunk-framed entries and the
+ * benchmark's stream splicing — so they live here, apart from the
+ * parser.
  *
  * The format itself is documented in record_stream.hh.
  */

@@ -183,6 +183,85 @@ TEST(SalvageTest, DamagedHeaderScansToTheFirstChunk)
 }
 
 /**
+ * A finished stream of @p count 28-byte payloads, 4 per chunk, so
+ * every chunk is 16 + 4 * (4 + 28) = 144 bytes on the wire.
+ */
+std::string
+makeWideStream(int count)
+{
+    std::ostringstream out;
+    RecordStreamOptions options;
+    options.chunk_records = 4;
+    RecordStreamWriter writer(out, options);
+    for (int i = 0; i < count; ++i) {
+        std::string payload = "record-" + std::to_string(i);
+        payload.resize(28, '.');
+        writer.append(payload);
+    }
+    writer.finish();
+    return out.str();
+}
+
+constexpr std::uint64_t kWideChunkBytes = 144;
+
+TEST(SalvageTest, JunkBeforeAMarkerKeepsTheNextChunk)
+{
+    // Two stray bytes land right before chunk 2's marker. The scan
+    // must start at the rejected bytes: it finds that marker two
+    // bytes on and loses nothing but the junk.
+    std::string bytes = makeWideStream(16);
+    bytes.insert(chunkOffset(bytes, 2), "zz");
+
+    std::istringstream in(bytes);
+    RecordStreamReader reader(in, /*salvage=*/true);
+    const auto records = salvageAll(reader);
+    ASSERT_EQ(records.size(), 16u);
+    EXPECT_EQ(records[8].substr(0, 8), "record-8");
+    EXPECT_EQ(reader.chunksDropped(), 1u);
+    EXPECT_EQ(reader.bytesSkipped(), 2u);
+    EXPECT_EQ(reader.recordsDropped(), 0u);
+}
+
+TEST(SalvageTest, BytesSkippedCountsEveryDroppedByte)
+{
+    // Each kind of damage costs its whole unit: a 144-byte chunk,
+    // or the 8-byte header.
+    struct Case
+    {
+        const char *name;
+        void (*damage)(std::string &bytes);
+        std::uint64_t skipped;
+        std::size_t records;
+    };
+    const Case cases[] = {
+        {"checksum",
+         [](std::string &bytes) { corruptChunkPayload(bytes, 1); },
+         kWideChunkBytes, 12},
+        {"marker",
+         [](std::string &bytes) { bytes[chunkOffset(bytes, 1)] = 'X'; },
+         kWideChunkBytes, 12},
+        {"zero count",
+         [](std::string &bytes) {
+             bytes.replace(chunkOffset(bytes, 1) + 4, 4,
+                           std::string(4, '\0'));
+         },
+         kWideChunkBytes, 12},
+        {"magic", [](std::string &bytes) { bytes[0] = 'Z'; }, 8, 16},
+    };
+    for (const Case &c : cases) {
+        std::string bytes = makeWideStream(16);
+        c.damage(bytes);
+        std::istringstream in(bytes);
+        RecordStreamReader reader(in, /*salvage=*/true);
+        EXPECT_EQ(salvageAll(reader).size(), c.records) << c.name;
+        EXPECT_EQ(reader.bytesSkipped(), c.skipped) << c.name;
+        EXPECT_EQ(reader.chunksDropped(), c.records == 16 ? 0u : 1u)
+            << c.name;
+        EXPECT_FALSE(reader.truncatedTail()) << c.name;
+    }
+}
+
+/**
  * Build a version-3 profile container: records without the v4
  * attempt tail (fixed-width u32+u32+u64+u64 = 24 bytes) or the v5
  * drop-count tail (u64 = 8 bytes), framed with the header version

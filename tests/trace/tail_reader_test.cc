@@ -186,9 +186,7 @@ TEST(TailReaderTest, StrictModeDamageIsTerminal)
     bytes[bytes.find("CHNK") + 16] ^= 0x5a;
     writeBytes(path, bytes);
 
-    TailReaderOptions options;
-    options.salvage = false;
-    TailReader reader(path, options);
+    TailReader reader(path, /*salvage=*/false);
     std::vector<std::string> records;
     EXPECT_EQ(pollInto(reader, &records).status,
               TailStatus::Damaged);
@@ -284,6 +282,47 @@ TEST(TailReaderTest, LimitAtOrBelowOffsetIsPendingNotUnderflow)
     EXPECT_EQ(low.bytes, 0u);
     EXPECT_EQ(low.status, TailStatus::Pending);
     EXPECT_EQ(again.bytesConsumed(), offset);
+}
+
+TEST(TailReaderTest, ReplayLandsOnACommitInsideDamage)
+{
+    // Eight junk bytes sit before the second chunk's marker. A poll
+    // that sees only part of the damage commits an offset inside it:
+    // three bytes short of the junk visible so far (a marker may
+    // still straddle them), or on the marker once the scan found it
+    // but the chunk behind it is incomplete. A recovery replay
+    // bounded by such a commit must land on it exactly (serve
+    // quarantines a session whose replay does not), then finish live
+    // with the same tallies as an uninterrupted read.
+    const std::string path = tempPath("tail_replay_damage.tpp");
+    std::string bytes = streamBytes(6);
+    const std::size_t marker =
+        bytes.find("CHNK", bytes.find("CHNK") + 1);
+    bytes.insert(marker, 8, 'z');
+    const std::size_t cuts[] = {marker + 6, marker + 8 + 10};
+    const std::uint64_t commits[] = {marker + 3, marker + 8};
+    for (int i = 0; i < 2; ++i) {
+        writeBytes(path, std::string_view(bytes).substr(0, cuts[i]));
+        TailReader live(path);
+        live.poll([](std::string_view) {});
+        ASSERT_EQ(live.bytesConsumed(), commits[i]);
+
+        writeBytes(path, bytes);
+        TailReader replay(path);
+        std::vector<std::string> records;
+        replay.poll(
+            [&records](std::string_view payload) {
+                records.push_back(std::string(payload));
+            },
+            nullptr, commits[i]);
+        EXPECT_EQ(replay.bytesConsumed(), commits[i]);
+        EXPECT_EQ(records.size(), 2u);
+        EXPECT_EQ(pollInto(replay, &records).status,
+                  TailStatus::Complete);
+        EXPECT_EQ(records.size(), 6u);
+        EXPECT_EQ(replay.chunksDropped(), 1u);
+        EXPECT_EQ(replay.bytesSkipped(), 8u);
+    }
 }
 
 TEST(TailReaderTest, CompletedReaderKeepsReportingComplete)

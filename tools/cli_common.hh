@@ -22,7 +22,6 @@
 #include "core/strings.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_export.hh"
-#include "proto/serialize.hh"
 #include "workloads/catalog.hh"
 
 namespace tpupoint {
@@ -389,24 +388,6 @@ writeTelemetry(const std::string &trace_out,
         }) && ok;
     }
     return ok;
-}
-
-/**
- * Charge a salvage-mode reader's damage tallies to the metrics
- * registry. Called by the tools (proto/ cannot depend on obs/).
- */
-inline void
-recordSalvageMetrics(const ProfileReader &reader)
-{
-    if (!reader.sawDamage())
-        return;
-    auto &registry = obs::MetricsRegistry::global();
-    registry.counter("salvage.chunks_dropped")
-        .add(reader.chunksDropped());
-    registry.counter("salvage.records_dropped")
-        .add(reader.recordsDropped());
-    registry.counter("salvage.bytes_skipped")
-        .add(reader.bytesSkipped());
 }
 
 } // namespace cli
