@@ -490,6 +490,23 @@ bench_smoke() {
         echo "bench: bench_fig04_kmeans_elbow table moved" >&2
         return 1
     }
+    # Figures 6-16 and Tables I-II must not move either. Their
+    # stdout holds no timings (sweep progress goes to stderr), so
+    # each is compared whole against tests/golden/<name>.txt.
+    local table
+    for table in fig06_ols_phases fig07_coverage_ols \
+        fig08_coverage_dbscan fig09_coverage_kmeans fig10_idle_time \
+        fig11_mxu_util fig12_small_idle fig13_small_mxu \
+        fig14_optimizer_speedup fig15_optimized_idle \
+        fig16_optimized_mxu table1_workloads table2_top_ops; do
+        echo "== bench: ${table} matches its golden"
+        "${build_dir}/bench/bench_${table}" 2>/dev/null \
+            > "${work}/${table}.txt"
+        cmp "${work}/${table}.txt" "tests/golden/${table}.txt" || {
+            echo "bench: bench_${table} table moved" >&2
+            return 1
+        }
+    done
     echo "== bench: serve ingest, restart recovery, shedding"
     "${build_dir}/bench/bench_serve" --json "${work}/serve.json"
     "${build_dir}/tools/tpupoint-validate-json" \
