@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "analyzer/elbow.hh"
 #include "core/logging.hh"
@@ -15,17 +18,17 @@ namespace tpupoint {
 
 namespace {
 
-/** Bits per adjacency word; row blocks are one word tall. */
+/** Bits per adjacency word. */
 constexpr std::size_t kWordBits = 64;
 
 /** suggestEps()'s neighbour rank (the 24-NN radius). */
 constexpr std::size_t kSuggestRank = 24;
 
-/**
- * suggestEps() splits the pairs into at most this many tasks, each
- * with its own heaps, to bound the heap memory on wide pools.
- */
-constexpr std::size_t kMaxSuggestTasks = 8;
+/** Leading columns the cell index buckets on. */
+constexpr std::size_t kIndexedCols = 4;
+
+/** Grid levels: level L cuts each indexed column into 2^L bins. */
+constexpr unsigned kGridLevels = 15;
 
 std::size_t
 wordsFor(std::size_t bits)
@@ -42,26 +45,214 @@ poolTasks(ThreadPool *pool)
 }
 
 /**
- * Cut [0, count) into @p parts contiguous runs of similar
- * upper-triangle work, item i weighing count - i (its pairs with
- * the items after it). Returns each run's start, then count; runs
- * may be empty.
+ * Run @p row_fn(i) for every row, the rows cut into one contiguous
+ * run per pool task. Every row owns its output, so the result is the
+ * same at any pool size.
  */
-std::vector<std::size_t>
-triangleRuns(std::size_t count, std::size_t parts)
+template <typename RowFn>
+void
+forRowRuns(ThreadPool *pool, std::size_t rows, const char *label,
+           const RowFn &row_fn)
 {
-    std::vector<std::size_t> starts(parts + 1, count);
-    starts[0] = 0;
-    const double total = 0.5 * static_cast<double>(count) *
-        static_cast<double>(count + 1);
-    double before = 0.0;
-    for (std::size_t i = 0, t = 1; i < count && t < parts; ++i) {
-        if (before >= total * static_cast<double>(t) /
-                          static_cast<double>(parts))
-            starts[t++] = i;
-        before += static_cast<double>(count - i);
+    const std::size_t tasks = std::min(poolTasks(pool), rows);
+    runtime::poolMap(pool, tasks, [&](std::size_t t) {
+        for (std::size_t i = rows * t / tasks;
+             i < rows * (t + 1) / tasks; ++i)
+            row_fn(i);
+    }, label);
+}
+
+/**
+ * The rows bucketed on a grid over the leading min(4, cols) columns,
+ * each occupied cell keeping its members' per-column min/max box.
+ * Rows with a non-finite indexed coordinate share one extra cell
+ * whose box is unbounded, so no bound ever prunes it.
+ *
+ * The grid is square over the widest indexed column's range. Its
+ * level is the finest of 0..kGridLevels whose occupied cells number
+ * at most 4 sqrt(rows): the width only moves speed, never an
+ * answer, because every pruning test below is a lower bound.
+ */
+class CellIndex
+{
+  public:
+    explicit CellIndex(const Matrix &points);
+
+    std::size_t cells() const { return starts.size() - 1; }
+    std::size_t cellOf(std::size_t row) const { return cell_of[row]; }
+
+    /** Cell @p c's rows, ascending. */
+    const std::size_t *begin(std::size_t c) const
+    {
+        return members.data() + starts[c];
     }
-    return starts;
+    const std::size_t *end(std::size_t c) const
+    {
+        return members.data() + starts[c + 1];
+    }
+
+    /**
+     * A lower bound on squaredDistanceN(p, q, cols) for every row q
+     * of cell @p c: squaredDistanceN itself over the indexed columns,
+     * from @p p to p clamped into the cell's box. Each clamped
+     * difference is at most the matching |p - q| difference (rounded
+     * subtraction is monotone), the kernel sums those leading terms
+     * in the same order and code as the full distance, and every
+     * later term is non-negative, so the bound never exceeds the
+     * computed distance.
+     */
+    double pointBound(const double *p, std::size_t c) const;
+
+    /**
+     * Every cell paired with its box bound from cell @p c, ascending
+     * (ties by cell id). The box bound is a lower bound on
+     * squaredDistanceN(p, q, cols) for every row p of @p c and q of
+     * the other cell: the kernel over the gaps between the two boxes
+     * (zero where they overlap), by pointBound()'s argument.
+     */
+    std::span<const std::pair<double, std::size_t>>
+    byBound(std::size_t c) const
+    {
+        return {by_bound.data() + c * cells(), cells()};
+    }
+
+  private:
+    double boxBound(std::size_t a, std::size_t b) const;
+
+    std::size_t dims = 0;  ///< Indexed columns.
+    std::vector<std::size_t> cell_of;
+    std::vector<std::size_t> starts;   ///< cells() + 1 offsets.
+    std::vector<std::size_t> members;  ///< Rows, cell by cell.
+    std::vector<double> lo;            ///< cells() x dims.
+    std::vector<double> hi;            ///< cells() x dims.
+    /// cells() x cells(): byBound() of each cell in turn.
+    std::vector<std::pair<double, std::size_t>> by_bound;
+};
+
+CellIndex::CellIndex(const Matrix &points)
+    : dims(std::min(kIndexedCols, points.cols())),
+      cell_of(points.rows())
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const std::size_t rows = points.rows();
+    const auto finiteRow = [&](std::size_t i) {
+        const double *p = points.rowPtr(i);
+        return std::all_of(p, p + dims,
+                           [](double x) { return std::isfinite(x); });
+    };
+    std::vector<double> low(dims, kInf), high(dims, -kInf);
+    for (std::size_t i = 0; i < rows; ++i) {
+        if (!finiteRow(i))
+            continue;
+        for (std::size_t c = 0; c < dims; ++c) {
+            low[c] = std::min(low[c], points.rowPtr(i)[c]);
+            high[c] = std::max(high[c], points.rowPtr(i)[c]);
+        }
+    }
+    double range = 0.0;
+    for (std::size_t c = 0; c < dims; ++c)
+        range = std::max(range, high[c] - low[c]);
+    const bool gridded = std::isfinite(range) && range > 0.0;
+
+    // Key each finite row by its finest-level bins, interleaved bit
+    // by bit from the top, so a level-L cell is a key prefix and the
+    // sorted keys group every level's cells contiguously. Non-finite
+    // rows take a key no finite row can have (those use <= 60 bits).
+    constexpr double kBins = static_cast<double>(1u << kGridLevels);
+    constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
+    std::vector<std::pair<std::uint64_t, std::size_t>> keyed(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+        std::uint64_t key = kUnbounded;
+        if (finiteRow(i)) {
+            std::uint64_t bins[kIndexedCols] = {};
+            for (std::size_t c = 0; c < dims && gridded; ++c)
+                bins[c] = static_cast<std::uint64_t>(std::min(
+                    std::floor((points.rowPtr(i)[c] - low[c]) / range *
+                               kBins),
+                    kBins - 1));
+            key = 0;
+            for (unsigned bit = kGridLevels; bit-- > 0;)
+                for (std::size_t c = 0; c < dims; ++c)
+                    key = key << 1 | (bins[c] >> bit & 1);
+        }
+        keyed[i] = {key, i};
+    }
+    std::sort(keyed.begin(), keyed.end());
+
+    const auto shiftFor = [&](unsigned level) {
+        return static_cast<unsigned>(dims) * (kGridLevels - level);
+    };
+    const auto occupied = [&](unsigned level) {
+        const unsigned shift = shiftFor(level);
+        std::size_t count = 0;
+        for (std::size_t r = 0; r < rows; ++r)
+            count += r == 0 || (keyed[r].first >> shift) !=
+                (keyed[r - 1].first >> shift);
+        return count;
+    };
+    const auto cap = static_cast<std::size_t>(
+        4.0 * std::sqrt(static_cast<double>(rows)));
+    unsigned level = 0;
+    while (gridded && level < kGridLevels &&
+           occupied(level + 1) <= cap)
+        ++level;
+
+    const unsigned shift = shiftFor(level);
+    starts.push_back(0);
+    for (std::size_t r = 0; r < rows; ++r) {
+        if (r > 0 && (keyed[r].first >> shift) !=
+                         (keyed[r - 1].first >> shift))
+            starts.push_back(r);
+        members.push_back(keyed[r].second);
+        cell_of[keyed[r].second] = starts.size() - 1;
+    }
+    if (rows > 0)
+        starts.push_back(rows);
+    lo.assign(cells() * dims, kInf);
+    hi.assign(cells() * dims, -kInf);
+    for (std::size_t c = 0; c < cells(); ++c) {
+        for (const std::size_t *row = begin(c); row != end(c); ++row) {
+            for (std::size_t d = 0; d < dims; ++d) {
+                const double x = points.rowPtr(*row)[d];
+                lo[c * dims + d] = std::min(lo[c * dims + d], x);
+                hi[c * dims + d] = std::max(hi[c * dims + d], x);
+            }
+        }
+    }
+    if (rows > 0 && keyed.back().first == kUnbounded) {
+        std::fill(lo.end() - static_cast<std::ptrdiff_t>(dims),
+                  lo.end(), -kInf);
+        std::fill(hi.end() - static_cast<std::ptrdiff_t>(dims),
+                  hi.end(), kInf);
+    }
+    by_bound.reserve(cells() * cells());
+    for (std::size_t a = 0; a < cells(); ++a) {
+        for (std::size_t b = 0; b < cells(); ++b)
+            by_bound.emplace_back(boxBound(a, b), b);
+        std::sort(by_bound.end() - static_cast<std::ptrdiff_t>(cells()),
+                  by_bound.end());
+    }
+}
+
+double
+CellIndex::pointBound(const double *p, std::size_t c) const
+{
+    double clamped[kIndexedCols];
+    for (std::size_t d = 0; d < dims; ++d)
+        clamped[d] = std::clamp(p[d], lo[c * dims + d],
+                                hi[c * dims + d]);
+    return squaredDistanceN(p, clamped, dims);
+}
+
+double
+CellIndex::boxBound(std::size_t a, std::size_t b) const
+{
+    double gap[kIndexedCols];
+    const double zero[kIndexedCols] = {};
+    for (std::size_t d = 0; d < dims; ++d)
+        gap[d] = std::max({lo[b * dims + d] - hi[a * dims + d],
+                           lo[a * dims + d] - hi[b * dims + d], 0.0});
+    return squaredDistanceN(gap, zero, dims);
 }
 
 /**
@@ -85,33 +276,17 @@ struct EpsGraph
     }
 };
 
-/** Transpose a 64x64 bit tile: bit c of a[r] <-> bit r of a[c]. */
-void
-transpose64(std::uint64_t a[kWordBits])
-{
-    std::uint64_t mask = 0x00000000ffffffffULL;
-    for (std::size_t j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-        for (std::size_t k = 0; k < kWordBits;
-             k = ((k | j) + 1) & ~j) {
-            const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & mask;
-            a[k] ^= t << j;
-            a[k | j] ^= t;
-        }
-    }
-}
-
 /**
- * Build the graph, measuring each unordered pair once. Rows go in
- * 64-row blocks (block b owns rows 64b.. and column word b), and
- * runs of blocks fan out on @p pool in two passes: block b first
- * measures its rows' upper triangle (j >= i) and mirrors its own
- * diagonal tile, then fills its words c < b by transposing tile
- * (c, b), which no second-pass task writes. squaredDistanceN is
- * exactly symmetric, so the mirror equals a direct measurement and
- * the graph is the same at any pool size.
+ * Build the graph from the cell index: each row measures only the
+ * rows of cells whose bound is within eps^2 and sets bits in its own
+ * adjacency row, so rows fan out on @p pool with no merge. Pruned
+ * cells hold only rows farther than eps (the bounds are lower
+ * bounds), and squaredDistanceN is exactly symmetric, so the graph
+ * is the all-pairs graph bit for bit at any pool size.
  */
 EpsGraph
-buildEpsGraph(const Matrix &points, double eps2, ThreadPool *pool)
+buildEpsGraph(const Matrix &points, const CellIndex &index,
+              double eps2, ThreadPool *pool)
 {
     EpsGraph g;
     g.rows = points.rows();
@@ -119,70 +294,29 @@ buildEpsGraph(const Matrix &points, double eps2, ThreadPool *pool)
     g.bits.assign(g.rows * g.words, 0);
     g.degree.assign(g.rows, 0);
     const std::size_t dim = points.cols();
-    const double *data = g.rows == 0 ? nullptr : points.rowPtr(0);
-    const auto blockRows = [&](std::size_t b) {
-        return std::min(kWordBits, g.rows - b * kWordBits);
-    };
 
-    auto upper = [&](std::size_t b) {
-        const std::size_t first = b * kWordBits;
-        const std::size_t count = blockRows(b);
-        std::uint64_t tile[kWordBits] = {};
-        for (std::size_t r = 0; r < count; ++r) {
-            const std::size_t i = first + r;
-            const double *pi = data + i * dim;
-            std::uint64_t *row = g.row(i);
-            for (std::size_t w = b; w < g.words; ++w) {
-                const std::size_t end =
-                    std::min(g.rows, (w + 1) * kWordBits);
-                std::uint64_t word = 0;
-                for (std::size_t j = std::max(i, w * kWordBits);
-                     j < end; ++j) {
-                    const double d2 =
-                        squaredDistanceN(pi, data + j * dim, dim);
-                    if (d2 <= eps2)
-                        word |= std::uint64_t{1} << (j % kWordBits);
-                }
-                row[w] = word;
+    forRowRuns(pool, g.rows, "analyze.dbscan.graph",
+               [&](std::size_t i) {
+        const double *pi = points.rowPtr(i);
+        std::uint64_t *row = g.row(i);
+        for (const auto &[box_bound, c] : index.byBound(index.cellOf(i))) {
+            if (box_bound > eps2)
+                break;
+            if (index.pointBound(pi, c) > eps2)
+                continue;
+            for (const std::size_t *j = index.begin(c);
+                 j != index.end(c); ++j) {
+                if (squaredDistanceN(pi, points.rowPtr(*j), dim) <=
+                    eps2)
+                    row[*j / kWordBits] |= std::uint64_t{1}
+                        << (*j % kWordBits);
             }
-            tile[r] = row[b];
         }
-        transpose64(tile);
-        for (std::size_t r = 0; r < count; ++r)
-            g.row(first + r)[b] |= tile[r];
-    };
-
-    auto lower = [&](std::size_t b) {
-        const std::size_t first = b * kWordBits;
-        const std::size_t count = blockRows(b);
-        for (std::size_t c = 0; c < b; ++c) {
-            std::uint64_t tile[kWordBits];
-            for (std::size_t r = 0; r < kWordBits; ++r)
-                tile[r] = g.row(c * kWordBits + r)[b];
-            transpose64(tile);
-            for (std::size_t r = 0; r < count; ++r)
-                g.row(first + r)[c] = tile[r];
-        }
-        for (std::size_t r = 0; r < count; ++r) {
-            const std::uint64_t *row = g.row(first + r);
-            std::size_t degree = 0;
-            for (std::size_t w = 0; w < g.words; ++w)
-                degree += static_cast<std::size_t>(
-                    std::popcount(row[w]));
-            g.degree[first + r] = degree;
-        }
-    };
-
-    const std::vector<std::size_t> runs =
-        triangleRuns(g.words, poolTasks(pool));
-    const auto overRuns = [&](const auto &pass) {
-        runtime::poolMap(pool, runs.size() - 1, [&](std::size_t t) {
-            for (std::size_t b = runs[t]; b < runs[t + 1]; ++b)
-                pass(b);
-        }, "analyze.dbscan.graph");
-    };
-    overRuns(upper);
-    overRuns(lower);
+        std::size_t degree = 0;
+        for (std::size_t w = 0; w < g.words; ++w)
+            degree += static_cast<std::size_t>(std::popcount(row[w]));
+        g.degree[i] = degree;
+    });
     return g;
 }
 
@@ -261,54 +395,16 @@ clusterGraph(const EpsGraph &g, double eps, std::size_t min_samples)
 }
 
 /**
- * Bounded max-heaps holding the k smallest squared distances offered
- * for each row in [first, rows): one task's share of suggestEps().
+ * suggestEps() over a built index: each row finds its exact
+ * k-nearest squared distance (itself excluded) in a bounded max-heap,
+ * visiting cells in ascending box-to-box bound from its own and
+ * skipping a cell once the heap is full and the cell's bound exceeds
+ * its k-th distance. A skipped cell holds only farther rows, so the
+ * k-th distance is exact and, row by row, the same at any pool size.
  */
-class NearestHeaps
-{
-  public:
-    NearestHeaps(std::size_t first, std::size_t rows, std::size_t k)
-        : first_row(first), rank(k), values((rows - first) * k),
-          sizes(rows - first, 0)
-    {
-    }
-
-    void
-    offer(std::size_t row, double d2)
-    {
-        double *heap = &values[(row - first_row) * rank];
-        std::size_t &size = sizes[row - first_row];
-        if (size < rank) {
-            heap[size++] = d2;
-            std::push_heap(heap, heap + size);
-        } else if (d2 < heap[0]) {
-            std::pop_heap(heap, heap + rank);
-            heap[rank - 1] = d2;
-            std::push_heap(heap, heap + rank);
-        }
-    }
-
-    /** Append @p row's heap contents to @p out (rows >= first). */
-    void
-    collect(std::size_t row, std::vector<double> &out) const
-    {
-        if (row < first_row)
-            return;
-        const double *heap = &values[(row - first_row) * rank];
-        out.insert(out.end(), heap, heap + sizes[row - first_row]);
-    }
-
-  private:
-    std::size_t first_row;
-    std::size_t rank;
-    std::vector<double> values;
-    std::vector<std::size_t> sizes;
-};
-
-} // namespace
-
 double
-suggestEps(const Matrix &points, ThreadPool *pool)
+suggestEps(const Matrix &points, const CellIndex &index,
+           ThreadPool *pool)
 {
     const std::size_t rows = points.rows();
     if (rows < 2)
@@ -319,50 +415,51 @@ suggestEps(const Matrix &points, ThreadPool *pool)
     // the whole min-samples sweep, as in the paper's Figure 5.
     const std::size_t k = std::min(kSuggestRank, rows - 1);
 
-    // Each task measures the pairs (i, j > i) of a contiguous run
-    // of rows i, cut so the runs hold similar pair counts, and
-    // offers every distance to both endpoints' heaps in its own
-    // NearestHeaps. The k smallest of a row's multiset survive in
-    // the union of the per-task heaps whatever the split, so the
-    // answer is the same at any pool size.
-    const std::size_t tasks =
-        std::min(poolTasks(pool), kMaxSuggestTasks);
-    const std::vector<std::size_t> starts = triangleRuns(rows, tasks);
-    std::vector<NearestHeaps> heaps;
-    heaps.reserve(tasks);
-    for (std::size_t t = 0; t < tasks; ++t)
-        heaps.emplace_back(starts[t], rows, k);
-    const double *data = points.rowPtr(0);
-    runtime::poolMap(pool, tasks, [&](std::size_t t) {
-        for (std::size_t i = starts[t]; i < starts[t + 1]; ++i) {
-            const double *pi = data + i * dim;
-            for (std::size_t j = i + 1; j < rows; ++j) {
+    std::vector<double> kth_distances(rows);
+    forRowRuns(pool, rows, "analyze.dbscan.suggest_eps",
+               [&](std::size_t i) {
+        const double *pi = points.rowPtr(i);
+        double heap[kSuggestRank] = {};
+        std::size_t size = 0;
+        for (const auto &[box_bound, c] : index.byBound(index.cellOf(i))) {
+            if (size == k && box_bound > heap[0])
+                break;
+            if (size == k && index.pointBound(pi, c) > heap[0])
+                continue;
+            for (const std::size_t *j = index.begin(c);
+                 j != index.end(c); ++j) {
+                if (*j == i)
+                    continue;
                 const double d2 =
-                    squaredDistanceN(pi, data + j * dim, dim);
-                heaps[t].offer(i, d2);
-                heaps[t].offer(j, d2);
+                    squaredDistanceN(pi, points.rowPtr(*j), dim);
+                if (size < k) {
+                    heap[size++] = d2;
+                    std::push_heap(heap, heap + size);
+                } else if (d2 < heap[0]) {
+                    std::pop_heap(heap, heap + k);
+                    heap[k - 1] = d2;
+                    std::push_heap(heap, heap + k);
+                }
             }
         }
-    }, "analyze.dbscan.suggest_eps");
+        // sqrt is monotone, so the root of the k-th smallest squared
+        // distance is the k-th smallest distance, bit for bit.
+        kth_distances[i] = std::sqrt(heap[0]);
+    });
 
-    // sqrt is monotone, so the root of the k-th smallest squared
-    // distance is the k-th smallest distance, bit for bit.
-    std::vector<double> kth_distances(rows);
-    std::vector<double> merged;
-    for (std::size_t i = 0; i < rows; ++i) {
-        merged.clear();
-        for (const NearestHeaps &h : heaps)
-            h.collect(i, merged);
-        std::nth_element(merged.begin(), merged.begin() +
-                         static_cast<std::ptrdiff_t>(k - 1),
-                         merged.end());
-        kth_distances[i] = std::sqrt(merged[k - 1]);
-    }
     std::sort(kth_distances.begin(), kth_distances.end());
     const std::size_t p90 = (kth_distances.size() * 9) / 10;
     const double eps = 1.5 *
         kth_distances[std::min(p90, kth_distances.size() - 1)];
     return eps > 0 ? eps : 1.0;
+}
+
+} // namespace
+
+double
+suggestEps(const Matrix &points, ThreadPool *pool)
+{
+    return suggestEps(points, CellIndex(points), pool);
 }
 
 DbscanResult
@@ -373,8 +470,9 @@ dbscanCluster(const Matrix &points, double eps,
         fatal("dbscanCluster: eps must be positive");
     if (min_samples == 0)
         fatal("dbscanCluster: min_samples must be positive");
-    return clusterGraph(buildEpsGraph(points, eps * eps, pool), eps,
-                        min_samples);
+    return clusterGraph(
+        buildEpsGraph(points, CellIndex(points), eps * eps, pool),
+        eps, min_samples);
 }
 
 DbscanSweep
@@ -387,9 +485,11 @@ dbscanSweep(const Matrix &points, double eps, std::size_t lo,
         fatal("dbscanSweep: invalid min-samples range");
     // Resolve eps and build the graph once, before any fan-out:
     // every setting clusters the same read-only neighbourhoods.
+    const CellIndex index(points);
     if (eps <= 0)
-        eps = suggestEps(points, pool);
-    const EpsGraph graph = buildEpsGraph(points, eps * eps, pool);
+        eps = suggestEps(points, index, pool);
+    const EpsGraph graph =
+        buildEpsGraph(points, index, eps * eps, pool);
 
     std::vector<std::size_t> settings;
     for (std::size_t m = lo; m <= hi; m += stride)

@@ -10,6 +10,19 @@
  * adjacency with one bit per pair (rows^2 / 8 bytes), built once per
  * call and, in the sweep, shared read-only by every min-samples
  * setting.
+ *
+ * Neighbour queries go through one cell index: the rows bucketed on
+ * a grid over the leading min(4, cols) columns, each occupied cell
+ * keeping its members' per-column min/max box. A cell is pruned
+ * only when a lower bound on its distance exceeds the limit. The
+ * bound is squaredDistanceN itself over the indexed columns, from
+ * the point to its clamp into the box (or across the gap between
+ * two boxes): rounded subtraction is monotone, the kernel sums those
+ * leading terms in the same order as the full distance, and later
+ * columns only add non-negative terms, so in floating point it never
+ * exceeds a computed distance. Pruning therefore needs no tolerance,
+ * the grid width (derived from the data) moves only speed, and the
+ * graph and eps equal an all-pairs computation bit for bit.
  */
 
 #ifndef TPUPOINT_ANALYZER_DBSCAN_HH
@@ -40,9 +53,10 @@ struct DbscanResult
 
 /**
  * Classic DBSCAN with Euclidean eps-neighbourhoods over the rows of
- * @p points (the graph build strides contiguous rows). When @p pool
- * is given the graph build fans out on it; the result is the same
- * at any pool size.
+ * @p points: a neighbour is any row with squaredDistanceN <= eps^2,
+ * itself included. When @p pool is given the graph build fans out
+ * on it as contiguous row runs; the result is the same at any pool
+ * size.
  */
 DbscanResult dbscanCluster(const Matrix &points, double eps,
                            std::size_t min_samples,
@@ -51,9 +65,9 @@ DbscanResult dbscanCluster(const Matrix &points, double eps,
 /**
  * Suggest an eps from the data: 1.5x the 90th percentile of each
  * point's 24th-nearest-neighbour distance — dense step clusters
- * sit well inside it, stragglers outside. Each pair is measured
- * once; with @p pool the pairs fan out on it, with the same result
- * at any pool size.
+ * sit well inside it, stragglers outside. Each row finds its exact
+ * 24-NN through the cell index; with @p pool the rows fan out on it,
+ * with the same result at any pool size.
  */
 double suggestEps(const Matrix &points, ThreadPool *pool = nullptr);
 

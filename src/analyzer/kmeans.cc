@@ -1,6 +1,7 @@
 #include "analyzer/kmeans.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "analyzer/elbow.hh"
@@ -11,6 +12,8 @@
 namespace tpupoint {
 
 namespace {
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 /** k-means++ initial centroid selection over row-major data. */
 std::vector<FeatureVector>
@@ -52,6 +55,80 @@ seedCentroids(const Matrix &points, int k, Rng &rng)
     return centroids;
 }
 
+/**
+ * Relative slack on every Hamerly bound, and the margin a skip must
+ * clear. squaredDistanceN's rounding error is about (cols + 3) ulps,
+ * far below it for any column count a Matrix can hold.
+ */
+constexpr double kBoundMargin = 1e-6;
+
+/**
+ * Bounds below this never justify a skip: far above the range where
+ * squared distances underflow and lose their relative accuracy.
+ */
+constexpr double kMinSkipBound = 1e-100;
+
+/** A lower bound on the distance behind @p d2; 0 if not finite. */
+double
+lowerDistance(double d2)
+{
+    const double d = std::sqrt(d2) * (1.0 - kBoundMargin);
+    return std::isfinite(d) ? d : 0.0;
+}
+
+/** An upper bound on the distance behind @p d2; +inf if not finite. */
+double
+upperDistance(double d2)
+{
+    const double d = std::sqrt(d2) * (1.0 + kBoundMargin);
+    return std::isfinite(d) ? d : kInfinity;
+}
+
+/**
+ * True when the exact scan is certain to keep a point's centroid:
+ * every other centroid is at least @p bound away and its own at most
+ * @p upper, with room to spare for the rounding of the distances.
+ */
+bool
+skipCertain(double upper, double bound)
+{
+    return bound >= kMinSkipBound &&
+        upper * (1.0 + kBoundMargin) < bound;
+}
+
+/** The exact assignment scan's outcome for one point. */
+struct Nearest
+{
+    int best = 0;
+    double best_d2 = 0.0;
+    double second_d2 = kInfinity;  ///< Nearest other centroid.
+};
+
+/**
+ * The exact assignment scan: every centroid measured in index
+ * order, a strict `<` resolving ties to the lower index.
+ */
+Nearest
+nearestCentroid(const double *point,
+                const std::vector<FeatureVector> &centroids,
+                std::size_t dim)
+{
+    Nearest n;
+    n.best_d2 = squaredDistanceN(point, centroids[0].data(), dim);
+    for (std::size_t c = 1; c < centroids.size(); ++c) {
+        const double d =
+            squaredDistanceN(point, centroids[c].data(), dim);
+        if (d < n.best_d2) {
+            n.second_d2 = n.best_d2;
+            n.best_d2 = d;
+            n.best = static_cast<int>(c);
+        } else if (d < n.second_d2) {
+            n.second_d2 = d;
+        }
+    }
+    return n;
+}
+
 } // namespace
 
 KMeansResult
@@ -70,27 +147,33 @@ kMeansCluster(const Matrix &points, int k, Rng &rng,
     result.labels.assign(rows, 0);
 
     const std::size_t dim = points.cols();
+    const auto uk = static_cast<std::size_t>(k);
+    // Hamerly's bounds: upper[i] >= the distance from point i to its
+    // centroid, lower[i] <= the distance to any other; half_gap[c] is
+    // half the distance from centroid c to its nearest other.
+    std::vector<double> upper(rows), lower(rows);
+    std::vector<double> half_gap(uk), drift(uk);
     for (int iter = 0; iter < max_iterations; ++iter) {
         bool changed = false;
         // Assignment step.
         for (std::size_t i = 0; i < rows; ++i) {
             const double *point = points.rowPtr(i);
-            int best = 0;
-            double best_d = squaredDistanceN(
-                point, result.centroids[0].data(), dim);
-            for (int c = 1; c < k; ++c) {
-                const double d = squaredDistanceN(
-                    point,
-                    result.centroids[static_cast<std::size_t>(c)]
-                        .data(),
-                    dim);
-                if (d < best_d) {
-                    best_d = d;
-                    best = c;
-                }
+            const auto a = static_cast<std::size_t>(result.labels[i]);
+            if (iter > 0) {
+                const double bound = std::max(half_gap[a], lower[i]);
+                if (skipCertain(upper[i], bound))
+                    continue;
+                upper[i] = upperDistance(squaredDistanceN(
+                    point, result.centroids[a].data(), dim));
+                if (skipCertain(upper[i], bound))
+                    continue;
             }
-            if (result.labels[i] != best) {
-                result.labels[i] = best;
+            const Nearest n =
+                nearestCentroid(point, result.centroids, dim);
+            upper[i] = upperDistance(n.best_d2);
+            lower[i] = lowerDistance(n.second_d2);
+            if (result.labels[i] != n.best) {
+                result.labels[i] = n.best;
                 changed = true;
             }
         }
@@ -99,23 +182,55 @@ kMeansCluster(const Matrix &points, int k, Rng &rng,
             break;
 
         // Update step.
-        std::vector<FeatureVector> sums(
-            static_cast<std::size_t>(k), FeatureVector(dim, 0.0));
-        std::vector<std::size_t> counts(
-            static_cast<std::size_t>(k), 0);
+        std::vector<FeatureVector> sums(uk, FeatureVector(dim, 0.0));
+        std::vector<std::size_t> counts(uk, 0);
         for (std::size_t i = 0; i < rows; ++i) {
             const auto label =
                 static_cast<std::size_t>(result.labels[i]);
             addN(sums[label].data(), points.rowPtr(i), dim);
             ++counts[label];
         }
-        for (int c = 0; c < k; ++c) {
-            const auto uc = static_cast<std::size_t>(c);
-            if (counts[uc] == 0)
+        for (std::size_t c = 0; c < uk; ++c) {
+            drift[c] = 0.0;
+            if (counts[c] == 0)
                 continue; // keep the stale centroid
-            scaleInPlace(sums[uc],
-                         1.0 / static_cast<double>(counts[uc]));
-            result.centroids[uc] = std::move(sums[uc]);
+            scaleInPlace(sums[c], 1.0 / static_cast<double>(counts[c]));
+            drift[c] = upperDistance(squaredDistanceN(
+                sums[c].data(), result.centroids[c].data(), dim));
+            result.centroids[c] = std::move(sums[c]);
+        }
+
+        // Move the bounds by the drift: a point's centroid moved at
+        // most drift[a] closer or farther, any other at most the
+        // largest other drift closer.
+        std::size_t far = 0;
+        double far_drift = 0.0, next_drift = 0.0;
+        for (std::size_t c = 0; c < uk; ++c) {
+            if (drift[c] > far_drift) {
+                next_drift = far_drift;
+                far_drift = drift[c];
+                far = c;
+            } else if (drift[c] > next_drift) {
+                next_drift = drift[c];
+            }
+        }
+        for (std::size_t i = 0; i < rows; ++i) {
+            const auto a = static_cast<std::size_t>(result.labels[i]);
+            const double other = a == far ? next_drift : far_drift;
+            upper[i] = (upper[i] + drift[a]) * (1.0 + kBoundMargin);
+            lower[i] = lower[i] * (1.0 - kBoundMargin) -
+                other * (1.0 + kBoundMargin);
+        }
+        for (std::size_t c = 0; c < uk; ++c) {
+            half_gap[c] = kInfinity;
+            for (std::size_t o = 0; o < uk; ++o) {
+                if (o != c)
+                    half_gap[c] = std::min(
+                        half_gap[c],
+                        0.5 * lowerDistance(squaredDistanceN(
+                                  result.centroids[c].data(),
+                                  result.centroids[o].data(), dim)));
+            }
         }
     }
 

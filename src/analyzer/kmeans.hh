@@ -4,6 +4,18 @@
  * SimPoint before it) uses it: cluster step feature vectors for
  * k = 1..15, compute the sum of squared distances to centroids per
  * k, and pick k with the elbow method (Section IV-A).
+ *
+ * Lloyd's assignment step skips points with Hamerly's bounds
+ * ("Making k-means even faster", SDM 2010): per point an upper bound
+ * on the distance to its centroid and a lower bound on the distance
+ * to any other, per centroid half the distance to its nearest other,
+ * all moved by the centroid drift after each update. Bounds are
+ * rounded outward by a fixed relative margin far above the kernel's
+ * rounding error, and a point is skipped only when its upper bound
+ * clears the larger lower bound by that margin too, so the exact
+ * scan (strict `<`, ties to the lower index) could not have moved
+ * it. Labels, centroids, iterations and SSD equal textbook Lloyd's
+ * bit for bit.
  */
 
 #ifndef TPUPOINT_ANALYZER_KMEANS_HH
@@ -30,8 +42,9 @@ struct KMeansResult
 };
 
 /**
- * Lloyd's algorithm with k-means++ seeding. Assignment distances
- * stride the matrix's contiguous rows.
+ * Lloyd's algorithm with k-means++ seeding and Hamerly-bounded
+ * assignment. Assignment distances stride the matrix's contiguous
+ * rows.
  *
  * @param points Observations, one per row; an empty matrix is
  *     fatal.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "analyzer/analyzer.hh"
 #include "tests/analyzer/synthetic.hh"
 
@@ -184,16 +186,33 @@ TEST(AnalyzerTest, AlgorithmNames)
         "OLS");
 }
 
+/** One algorithm under test, named in the ctest name. */
+struct AlgorithmCase
+{
+    const char *name;
+    PhaseAlgorithm algorithm;
+};
+
+/**
+ * Print a case by name: without this gtest prints the enum's raw
+ * bytes into the ctest names.
+ */
+void
+PrintTo(const AlgorithmCase &algorithm, std::ostream *os)
+{
+    *os << algorithm.name;
+}
+
 /** Property: all algorithms cover every step with their phases. */
 class AnalyzerCoverageProperty
-    : public ::testing::TestWithParam<PhaseAlgorithm>
+    : public ::testing::TestWithParam<AlgorithmCase>
 {
 };
 
 TEST_P(AnalyzerCoverageProperty, PhasesPartitionSteps)
 {
     AnalyzerOptions options;
-    options.algorithm = GetParam();
+    options.algorithm = GetParam().algorithm;
     const AnalysisResult result =
         TpuPointAnalyzer(options).analyze(syntheticRecords());
     std::size_t covered = 0;
@@ -204,9 +223,13 @@ TEST_P(AnalyzerCoverageProperty, PhasesPartitionSteps)
 
 INSTANTIATE_TEST_SUITE_P(
     Algorithms, AnalyzerCoverageProperty,
-    ::testing::Values(PhaseAlgorithm::KMeans,
-                      PhaseAlgorithm::Dbscan,
-                      PhaseAlgorithm::OnlineLinearScan));
+    ::testing::Values(AlgorithmCase{"kmeans", PhaseAlgorithm::KMeans},
+                      AlgorithmCase{"dbscan", PhaseAlgorithm::Dbscan},
+                      AlgorithmCase{"ols",
+                                    PhaseAlgorithm::OnlineLinearScan}),
+    [](const ::testing::TestParamInfo<AlgorithmCase> &param_info) {
+        return param_info.param.name;
+    });
 
 } // namespace
 } // namespace tpupoint

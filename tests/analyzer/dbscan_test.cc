@@ -12,6 +12,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "analyzer/dbscan.hh"
 #include "analyzer/elbow.hh"
@@ -383,90 +384,158 @@ randomCloud(Rng &rng, std::size_t rows, std::size_t dims,
     return m;
 }
 
+/** Clusterings seen, so the seeds provably reach every shape. */
+struct ShapeCounts
+{
+    int all_noise = 0;
+    int one_cluster = 0;
+    int mixed = 0;
+};
+
+/** Pools the property tests run on: serial, then 1, 2, 8 workers. */
+std::vector<std::unique_ptr<ThreadPool>>
+propertyPools()
+{
+    std::vector<std::unique_ptr<ThreadPool>> pools;
+    pools.push_back(nullptr);
+    for (const unsigned workers : {1u, 2u, 8u})
+        pools.push_back(std::make_unique<ThreadPool>(workers));
+    return pools;
+}
+
+/**
+ * Compare suggestEps, dbscanCluster and two sweeps on one seeded
+ * cloud against the oracle at every pool size.
+ */
+void
+expectMatchesOracle(std::uint64_t seed, std::size_t rows,
+                    const std::vector<std::unique_ptr<ThreadPool>> &pools,
+                    ShapeCounts &shapes)
+{
+    constexpr CloudKind kKinds[] = {CloudKind::Blobs, CloudKind::Grid,
+                                    CloudKind::Uniform};
+    Rng rng(seed);
+    const CloudKind kind = kKinds[(seed / 7) % std::size(kKinds)];
+    // Up to 16 columns: past the four the cell index buckets on.
+    const std::size_t dims = 1 + rng.nextBounded(16);
+    const Matrix points = randomCloud(rng, rows, dims, kind);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                 std::to_string(rows) + " x " + std::to_string(dims) +
+                 ", kind " + std::to_string(static_cast<int>(kind)));
+
+    // eps: the suggested radius, an exact grid distance, one so
+    // small every point is alone (all noise) or so large that
+    // everything is one cluster.
+    const double suggested = oracle::suggestEps(points);
+    double eps = suggested;
+    switch (seed % 4) {
+      case 0:
+        eps = kind == CloudKind::Grid
+            ? static_cast<double>(1 + seed % 3) : suggested;
+        break;
+      case 1: eps = 0.5 * suggested; break;
+      case 2: eps = seed % 8 == 2 ? 1e-9 : 1e6; break;
+      default: break;
+    }
+    const std::size_t min_samples[] = {1, 2, 5, 24, 25, rows + 1};
+    std::vector<DbscanResult> want;
+    for (const std::size_t m : min_samples) {
+        want.push_back(oracle::dbscanCluster(points, eps, m));
+        const DbscanResult &r = want.back();
+        shapes.all_noise += rows > 0 && r.noise_points == rows;
+        shapes.one_cluster += r.clusters == 1 && r.noise_points == 0;
+        shapes.mixed += r.clusters > 1 && r.noise_points > 0;
+    }
+    // The sweep resolves its own eps half the time.
+    const double sweep_eps = seed % 2 == 0 ? 0.0 : eps;
+    const DbscanSweep want_fine =
+        oracle::dbscanSweep(points, sweep_eps, 1, 30, 4);
+    const DbscanSweep want_paper =
+        oracle::dbscanSweep(points, sweep_eps, 5, 180, 25);
+
+    for (const auto &pool : pools) {
+        SCOPED_TRACE("pool " + std::to_string(
+            pool ? pool->workers() : 0u));
+        EXPECT_EQ(bits(suggestEps(points, pool.get())),
+                  bits(suggested));
+        for (std::size_t i = 0; i < std::size(min_samples); ++i) {
+            SCOPED_TRACE("min_samples " +
+                         std::to_string(min_samples[i]));
+            expectSameResult(dbscanCluster(points, eps,
+                                           min_samples[i], pool.get()),
+                             want[i]);
+        }
+        expectSameSweep(dbscanSweep(points, sweep_eps, 1, 30, 4,
+                                    pool.get()),
+                        want_fine);
+        expectSameSweep(dbscanSweep(points, sweep_eps, 5, 180, 25,
+                                    pool.get()),
+                        want_paper);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
 TEST(DbscanPropertyTest, MatchesPerQueryOracleAtAnyPoolSize)
 {
     constexpr std::size_t kRowCounts[] = {0,  1,  2,   3,   24,
                                           25, 26, 63,  64,  65,
                                           127, 128, 129, 200};
-    constexpr CloudKind kKinds[] = {CloudKind::Blobs, CloudKind::Grid,
-                                    CloudKind::Uniform};
-    std::vector<std::unique_ptr<ThreadPool>> pools;
-    pools.push_back(nullptr);
-    for (const unsigned workers : {1u, 2u, 8u})
-        pools.push_back(std::make_unique<ThreadPool>(workers));
-
-    // Clusterings seen per shape, so the seeds provably reach both
-    // extremes and a mix of clusters and noise.
-    int all_noise = 0, one_cluster = 0, mixed = 0;
+    const auto pools = propertyPools();
+    ShapeCounts shapes;
     for (std::uint64_t seed = 0; seed < 300; ++seed) {
-        Rng rng(seed);
-        const std::size_t rows =
-            kRowCounts[seed % std::size(kRowCounts)];
-        const CloudKind kind = kKinds[(seed / 7) % std::size(kKinds)];
-        const std::size_t dims = 1 + rng.nextBounded(5);
-        const Matrix points = randomCloud(rng, rows, dims, kind);
-        SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
-                     std::to_string(rows) + " x " +
-                     std::to_string(dims) + ", kind " +
-                     std::to_string(static_cast<int>(kind)));
+        expectMatchesOracle(seed,
+                            kRowCounts[seed % std::size(kRowCounts)],
+                            pools, shapes);
+        if (HasFailure())
+            return;
+    }
+    EXPECT_GT(shapes.all_noise, 0);
+    EXPECT_GT(shapes.one_cluster, 0);
+    EXPECT_GT(shapes.mixed, 0);
+}
 
-        // eps: the suggested radius, an exact grid distance, one so
-        // small every point is alone (all noise) or so large that
-        // everything is one cluster.
-        const double suggested = oracle::suggestEps(points);
-        double eps = suggested;
-        switch (seed % 4) {
-          case 0:
-            eps = kind == CloudKind::Grid
-                ? static_cast<double>(1 + seed % 3) : suggested;
-            break;
-          case 1: eps = 0.5 * suggested; break;
-          case 2: eps = seed % 8 == 2 ? 1e-9 : 1e6; break;
-          default: break;
-        }
-        const std::size_t min_samples[] = {1, 2, 5, 24, 25,
-                                           rows + 1};
-        std::vector<DbscanResult> want;
-        for (const std::size_t m : min_samples) {
-            want.push_back(oracle::dbscanCluster(points, eps, m));
-            const DbscanResult &r = want.back();
-            all_noise += rows > 0 && r.noise_points == rows;
-            one_cluster += r.clusters == 1 && r.noise_points == 0;
-            mixed += r.clusters > 1 && r.noise_points > 0;
-        }
-        // The sweep resolves its own eps half the time.
-        const double sweep_eps = seed % 2 == 0 ? 0.0 : eps;
-        const DbscanSweep want_fine =
-            oracle::dbscanSweep(points, sweep_eps, 1, 30, 4);
-        const DbscanSweep want_paper =
-            oracle::dbscanSweep(points, sweep_eps, 5, 180, 25);
+TEST(DbscanPropertyTest, LargeCloudsMatchPerQueryOracle)
+{
+    // Enough rows for a cell index of dozens of cells. The seeds
+    // pick blobs at half the suggested eps, grids at eps 3 and 1
+    // (pairs exactly eps apart) and uniform boxes at the suggested
+    // eps.
+    constexpr std::pair<std::uint64_t, std::size_t> kCases[] = {
+        {1, 600}, {8, 1000}, {12, 400}, {15, 500}, {19, 400}};
+    const auto pools = propertyPools();
+    ShapeCounts shapes;
+    for (const auto &[seed, rows] : kCases) {
+        expectMatchesOracle(seed, rows, pools, shapes);
+        if (HasFailure())
+            return;
+    }
+    EXPECT_GT(shapes.mixed, 0);
+}
 
-        for (const auto &pool : pools) {
-            SCOPED_TRACE("pool " + std::to_string(
-                pool ? pool->workers() : 0u));
-            EXPECT_EQ(bits(suggestEps(points, pool.get())),
-                      bits(suggested));
-            for (std::size_t i = 0; i < std::size(min_samples); ++i) {
-                SCOPED_TRACE("min_samples " +
-                             std::to_string(min_samples[i]));
-                expectSameResult(dbscanCluster(points, eps,
-                                               min_samples[i],
-                                               pool.get()),
-                                 want[i]);
-            }
-            expectSameSweep(dbscanSweep(points, sweep_eps, 1, 30, 4,
-                                        pool.get()),
-                            want_fine);
-            expectSameSweep(dbscanSweep(points, sweep_eps, 5, 180, 25,
-                                        pool.get()),
-                            want_paper);
-            if (HasFailure())
-                return;
+TEST(DbscanPropertyTest, NonFiniteRowsMatchPerQueryOracle)
+{
+    // Rows with an infinite or NaN indexed cell are nobody's
+    // neighbour, themselves included, exactly as a full scan finds.
+    Rng rng(11);
+    const auto pools = propertyPools();
+    for (const std::size_t dims : {1u, 3u, 6u}) {
+        Matrix points = randomCloud(rng, 150, dims, CloudKind::Blobs);
+        constexpr double kOdd[] = {
+            std::numeric_limits<double>::infinity(),
+            -std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::quiet_NaN()};
+        for (std::size_t n = 0; n < 12; ++n)
+            points.at(rng.nextBounded(points.rows()),
+                      rng.nextBounded(dims)) = kOdd[n % 3];
+        for (const std::size_t m : {1u, 3u, 10u}) {
+            const DbscanResult want =
+                oracle::dbscanCluster(points, 4.0, m);
+            for (const auto &pool : pools)
+                expectSameResult(
+                    dbscanCluster(points, 4.0, m, pool.get()), want);
         }
     }
-    EXPECT_GT(all_noise, 0);
-    EXPECT_GT(one_cluster, 0);
-    EXPECT_GT(mixed, 0);
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "analyzer/analyzer.hh"
 #include "optimizer/optimizer.hh"
@@ -42,15 +43,32 @@ measure(WorkloadId id, TpuGeneration gen,
     return {session.result(), profiler.records()};
 }
 
+/** One workload under test, named in the ctest name. */
+struct WorkloadCase
+{
+    const char *name;
+    WorkloadId id;
+};
+
+/**
+ * Print a case by name: without this gtest prints the enum's raw
+ * bytes into the ctest names.
+ */
+void
+PrintTo(const WorkloadCase &workload, std::ostream *os)
+{
+    *os << workload.name;
+}
+
 /** Observations 1 and 2, checked per workload. */
 class PhaseObservations
-    : public ::testing::TestWithParam<WorkloadId>
+    : public ::testing::TestWithParam<WorkloadCase>
 {
 };
 
 TEST_P(PhaseObservations, FewPhasesCoverMostExecution)
 {
-    const Measured m = measure(GetParam(), TpuGeneration::V2);
+    const Measured m = measure(GetParam().id, TpuGeneration::V2);
     AnalyzerOptions options;
     options.ols_threshold = 0.70;
     const AnalysisResult analysis =
@@ -65,12 +83,16 @@ TEST_P(PhaseObservations, FewPhasesCoverMostExecution)
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, PhaseObservations,
-    ::testing::Values(WorkloadId::BertMrpc,
-                      WorkloadId::BertSquad,
-                      WorkloadId::DcganCifar10,
-                      WorkloadId::QanetSquad,
-                      WorkloadId::RetinanetCoco,
-                      WorkloadId::ResnetImagenet));
+    ::testing::Values(
+        WorkloadCase{"bert_mrpc", WorkloadId::BertMrpc},
+        WorkloadCase{"bert_squad", WorkloadId::BertSquad},
+        WorkloadCase{"dcgan_cifar10", WorkloadId::DcganCifar10},
+        WorkloadCase{"qanet_squad", WorkloadId::QanetSquad},
+        WorkloadCase{"retinanet_coco", WorkloadId::RetinanetCoco},
+        WorkloadCase{"resnet_imagenet", WorkloadId::ResnetImagenet}),
+    [](const ::testing::TestParamInfo<WorkloadCase> &param_info) {
+        return param_info.param.name;
+    });
 
 TEST(Observations, ThreeAndFour_DataMovementDominatesHost)
 {
