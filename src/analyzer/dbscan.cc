@@ -82,13 +82,9 @@ class CellIndex
     std::size_t cellOf(std::size_t row) const { return cell_of[row]; }
 
     /** Cell @p c's rows, ascending. */
-    const std::size_t *begin(std::size_t c) const
+    std::span<const std::size_t> rowsOf(std::size_t c) const
     {
-        return members.data() + starts[c];
-    }
-    const std::size_t *end(std::size_t c) const
-    {
-        return members.data() + starts[c + 1];
+        return {members.data() + starts[c], starts[c + 1] - starts[c]};
     }
 
     /**
@@ -211,9 +207,9 @@ CellIndex::CellIndex(const Matrix &points)
     lo.assign(cells() * dims, kInf);
     hi.assign(cells() * dims, -kInf);
     for (std::size_t c = 0; c < cells(); ++c) {
-        for (const std::size_t *row = begin(c); row != end(c); ++row) {
+        for (const std::size_t row : rowsOf(c)) {
             for (std::size_t d = 0; d < dims; ++d) {
-                const double x = points.rowPtr(*row)[d];
+                const double x = points.rowPtr(row)[d];
                 lo[c * dims + d] = std::min(lo[c * dims + d], x);
                 hi[c * dims + d] = std::max(hi[c * dims + d], x);
             }
@@ -304,12 +300,10 @@ buildEpsGraph(const Matrix &points, const CellIndex &index,
                 break;
             if (index.pointBound(pi, c) > eps2)
                 continue;
-            for (const std::size_t *j = index.begin(c);
-                 j != index.end(c); ++j) {
-                if (squaredDistanceN(pi, points.rowPtr(*j), dim) <=
-                    eps2)
-                    row[*j / kWordBits] |= std::uint64_t{1}
-                        << (*j % kWordBits);
+            for (const std::size_t j : index.rowsOf(c)) {
+                if (squaredDistanceN(pi, points.rowPtr(j), dim) <= eps2)
+                    row[j / kWordBits] |= std::uint64_t{1}
+                        << (j % kWordBits);
             }
         }
         std::size_t degree = 0;
@@ -426,12 +420,11 @@ suggestEps(const Matrix &points, const CellIndex &index,
                 break;
             if (size == k && index.pointBound(pi, c) > heap[0])
                 continue;
-            for (const std::size_t *j = index.begin(c);
-                 j != index.end(c); ++j) {
-                if (*j == i)
+            for (const std::size_t j : index.rowsOf(c)) {
+                if (j == i)
                     continue;
                 const double d2 =
-                    squaredDistanceN(pi, points.rowPtr(*j), dim);
+                    squaredDistanceN(pi, points.rowPtr(j), dim);
                 if (size < k) {
                     heap[size++] = d2;
                     std::push_heap(heap, heap + size);
