@@ -1,8 +1,8 @@
 /**
  * @file
  * In-process profile builders shared by the integration tests: the
- * exact container bytes `tpupoint-profile --scale 0.02` writes for
- * a workload, and a faulted, preempted multi-attempt run.
+ * exact container bytes `tpupoint-profile --scale F` writes for a
+ * workload, and a faulted, preempted multi-attempt run.
  */
 
 #ifndef TPUPOINT_TESTS_INTEGRATION_PROFILES_HH
@@ -22,18 +22,18 @@ namespace tpupoint {
 namespace testutil {
 
 inline RuntimeWorkload
-scaledWorkload(WorkloadId id)
+scaledWorkload(WorkloadId id, double scale = 0.02)
 {
     WorkloadOptions options;
-    options.step_scale = 0.02;
+    options.step_scale = scale;
     return makeWorkload(id, options);
 }
 
-/** The bytes `tpupoint-profile --scale 0.02` writes for @p id. */
+/** The bytes `tpupoint-profile --scale F` writes for @p id. */
 inline std::string
-profileBytes(WorkloadId id, TpuGeneration gen)
+profileBytes(WorkloadId id, TpuGeneration gen, double scale = 0.02)
 {
-    const RuntimeWorkload workload = scaledWorkload(id);
+    const RuntimeWorkload workload = scaledWorkload(id, scale);
     Simulator sim;
     SessionConfig config;
     config.device = TpuDeviceSpec::forGeneration(gen);
