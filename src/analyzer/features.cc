@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 
 #include "analyzer/pca.hh"
 #include "core/interner.hh"
@@ -14,16 +13,49 @@ namespace tpupoint {
 
 namespace {
 
+/** A dense column-index slot whose op id the table never uses. */
+constexpr std::uint32_t kNoColumn = ~std::uint32_t{0};
+
 /**
- * Column lookup key for one (side, interned op id) pair: host ops
- * use even keys, TPU ops odd. Dimension ORDER still comes from the
- * sorted label universe; the key only avoids per-step string
- * concatenation and hashing in the fill loop.
+ * Mark the ids of one step's entries (id-sorted, so the last is the
+ * largest) as used; assignColumns overwrites the mark with the
+ * column.
  */
-constexpr std::uint64_t
-opKey(std::uint32_t id, std::uint64_t side)
+void
+markUsed(std::vector<std::uint32_t> &column, OpStatsSpan ops)
 {
-    return (static_cast<std::uint64_t>(id) << 1) | side;
+    if (ops.empty())
+        return;
+    if (ops.back().op >= column.size())
+        column.resize(ops.back().op + std::size_t{1}, kNoColumn);
+    for (const ColumnarOpStats &entry : ops)
+        column[entry.op] = 0;
+}
+
+/**
+ * Give one side's used ids their universe positions, in name order,
+ * and append their "prefix:name" labels. Host labels are appended
+ * first, so positions follow the sorted label order: "host:" sorts
+ * before "tpu:", and a shared prefix leaves the name order.
+ */
+void
+assignColumns(std::vector<std::uint32_t> &column,
+              std::string_view prefix, std::vector<std::string> &labels)
+{
+    const StringInterner &interner = StringInterner::global();
+    std::vector<std::pair<std::string_view, std::uint32_t>> used;
+    for (std::size_t i = 0; i < column.size(); ++i) {
+        const auto id = static_cast<std::uint32_t>(i);
+        if (column[id] != kNoColumn)
+            used.emplace_back(interner.view(id), id);
+    }
+    std::sort(used.begin(), used.end());
+    for (const auto &[name, id] : used) {
+        column[id] = static_cast<std::uint32_t>(labels.size());
+        std::string label(prefix);
+        label += name;
+        labels.push_back(std::move(label));
+    }
 }
 
 } // namespace
@@ -33,45 +65,30 @@ FeatureMatrix::build(const StepTable &table,
                      const FeatureOptions &options)
 {
     FeatureMatrix out;
-    const std::vector<std::string> universe = table.opUniverse();
-    out.labels = universe;
+
+    // Dense per-side column indexes over interned op ids, filled in
+    // one pass over the table's entries.
+    std::vector<std::uint32_t> host_column, tpu_column;
+    for (std::size_t r = 0; r < table.size(); ++r) {
+        markUsed(host_column, table.hostOps(r));
+        markUsed(tpu_column, table.tpuOps(r));
+    }
+    assignColumns(host_column, "host:", out.labels);
+    assignColumns(tpu_column, "tpu:", out.labels);
 
     const std::size_t dims_per_op =
         (options.include_counts ? 1u : 0u) +
         (options.include_durations ? 1u : 0u);
     const std::size_t raw_dims =
-        std::max<std::size_t>(universe.size() * dims_per_op, 1);
-
-    // Invert the sorted label universe into (side, id) -> universe
-    // position once; every universe name is interned (the labels
-    // were materialized through the interner).
-    const StringInterner &interner = StringInterner::global();
-    std::unordered_map<std::uint64_t, std::size_t> column_of;
-    column_of.reserve(universe.size());
-    for (std::size_t u = 0; u < universe.size(); ++u) {
-        std::string_view label = universe[u];
-        std::uint64_t side = 0;
-        if (label.substr(0, 5) == "host:") {
-            label.remove_prefix(5);
-        } else {
-            label.remove_prefix(4); // "tpu:"
-            side = 1;
-        }
-        std::uint32_t id = 0;
-        if (interner.lookup(label, id))
-            column_of.emplace(opKey(id, side), u);
-    }
+        std::max<std::size_t>(out.labels.size() * dims_per_op, 1);
 
     out.data.resize(table.size(), raw_dims);
     for (std::size_t r = 0; r < table.size(); ++r) {
         double *row = out.data.rowPtr(r);
-        auto fill = [&](OpStatsSpan ops, std::uint64_t side) {
+        auto fill = [&](OpStatsSpan ops,
+                        const std::vector<std::uint32_t> &column) {
             for (const ColumnarOpStats &entry : ops) {
-                const auto it =
-                    column_of.find(opKey(entry.op, side));
-                if (it == column_of.end())
-                    continue;
-                std::size_t d = it->second * dims_per_op;
+                std::size_t d = column[entry.op] * dims_per_op;
                 if (options.include_counts) {
                     row[d] = static_cast<double>(entry.count);
                     ++d;
@@ -82,8 +99,8 @@ FeatureMatrix::build(const StepTable &table,
                 }
             }
         };
-        fill(table.hostOps(r), 0);
-        fill(table.tpuOps(r), 1);
+        fill(table.hostOps(r), host_column);
+        fill(table.tpuOps(r), tpu_column);
     }
 
     if (options.normalize && out.data.rows() > 0) {

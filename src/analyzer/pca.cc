@@ -10,16 +10,50 @@ namespace tpupoint {
 Matrix
 PcaModel::projectAll(const Matrix &points) const
 {
-    Matrix out(points.rows(), components.size());
-    FeatureVector centered(mean.size(), 0.0);
-    for (std::size_t r = 0; r < points.rows(); ++r) {
-        const double *row = points.rowPtr(r);
-        for (std::size_t i = 0; i < mean.size(); ++i)
-            centered[i] = row[i] - mean[i];
-        double *dst = out.rowPtr(r);
-        for (std::size_t c = 0; c < components.size(); ++c) {
-            dst[c] = dotN(components[c].data(), centered.data(),
-                          centered.size());
+    const std::size_t rows = points.rows();
+    const std::size_t dim = mean.size();
+    const std::size_t count = components.size();
+    Matrix out(rows, count);
+
+    // Each component value in both lanes; zero components pad the
+    // count to a multiple of four.
+    const std::size_t padded = (count + 3) / 4 * 4;
+    std::vector<DoublePair> basis(padded * dim, DoublePair{0.0, 0.0});
+    for (std::size_t c = 0; c < count; ++c)
+        for (std::size_t i = 0; i < dim; ++i)
+            basis[c * dim + i] =
+                DoublePair{components[c][i], components[c][i]};
+
+    // Two rows per pass, one per lane, four components at a time:
+    // out(r, c) is dotN(component c, row r - mean) bit for bit.
+    std::vector<DoublePair> centered(dim);
+    for (std::size_t r = 0; r < rows; r += 2) {
+        const bool pair = r + 1 < rows;
+        const double *x0 = points.rowPtr(r);
+        const double *x1 = pair ? points.rowPtr(r + 1) : x0;
+        double *y0 = out.rowPtr(r);
+        double *y1 = pair ? out.rowPtr(r + 1) : nullptr;
+        for (std::size_t i = 0; i < dim; ++i)
+            centered[i] = DoublePair{x0[i] - mean[i], x1[i] - mean[i]};
+        for (std::size_t c = 0; c < padded; c += 4) {
+            const DoublePair *b0 = basis.data() + c * dim;
+            const DoublePair *b1 = b0 + dim;
+            const DoublePair *b2 = b1 + dim;
+            const DoublePair *b3 = b2 + dim;
+            DoublePair s0 = {0.0, 0.0}, s1 = s0, s2 = s0, s3 = s0;
+            for (std::size_t i = 0; i < dim; ++i) {
+                const DoublePair x = centered[i];
+                s0 += b0[i] * x;
+                s1 += b1[i] * x;
+                s2 += b2[i] * x;
+                s3 += b3[i] * x;
+            }
+            const DoublePair sums[4] = {s0, s1, s2, s3};
+            for (std::size_t q = 0; q < 4 && c + q < count; ++q) {
+                y0[c + q] = sums[q][0];
+                if (pair)
+                    y1[c + q] = sums[q][1];
+            }
         }
     }
     return out;
@@ -35,14 +69,7 @@ fitPca(const Matrix &points, std::size_t num_components, Rng &rng,
     num_components = std::min(num_components, dim);
 
     PcaModel model;
-    // Row-order adds, one final scale (as Matrix::covariance).
-    model.mean.assign(dim, 0.0);
-    for (std::size_t r = 0; r < points.rows(); ++r)
-        addN(model.mean.data(), points.rowPtr(r), dim);
-    scaleInPlace(model.mean,
-                 1.0 / static_cast<double>(points.rows()));
-
-    Matrix cov = Matrix::covariance(points);
+    Matrix cov = Matrix::covariance(points, &model.mean);
 
     for (std::size_t c = 0; c < num_components; ++c) {
         // Power iteration for the current dominant eigenvector.
@@ -66,11 +93,13 @@ fitPca(const Matrix &points, std::size_t num_components, Rng &rng,
         if (eigenvalue <= 1e-12)
             break; // remaining variance is numerically zero
 
-        // Deflate: cov -= lambda * v v^T.
+        // Deflate: cov -= lambda * v v^T, each cell as
+        // (lambda * v[i]) * v[j].
         for (std::size_t i = 0; i < dim; ++i) {
-            for (std::size_t j = 0; j < dim; ++j) {
-                cov.at(i, j) -= eigenvalue * v[i] * v[j];
-            }
+            double *row = cov.rowPtr(i);
+            const double scaled = eigenvalue * v[i];
+            for (std::size_t j = 0; j < dim; ++j)
+                row[j] -= scaled * v[j];
         }
         model.components.push_back(std::move(v));
         model.eigenvalues.push_back(eigenvalue);

@@ -27,6 +27,8 @@ struct PcaModel
     /**
      * Project every row of a row-major observation matrix into
      * component space: contiguous rows in, contiguous rows out.
+     * Cell (r, c) is dotN(component c, row r - mean) bit for bit;
+     * two rows and four components run per pass.
      */
     Matrix projectAll(const Matrix &points) const;
 };

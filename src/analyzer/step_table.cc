@@ -1,7 +1,6 @@
 #include "analyzer/step_table.hh"
 
 #include <algorithm>
-#include <set>
 
 namespace tpupoint {
 
@@ -224,27 +223,6 @@ StepTable::totalDuration() const
     for (std::size_t i = 0; i < ids.size(); ++i)
         total += span(i);
     return total;
-}
-
-std::vector<std::string>
-StepTable::opUniverse() const
-{
-    std::set<std::uint32_t> host_ids, tpu_ids;
-    for (const auto &entry : host_entries)
-        host_ids.insert(entry.op);
-    for (const auto &entry : tpu_entries)
-        tpu_ids.insert(entry.op);
-
-    const StringInterner &interner = StringInterner::global();
-    std::vector<std::string> labels;
-    labels.reserve(host_ids.size() + tpu_ids.size());
-    for (const std::uint32_t id : host_ids)
-        labels.push_back("host:" +
-                         std::string(interner.view(id)));
-    for (const std::uint32_t id : tpu_ids)
-        labels.push_back("tpu:" + std::string(interner.view(id)));
-    std::sort(labels.begin(), labels.end());
-    return labels;
 }
 
 } // namespace tpupoint

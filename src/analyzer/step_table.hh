@@ -205,12 +205,6 @@ class StepTable
     /** Sum of all step spans (the execution time phases divide). */
     SimTime totalDuration() const;
 
-    /**
-     * Every distinct operator label, "host:"/"tpu:"-prefixed,
-     * sorted. These are the raw feature dimensions.
-     */
-    std::vector<std::string> opUniverse() const;
-
   private:
     friend class StepTableBuilder;
 

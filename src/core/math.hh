@@ -17,19 +17,81 @@ namespace tpupoint {
 using FeatureVector = std::vector<double>;
 
 /**
- * Raw-pointer kernels over contiguous doubles. These are the inner
- * loops of the clustering/PCA hot paths, written over restrict-free
- * pointers with a fixed single-accumulator summation order: unrolling
- * computes several elements' terms per trip but always folds them
- * into one accumulator in index order, so results are bit-identical
- * to the naive loop (no reassociation) while the element-wise work
- * auto-vectorizes.
+ * Raw-pointer kernels over contiguous doubles: the inner loops of
+ * the clustering and PCA hot paths, inline so that k-means and
+ * DBSCAN pay no call per distance.
+ *
+ * The contract every kernel here and in Matrix keeps: each output
+ * sums its terms into one accumulator that starts at +0.0 and adds
+ * them in index order. Unrolling computes several terms per trip,
+ * and blocking (Matrix::multiply, Matrix::covariance,
+ * PcaModel::projectAll) runs several outputs' sums side by side,
+ * in separate variables or in the lanes of a DoublePair,
+ * but no output's additions are ever regrouped or reordered, so
+ * every result is bit-identical to the naive sequential loop at any
+ * unroll or block size.
  */
-double dotN(const double *a, const double *b, std::size_t n);
-double squaredDistanceN(const double *a, const double *b,
-                        std::size_t n);
-void addN(double *a, const double *b, std::size_t n);
-void scaleN(double *v, double s, std::size_t n);
+inline double
+dotN(const double *a, const double *b, std::size_t n)
+{
+    double sum = 0.0;
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const double p0 = a[i] * b[i];
+        const double p1 = a[i + 1] * b[i + 1];
+        const double p2 = a[i + 2] * b[i + 2];
+        const double p3 = a[i + 3] * b[i + 3];
+        sum += p0;
+        sum += p1;
+        sum += p2;
+        sum += p3;
+    }
+    for (; i < n; ++i)
+        sum += a[i] * b[i];
+    return sum;
+}
+
+inline double
+squaredDistanceN(const double *a, const double *b, std::size_t n)
+{
+    double sum = 0.0;
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const double d0 = a[i] - b[i];
+        const double d1 = a[i + 1] - b[i + 1];
+        const double d2 = a[i + 2] - b[i + 2];
+        const double d3 = a[i + 3] - b[i + 3];
+        sum += d0 * d0;
+        sum += d1 * d1;
+        sum += d2 * d2;
+        sum += d3 * d3;
+    }
+    for (; i < n; ++i) {
+        const double d = a[i] - b[i];
+        sum += d * d;
+    }
+    return sum;
+}
+
+inline void
+addN(double *a, const double *b, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        a[i] += b[i];
+}
+
+inline void
+scaleN(double *v, double s, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] *= s;
+}
+
+/**
+ * Two doubles in one SSE2 register (a GCC/Clang vector type): the
+ * blocked kernels keep two outputs' sums in its two lanes.
+ */
+typedef double DoublePair __attribute__((vector_size(16)));
 
 /** Dot product; vectors must have equal dimension. */
 double dot(const FeatureVector &a, const FeatureVector &b);
@@ -77,16 +139,26 @@ class Matrix
     /** Copy row @p r out into a FeatureVector. */
     FeatureVector row(std::size_t r) const;
 
-    /** Matrix-vector product; v.size() must equal cols(). */
+    /**
+     * Matrix-vector product; v.size() must equal cols(). Four rows
+     * per pass, each with its own sum: out[r] == dotN(row r, v).
+     */
     FeatureVector multiply(const FeatureVector &v) const;
 
     /**
-     * Covariance of a row-major observation matrix (rows are
-     * observations): the mean by row-order adds and one final
-     * scale, then per-row upper-triangle updates. An empty
+     * Population covariance of a row-major observation matrix
+     * (rows are observations). The mean is row-order adds and one
+     * final scale by 1/rows; it is written to @p mean_out when
+     * given. Cell (i, j) is then, bit for bit, +0.0 plus
+     * (x[r][i] - mean[i]) * (x[r][j] - mean[j]) for r in row
+     * order, scaled by 1/rows, and mirrored from the upper
+     * triangle. The data is centered once and the upper triangle
+     * filled in 4 x 4 tiles over row chunks that stay in cache;
+     * each tile's sums carry from one chunk to the next. An empty
      * matrix is fatal.
      */
-    static Matrix covariance(const Matrix &data);
+    static Matrix covariance(const Matrix &data,
+                             FeatureVector *mean_out = nullptr);
 
   private:
     std::size_t num_rows;

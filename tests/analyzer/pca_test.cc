@@ -10,6 +10,7 @@
 namespace tpupoint {
 namespace {
 
+using testutil::bitMismatch;
 using testutil::matrixOf;
 
 TEST(PcaTest, RecoversDominantDirection)
@@ -72,6 +73,44 @@ TEST(PcaTest, ProjectionReducesDimension)
     const Matrix projected = model.projectAll(data);
     ASSERT_EQ(projected.rows(), data.rows());
     EXPECT_EQ(projected.cols(), model.components.size());
+}
+
+TEST(PcaTest, ProjectAllMatchesDotNOracle)
+{
+    Rng rng(10);
+    for (std::size_t k = 1; k <= 17; ++k) {
+        const std::size_t dim = k + (k * 7) % 13;
+        PcaModel model;
+        model.mean.resize(dim);
+        for (double &m : model.mean)
+            m = rng.gaussian(0, 3);
+        for (std::size_t c = 0; c < k; ++c) {
+            FeatureVector component(dim);
+            for (double &x : component)
+                x = rng.uniform(-1.0, 1.0);
+            normalizeInPlace(component);
+            model.components.push_back(std::move(component));
+        }
+        Matrix points(9, dim);
+        for (std::size_t r = 0; r < points.rows(); ++r)
+            for (std::size_t i = 0; i < dim; ++i)
+                points.at(r, i) = rng.gaussian(0, 10);
+
+        // The per-component loop before blocking: center, then one
+        // sequential dot product per component.
+        Matrix want(points.rows(), k);
+        for (std::size_t r = 0; r < points.rows(); ++r) {
+            for (std::size_t c = 0; c < k; ++c) {
+                double sum = 0.0;
+                for (std::size_t i = 0; i < dim; ++i)
+                    sum += model.components[c][i] *
+                           (points.at(r, i) - model.mean[i]);
+                want.at(r, c) = sum;
+            }
+        }
+        EXPECT_EQ(bitMismatch(model.projectAll(points), want), "")
+            << k << " components";
+    }
 }
 
 TEST(PcaTest, RequestedComponentsCappedByDimension)

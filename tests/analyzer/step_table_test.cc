@@ -53,20 +53,6 @@ TEST(StepTableTest, TotalDurationSumsSpans)
     EXPECT_EQ(table.totalDuration(), 150);
 }
 
-TEST(StepTableTest, OpUniverseIsSortedAndPrefixed)
-{
-    auto record = makeRecord(
-        {makeStep(0, {"MatMul"}, {"RunGraph"}),
-         makeStep(1, {"fusion"}, {"Recv"})});
-    const StepTable table = StepTable::fromRecords({record});
-    const auto universe = table.opUniverse();
-    ASSERT_EQ(universe.size(), 4u);
-    EXPECT_EQ(universe[0], "host:Recv");
-    EXPECT_EQ(universe[1], "host:RunGraph");
-    EXPECT_EQ(universe[2], "tpu:MatMul");
-    EXPECT_EQ(universe[3], "tpu:fusion");
-}
-
 TEST(StepTableTest, DropAfterErasesTailAndReportsSpan)
 {
     StepTableBuilder builder;
@@ -153,7 +139,6 @@ TEST(StepTableTest, EmptyInput)
     const StepTable table = StepTable::fromRecords({});
     EXPECT_EQ(table.size(), 0u);
     EXPECT_EQ(table.totalDuration(), 0);
-    EXPECT_TRUE(table.opUniverse().empty());
 }
 
 } // namespace

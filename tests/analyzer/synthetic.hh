@@ -4,6 +4,9 @@
 #define TPUPOINT_TESTS_ANALYZER_SYNTHETIC_HH
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -81,6 +84,37 @@ matrixOf(const std::vector<FeatureVector> &rows)
         std::copy(rows[r].begin(), rows[r].end(), out.rowPtr(r));
     }
     return out;
+}
+
+/**
+ * "" when @p got and @p want have one shape and the same bits in
+ * every cell (any NaN matches any NaN); otherwise the first
+ * difference. Blocked kernels are checked against their naive
+ * loops with this, not with a tolerance.
+ */
+inline std::string
+bitMismatch(const Matrix &got, const Matrix &want)
+{
+    std::ostringstream out;
+    if (got.rows() != want.rows() || got.cols() != want.cols()) {
+        out << "shape " << got.rows() << "x" << got.cols() << " vs "
+            << want.rows() << "x" << want.cols();
+        return out.str();
+    }
+    for (std::size_t r = 0; r < got.rows(); ++r) {
+        for (std::size_t c = 0; c < got.cols(); ++c) {
+            const double a = got.at(r, c);
+            const double b = want.at(r, c);
+            if ((std::isnan(a) && std::isnan(b)) ||
+                std::memcmp(&a, &b, sizeof a) == 0)
+                continue;
+            out.precision(17);
+            out << "cell (" << r << ", " << c << "): " << a
+                << " vs " << b;
+            return out.str();
+        }
+    }
+    return "";
 }
 
 /** @p record in the columnar form the analyzer ingests. */
