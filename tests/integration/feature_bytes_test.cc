@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
