@@ -50,7 +50,7 @@ truncatedTable(std::size_t steps)
         builder.ingest(columnar);
     }
     if (steps > 0 && steps < builder.stepsAggregated())
-        builder.dropAfter(builder.rowStepId(steps - 1));
+        builder.dropAfter(builder.rows().stepId(steps - 1));
     return std::move(builder).build();
 }
 
@@ -96,8 +96,7 @@ BM_OnlineLinearScan(benchmark::State &state)
         OnlineLinearScan ols;
         for (std::size_t i = 0; i < table.size(); ++i)
             ols.addStep(table.stepId(i), table.span(i),
-                        OnlineLinearScan::opKeys(table.hostOps(i),
-                                                 table.tpuOps(i)));
+                        table.hostOps(i), table.tpuOps(i));
         ols.finish();
         peak = ols.peakStepsHeld();
         benchmark::DoNotOptimize(ols.phases().size());

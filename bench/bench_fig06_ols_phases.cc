@@ -41,8 +41,7 @@ main()
             OnlineLinearScan ols(OlsOptions{t});
             for (std::size_t i = 0; i < table.size(); ++i)
                 ols.addStep(table.stepId(i), table.span(i),
-                            OnlineLinearScan::opKeys(
-                                table.hostOps(i), table.tpuOps(i)));
+                            table.hostOps(i), table.tpuOps(i));
             ols.finish();
             std::printf(" %6zu", ols.phases().size());
         }

@@ -116,12 +116,13 @@ AnalysisSession::feedStreams(bool settle_all)
     if (settled <= observed_rows)
         return;
 
+    const StepTable &table = builder.rows();
     std::vector<StepDelta> deltas;
     deltas.reserve(settled - observed_rows);
     for (std::size_t i = observed_rows; i < settled; ++i) {
-        deltas.push_back(StepDelta{
-            builder.rowStepId(i), builder.rowSpan(i),
-            builder.rowHostOps(i), builder.rowTpuOps(i)});
+        deltas.push_back(StepDelta{table.stepId(i), table.span(i),
+                                   table.hostOps(i),
+                                   table.tpuOps(i)});
     }
     for (DetectorSlot &slot : detectors) {
         const auto begin = std::chrono::steady_clock::now();

@@ -72,9 +72,8 @@ class LinearScanDetector final : public PhaseDetector
     observeSteps(const std::vector<StepDelta> &deltas) override
     {
         for (const StepDelta &delta : deltas) {
-            ols.addStep(delta.step, delta.span,
-                        OnlineLinearScan::opKeys(delta.host,
-                                                 delta.tpu));
+            ols.addStep(delta.step, delta.span, delta.host,
+                        delta.tpu);
             ++observed;
         }
     }
@@ -120,8 +119,7 @@ class LinearScanDetector final : public PhaseDetector
         // its interned operator keys.
         for (std::size_t i = observed; i < table.size(); ++i) {
             ols.addStep(table.stepId(i), table.span(i),
-                        OnlineLinearScan::opKeys(table.hostOps(i),
-                                                 table.tpuOps(i)));
+                        table.hostOps(i), table.tpuOps(i));
             ++observed;
         }
         ols.finish();

@@ -1,6 +1,7 @@
 #include "analyzer/ols.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/interner.hh"
 #include "core/logging.hh"
@@ -27,6 +28,39 @@ labelsFromKeys(const std::vector<std::uint64_t> &keys)
     }
     std::sort(labels.begin(), labels.end());
     return labels;
+}
+
+/**
+ * Append the sorted operator-key set of one step to @p keys: host
+ * entries map to even keys (id * 2), TPU entries to odd
+ * (id * 2 + 1). Both runs are id-sorted, so each key run is
+ * ascending and one linear merge orders them.
+ */
+void
+mergeOpKeys(OpStatsSpan host, OpStatsSpan tpu,
+            std::vector<std::uint64_t> &keys)
+{
+    keys.reserve(keys.size() + host.size() + tpu.size());
+    std::size_t i = 0, j = 0;
+    while (i < host.size() && j < tpu.size()) {
+        const std::uint64_t hk =
+            static_cast<std::uint64_t>(host[i].op) << 1;
+        const std::uint64_t tk =
+            (static_cast<std::uint64_t>(tpu[j].op) << 1) | 1;
+        if (hk < tk) {
+            keys.push_back(hk);
+            ++i;
+        } else {
+            keys.push_back(tk);
+            ++j;
+        }
+    }
+    for (; i < host.size(); ++i)
+        keys.push_back(static_cast<std::uint64_t>(host[i].op)
+                       << 1);
+    for (; j < tpu.size(); ++j)
+        keys.push_back(
+            (static_cast<std::uint64_t>(tpu[j].op) << 1) | 1);
 }
 
 } // namespace
@@ -93,50 +127,22 @@ OnlineLinearScan::stepSimilarity(const StepStats &a,
     return setSimilarity(a.opSet(), b.opSet());
 }
 
-std::vector<std::uint64_t>
-OnlineLinearScan::opKeys(OpStatsSpan host, OpStatsSpan tpu)
-{
-    // Both runs are id-sorted, so the key runs (id * 2 for host,
-    // id * 2 + 1 for TPU) are each ascending: one linear merge.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(host.size() + tpu.size());
-    std::size_t i = 0, j = 0;
-    while (i < host.size() && j < tpu.size()) {
-        const std::uint64_t hk =
-            static_cast<std::uint64_t>(host[i].op) << 1;
-        const std::uint64_t tk =
-            (static_cast<std::uint64_t>(tpu[j].op) << 1) | 1;
-        if (hk < tk) {
-            keys.push_back(hk);
-            ++i;
-        } else {
-            keys.push_back(tk);
-            ++j;
-        }
-    }
-    for (; i < host.size(); ++i)
-        keys.push_back(static_cast<std::uint64_t>(host[i].op)
-                       << 1);
-    for (; j < tpu.size(); ++j)
-        keys.push_back(
-            (static_cast<std::uint64_t>(tpu[j].op) << 1) | 1);
-    return keys;
-}
-
 void
-OnlineLinearScan::addStep(StepId step, SimTime span,
-                          std::vector<std::uint64_t> event_keys)
+OnlineLinearScan::addStep(StepId step, SimTime span, OpStatsSpan host,
+                          OpStatsSpan tpu)
 {
     if (finished)
         panic("OnlineLinearScan::addStep after finish");
 
+    step_set.clear();
+    mergeOpKeys(host, tpu, step_set);
     if (!have_current) {
         current = Span{step, step, 1, span};
-        current_signature = event_keys;
+        current_signature = step_set;
         have_current = true;
     } else {
         const double similarity =
-            keySimilarity(previous_set, event_keys);
+            keySimilarity(previous_set, step_set);
         if (similarity >= opts.similarity_threshold) {
             // Group with the running segment.
             current.last_step = step;
@@ -149,13 +155,14 @@ OnlineLinearScan::addStep(StepId step, SimTime span,
             // step records plus one signature per distinct phase.
             closeSegment();
             current = Span{step, step, 1, span};
-            current_signature = event_keys;
+            current_signature = step_set;
         }
     }
 
-    // Slide the three-step window (i, i-1, i-2).
-    preprevious_set = std::move(previous_set);
-    previous_set = std::move(event_keys);
+    // Slide the three-step window (i, i-1, i-2); step i-2's
+    // storage becomes the next step's buffer.
+    std::swap(preprevious_set, previous_set);
+    std::swap(previous_set, step_set);
     peak_held = std::max<std::size_t>(peak_held, 3);
 }
 

@@ -14,8 +14,13 @@
  * (interned op id * 2 + device side) rather than label strings:
  * Equation 1 only depends on set cardinalities, which the
  * label <-> key bijection preserves, so results are identical while
- * the scan never touches operator names. Signature label strings
- * are materialized only when a new phase group is created.
+ * the scan never touches operator names. addStep() takes a step's
+ * id-sorted op rows and merges them into a key buffer the scan
+ * owns; that buffer rotates with the two previous steps' sets by
+ * swap, so a scan stops allocating once the buffers have grown to
+ * the widest step. A segment's signature is copied only at a phase
+ * boundary, and its label strings are materialized only when a new
+ * phase group is created.
  */
 
 #ifndef TPUPOINT_ANALYZER_OLS_HH
@@ -65,11 +70,12 @@ class OnlineLinearScan
 
     /**
      * Feed the next step (ascending step order) as its wall span
-     * plus its sorted operator-key set (see opKeys()). No strings
-     * are touched until a new phase group forms.
+     * plus its id-sorted host and TPU op entries. The entries are
+     * read during the call only. No strings are touched until a
+     * new phase group forms.
      */
-    void addStep(StepId step, SimTime span,
-                 std::vector<std::uint64_t> event_keys);
+    void addStep(StepId step, SimTime span, OpStatsSpan host,
+                 OpStatsSpan tpu);
 
     /** Close the trailing segment and aggregate phases. */
     void finish();
@@ -122,15 +128,6 @@ class OnlineLinearScan
     keySimilarity(const std::vector<std::uint64_t> &a,
                   const std::vector<std::uint64_t> &b);
 
-    /**
-     * Build the sorted operator-key set of one columnar step row:
-     * host entries map to even keys (id * 2), TPU entries to odd
-     * (id * 2 + 1), linearly merged in ascending key order (both
-     * input runs are id-sorted).
-     */
-    static std::vector<std::uint64_t> opKeys(OpStatsSpan host,
-                                             OpStatsSpan tpu);
-
   private:
     /** Close the open segment and fold it into its phase group. */
     void closeSegment();
@@ -142,6 +139,7 @@ class OnlineLinearScan
     std::vector<std::vector<std::uint64_t>> group_keys;
     Span current;
     std::vector<std::uint64_t> current_signature;
+    std::vector<std::uint64_t> step_set;        ///< Step i.
     std::vector<std::uint64_t> previous_set;    ///< Step i-1.
     std::vector<std::uint64_t> preprevious_set; ///< Step i-2.
     bool have_current = false;

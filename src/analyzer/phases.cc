@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
+#include <utility>
 
 #include "core/interner.hh"
 #include "core/logging.hh"
@@ -12,57 +12,86 @@ namespace tpupoint {
 namespace {
 
 /**
- * Phase under construction: the phase itself plus id-keyed operator
- * accumulators. Sums fold integer-to-integer against interned ids;
- * the name-keyed OpStatsMap the Phase exposes is materialized once
- * at the end (std::map insertion re-sorts by name, so the result is
- * identical to accumulating name maps directly).
+ * Operator sums for one phase at a time, keyed by interned id: a
+ * dense slot per id (0 = untouched, else 1 + position) into the
+ * list of ids the phase touched, in first-touch order. Sums fold
+ * integer-to-integer; the name-keyed OpStatsMap a Phase exposes is
+ * materialized from the touched list once per phase (std::map
+ * insertion sorts by name, so the order of the list is
+ * irrelevant). One set of sums serves a whole call: draining a
+ * phase resets only the slots it touched.
  */
-struct PhaseAccum
+class OpSums
 {
-    Phase phase;
-    std::unordered_map<std::uint32_t, OpStats> host, tpu;
+  public:
+    OpSums() : slot(StringInterner::global().size(), 0) {}
+
+    void
+    add(OpStatsSpan ops)
+    {
+        for (const ColumnarOpStats &entry : ops) {
+            if (entry.op >= slot.size())
+                slot.resize(std::size_t{entry.op} + 1, 0);
+            std::uint32_t &at = slot[entry.op];
+            if (at == 0) {
+                touched.emplace_back(entry.op, OpStats{});
+                at = static_cast<std::uint32_t>(touched.size());
+            }
+            OpStats &stats = touched[at - 1].second;
+            stats.count += entry.count;
+            stats.total_duration += entry.total_duration;
+        }
+    }
+
+    /** Move the sums into @p out by name and clear them. */
+    void
+    drainInto(OpStatsMap &out)
+    {
+        const StringInterner &interner = StringInterner::global();
+        for (const auto &[id, stats] : touched) {
+            out.emplace(std::string(interner.view(id)), stats);
+            slot[id] = 0;
+        }
+        touched.clear();
+    }
+
+  private:
+    std::vector<std::uint32_t> slot;
+    std::vector<std::pair<std::uint32_t, OpStats>> touched;
 };
 
-void
-foldStep(PhaseAccum &acc, const StepTable &table, std::size_t index)
+/** Host and TPU sums, shared by every phase of one call. */
+struct PhaseSums
 {
-    Phase &phase = acc.phase;
-    const StepId sid = table.stepId(index);
-    if (phase.members.empty()) {
-        phase.first_step = sid;
-        phase.last_step = sid;
-    } else {
-        phase.first_step = std::min(phase.first_step, sid);
-        phase.last_step = std::max(phase.last_step, sid);
-    }
-    phase.members.push_back(index);
-    phase.total_duration += table.span(index);
-    for (const ColumnarOpStats &entry : table.hostOps(index)) {
-        OpStats &stats = acc.host[entry.op];
-        stats.count += entry.count;
-        stats.total_duration += entry.total_duration;
-    }
-    for (const ColumnarOpStats &entry : table.tpuOps(index)) {
-        OpStats &stats = acc.tpu[entry.op];
-        stats.count += entry.count;
-        stats.total_duration += entry.total_duration;
-    }
-}
+    OpSums host, tpu;
 
-/** Resolve the id-keyed accumulators into the phase's name maps. */
-Phase
-materialize(PhaseAccum &&acc)
-{
-    const StringInterner &interner = StringInterner::global();
-    for (const auto &[id, stats] : acc.host)
-        acc.phase.host_ops.emplace(
-            std::string(interner.view(id)), stats);
-    for (const auto &[id, stats] : acc.tpu)
-        acc.phase.tpu_ops.emplace(
-            std::string(interner.view(id)), stats);
-    return std::move(acc.phase);
-}
+    /** Fold step @p index of @p table into @p phase. */
+    void
+    fold(Phase &phase, const StepTable &table, std::size_t index)
+    {
+        const StepId sid = table.stepId(index);
+        if (phase.members.empty()) {
+            phase.first_step = sid;
+            phase.last_step = sid;
+        } else {
+            phase.first_step = std::min(phase.first_step, sid);
+            phase.last_step = std::max(phase.last_step, sid);
+        }
+        phase.members.push_back(index);
+        phase.total_duration += table.span(index);
+        host.add(table.hostOps(index));
+        tpu.add(table.tpuOps(index));
+    }
+
+    /** Resolve the sums folded since the last drain into
+     * @p phase's name maps. */
+    void
+    drainInto(Phase &phase)
+    {
+        host.drainInto(phase.host_ops);
+        tpu.drainInto(phase.tpu_ops);
+    }
+};
 
 } // namespace
 
@@ -72,20 +101,23 @@ phasesFromLabels(const StepTable &table,
 {
     if (labels.size() != table.size())
         panic("phasesFromLabels: label/step count mismatch");
-    std::map<int, PhaseAccum> by_label;
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-        const int key = labels[i] < 0 ? -1 : labels[i];
-        PhaseAccum &acc = by_label[key];
-        if (acc.phase.members.empty()) {
-            acc.phase.id = key;
-            acc.phase.is_noise = key < 0;
-        }
-        foldStep(acc, table, i);
-    }
+    // Members per label first (ascending), so one set of sums
+    // serves each phase in turn.
+    std::map<int, std::vector<std::size_t>> by_label;
+    for (std::size_t i = 0; i < labels.size(); ++i)
+        by_label[labels[i] < 0 ? -1 : labels[i]].push_back(i);
     std::vector<Phase> out;
     out.reserve(by_label.size());
-    for (auto &[key, acc] : by_label)
-        out.push_back(materialize(std::move(acc)));
+    PhaseSums sums;
+    for (const auto &[key, members] : by_label) {
+        Phase &phase = out.emplace_back();
+        phase.id = key;
+        phase.is_noise = key < 0;
+        phase.members.reserve(members.size());
+        for (const std::size_t index : members)
+            sums.fold(phase, table, index);
+        sums.drainInto(phase);
+    }
     return out;
 }
 
@@ -95,12 +127,13 @@ phasesFromGroups(const StepTable &table,
 {
     std::vector<Phase> out;
     out.reserve(groups.size());
+    PhaseSums sums;
 
     // Map each step to its group by span membership. Spans are
     // disjoint across groups, so a per-step scan suffices.
     for (const auto &group : groups) {
-        PhaseAccum acc;
-        acc.phase.id = static_cast<int>(out.size());
+        Phase phase;
+        phase.id = static_cast<int>(out.size());
         std::size_t index = 0;
         for (const auto &span : group.spans) {
             // Spans arrive in ascending step order per group.
@@ -109,12 +142,14 @@ phasesFromGroups(const StepTable &table,
                 ++index;
             while (index < table.size() &&
                    table.stepId(index) <= span.last_step) {
-                foldStep(acc, table, index);
+                sums.fold(phase, table, index);
                 ++index;
             }
         }
-        if (!acc.phase.members.empty())
-            out.push_back(materialize(std::move(acc)));
+        if (!phase.members.empty()) {
+            sums.drainInto(phase);
+            out.push_back(std::move(phase));
+        }
     }
     return out;
 }

@@ -51,45 +51,46 @@ mergeOpRuns(std::vector<ColumnarOpStats> &dst, OpStatsSpan src,
 std::size_t
 StepTableBuilder::rowFor(StepId step, SimTime begin, SimTime end)
 {
+    StepTable &t = table;
     // Profiles arrive in step order, so appending is the common
     // case; the binary-search path handles out-of-order windows
     // and re-ingested (replayed) steps.
-    if (ids.empty() || step > ids.back()) {
-        ids.push_back(step);
-        begins.push_back(begin);
-        ends.push_back(end);
-        busys.push_back(0);
-        idles.push_back(0);
-        mxus.push_back(0);
-        replays.push_back(0);
-        host_rows.emplace_back();
-        tpu_rows.emplace_back();
-        return ids.size() - 1;
+    if (t.ids.empty() || step > t.ids.back()) {
+        t.ids.push_back(step);
+        t.begins.push_back(begin);
+        t.ends.push_back(end);
+        t.busys.push_back(0);
+        t.idles.push_back(0);
+        t.mxus.push_back(0);
+        t.replays.push_back(0);
+        t.host_rows.emplace_back();
+        t.tpu_rows.emplace_back();
+        return t.ids.size() - 1;
     }
     const auto it =
-        std::lower_bound(ids.begin(), ids.end(), step);
+        std::lower_bound(t.ids.begin(), t.ids.end(), step);
     const auto row =
-        static_cast<std::size_t>(it - ids.begin());
-    if (it != ids.end() && *it == step) {
+        static_cast<std::size_t>(it - t.ids.begin());
+    if (it != t.ids.end() && *it == step) {
         // Existing row: widen the event envelope.
-        begins[row] = std::min(begins[row], begin);
-        ends[row] = std::max(ends[row], end);
+        t.begins[row] = std::min(t.begins[row], begin);
+        t.ends[row] = std::max(t.ends[row], end);
         return row;
     }
     const auto offset = static_cast<std::ptrdiff_t>(row);
-    ids.insert(ids.begin() + offset, step);
-    begins.insert(begins.begin() + offset, begin);
-    ends.insert(ends.begin() + offset, end);
-    busys.insert(busys.begin() + offset, 0);
-    idles.insert(idles.begin() + offset, 0);
-    mxus.insert(mxus.begin() + offset, 0);
-    replays.insert(replays.begin() + offset, 0);
+    t.ids.insert(t.ids.begin() + offset, step);
+    t.begins.insert(t.begins.begin() + offset, begin);
+    t.ends.insert(t.ends.begin() + offset, end);
+    t.busys.insert(t.busys.begin() + offset, 0);
+    t.idles.insert(t.idles.begin() + offset, 0);
+    t.mxus.insert(t.mxus.begin() + offset, 0);
+    t.replays.insert(t.replays.begin() + offset, 0);
     // Note: explicit empty-vector values; a braced `{}` here would
     // pick the initializer-list overload and insert nothing.
-    host_rows.insert(host_rows.begin() + offset,
-                     std::vector<ColumnarOpStats>());
-    tpu_rows.insert(tpu_rows.begin() + offset,
-                    std::vector<ColumnarOpStats>());
+    t.host_rows.insert(t.host_rows.begin() + offset,
+                       std::vector<ColumnarOpStats>());
+    t.tpu_rows.insert(t.tpu_rows.begin() + offset,
+                      std::vector<ColumnarOpStats>());
     return row;
 }
 
@@ -100,14 +101,14 @@ StepTableBuilder::foldStep(StepId step, SimTime begin, SimTime end,
 {
     const std::size_t row = rowFor(step, begin, end);
     touched_floor = std::min(touched_floor, row);
-    busys[row] += busy;
-    idles[row] += idle;
-    mxus[row] += mxu;
-    mergeOpRuns(host_rows[row], host, scratch);
-    mergeOpRuns(tpu_rows[row], tpu, scratch);
+    table.busys[row] += busy;
+    table.idles[row] += idle;
+    table.mxus[row] += mxu;
+    mergeOpRuns(table.host_rows[row], host, scratch);
+    mergeOpRuns(table.tpu_rows[row], tpu, scratch);
     for (const auto &[after, through] : replay_ranges) {
         if (step > after && step <= through) {
-            replays[row] = 1;
+            table.replays[row] = 1;
             break;
         }
     }
@@ -128,29 +129,27 @@ StepTableBuilder::ingest(const ColumnarRecord &record)
 std::size_t
 StepTableBuilder::dropAfter(StepId after, SimTime *dropped_span)
 {
+    StepTable &t = table;
     const auto it =
-        std::upper_bound(ids.begin(), ids.end(), after);
+        std::upper_bound(t.ids.begin(), t.ids.end(), after);
     const auto first =
-        static_cast<std::size_t>(it - ids.begin());
-    const std::size_t dropped = ids.size() - first;
+        static_cast<std::size_t>(it - t.ids.begin());
+    const std::size_t dropped = t.ids.size() - first;
     if (dropped > 0)
         touched_floor = std::min(touched_floor, first);
     if (dropped_span) {
-        for (std::size_t row = first; row < ids.size(); ++row) {
-            *dropped_span +=
-                ends[row] > begins[row] ? ends[row] - begins[row]
-                                        : 0;
-        }
+        for (std::size_t row = first; row < t.ids.size(); ++row)
+            *dropped_span += t.span(row);
     }
-    ids.resize(first);
-    begins.resize(first);
-    ends.resize(first);
-    busys.resize(first);
-    idles.resize(first);
-    mxus.resize(first);
-    replays.resize(first);
-    host_rows.resize(first);
-    tpu_rows.resize(first);
+    t.ids.resize(first);
+    t.begins.resize(first);
+    t.ends.resize(first);
+    t.busys.resize(first);
+    t.idles.resize(first);
+    t.mxus.resize(first);
+    t.replays.resize(first);
+    t.host_rows.resize(first);
+    t.tpu_rows.resize(first);
     return dropped;
 }
 
@@ -165,43 +164,7 @@ StepTableBuilder::markReplayed(StepId after, StepId through)
 StepTable
 StepTableBuilder::build() &&
 {
-    StepTable table;
-    table.ids = std::move(ids);
-    table.begins = std::move(begins);
-    table.ends = std::move(ends);
-    table.busys = std::move(busys);
-    table.idles = std::move(idles);
-    table.mxus = std::move(mxus);
-    table.replays = std::move(replays);
-
-    // Flatten the per-row op runs into CSR.
-    const std::size_t rows = table.ids.size();
-    std::size_t host_total = 0, tpu_total = 0;
-    for (std::size_t i = 0; i < rows; ++i) {
-        host_total += host_rows[i].size();
-        tpu_total += tpu_rows[i].size();
-    }
-    table.host_offsets.reserve(rows + 1);
-    table.tpu_offsets.reserve(rows + 1);
-    table.host_entries.reserve(host_total);
-    table.tpu_entries.reserve(tpu_total);
-    table.host_offsets.push_back(0);
-    table.tpu_offsets.push_back(0);
-    for (std::size_t i = 0; i < rows; ++i) {
-        table.host_entries.insert(table.host_entries.end(),
-                                  host_rows[i].begin(),
-                                  host_rows[i].end());
-        table.tpu_entries.insert(table.tpu_entries.end(),
-                                 tpu_rows[i].begin(),
-                                 tpu_rows[i].end());
-        table.host_offsets.push_back(
-            static_cast<std::uint32_t>(table.host_entries.size()));
-        table.tpu_offsets.push_back(
-            static_cast<std::uint32_t>(table.tpu_entries.size()));
-    }
-    host_rows.clear();
-    tpu_rows.clear();
-    return table;
+    return std::move(table);
 }
 
 StepTable

@@ -6,12 +6,14 @@
  * using the TPU step numbers" — Section IV-A, stage 1).
  *
  * Storage is columnar: parallel per-step arrays for the scalar
- * columns (step id, timing, device counters, replay flag) and a
- * CSR layout — offset columns into flat, id-sorted operator-entry
- * arrays — for the per-step operator statistics, with operator
- * names interned to dense u32 ids (core/interner). Detectors walk
- * contiguous memory and compare integer ids; a name is looked up
- * through the interner only where a label is printed.
+ * columns (step id, timing, device counters, replay flag) and, for
+ * the per-step operator statistics, one id-sorted entry vector per
+ * row, with operator names interned to dense u32 ids
+ * (core/interner). The builder folds into those rows and build()
+ * hands them over as they are, so finishing a table copies nothing.
+ * Detectors walk each row's contiguous entries and compare integer
+ * ids; a name is looked up through the interner only where a label
+ * is printed.
  */
 
 #ifndef TPUPOINT_ANALYZER_STEP_TABLE_HH
@@ -26,7 +28,57 @@
 
 namespace tpupoint {
 
-class StepTable;
+/**
+ * Per-step statistics aggregated across every profile window,
+ * ascending by step number. Columnar accessors index by row
+ * position (0..size()), not by step id.
+ */
+class StepTable
+{
+  public:
+    /**
+     * Merge in-memory records into a table (one-shot builder; each
+     * record crosses the toColumnar() boundary).
+     */
+    static StepTable fromRecords(
+        const std::vector<ProfileRecord> &records);
+
+    /** Number of steps observed. */
+    std::size_t size() const { return ids.size(); }
+
+    /** Columnar accessors (unchecked; index < size()). */
+    StepId stepId(std::size_t i) const { return ids[i]; }
+    SimTime beginTime(std::size_t i) const { return begins[i]; }
+    SimTime endTime(std::size_t i) const { return ends[i]; }
+    SimTime tpuBusy(std::size_t i) const { return busys[i]; }
+    SimTime tpuIdle(std::size_t i) const { return idles[i]; }
+    SimTime mxuActive(std::size_t i) const { return mxus[i]; }
+    bool replayed(std::size_t i) const { return replays[i] != 0; }
+
+    /** Wall-clock span covered by step @p i's events. */
+    SimTime
+    span(std::size_t i) const
+    {
+        return ends[i] > begins[i] ? ends[i] - begins[i] : 0;
+    }
+
+    /** Step @p i's operator entries, sorted by interned id. */
+    OpStatsSpan hostOps(std::size_t i) const { return host_rows[i]; }
+    OpStatsSpan tpuOps(std::size_t i) const { return tpu_rows[i]; }
+
+    /** Sum of all step spans (the execution time phases divide). */
+    SimTime totalDuration() const;
+
+  private:
+    friend class StepTableBuilder;
+
+    std::vector<StepId> ids;
+    std::vector<SimTime> begins, ends, busys, idles, mxus;
+    std::vector<std::uint8_t> replays;
+
+    /** Row i's op entries, id-sorted: the builder's merge rows. */
+    std::vector<std::vector<ColumnarOpStats>> host_rows, tpu_rows;
+};
 
 /**
  * Incremental step aggregation: records are folded in one at a
@@ -34,7 +86,7 @@ class StepTable;
  * be built while the profile is still being read (or recorded)
  * without materializing the record list. Rows are kept sorted by
  * step id throughout (ingest is effectively append-only for
- * in-order profiles), so build() is a flatten, not a sort.
+ * in-order profiles), so build() is a move, not a sort or a copy.
  */
 class StepTableBuilder
 {
@@ -49,37 +101,17 @@ class StepTableBuilder
     std::uint64_t recordsIngested() const { return records_seen; }
 
     /** Steps aggregated so far. */
-    std::size_t stepsAggregated() const { return ids.size(); }
+    std::size_t stepsAggregated() const { return table.size(); }
 
     /**
-     * Read-only peek at row @p i of the in-progress aggregation
-     * (rows are sorted by step id, same order build() flattens
-     * them in). The incremental detectors consume settled rows
-     * through these without waiting for the table; a later ingest
-     * may still fold into the row (see touchedFloor()).
+     * Read-only view of the in-progress aggregation: rows sorted by
+     * step id, the table build() will return. The incremental
+     * detectors consume settled rows through it without waiting
+     * for the build; a later ingest may still fold into a row (see
+     * touchedFloor()), so op spans taken from it are valid only
+     * until the next ingest or dropAfter().
      */
-    StepId rowStepId(std::size_t i) const { return ids[i]; }
-
-    /** Wall span of in-progress row @p i. */
-    SimTime
-    rowSpan(std::size_t i) const
-    {
-        return ends[i] > begins[i] ? ends[i] - begins[i] : 0;
-    }
-
-    /** In-progress row @p i's host op entries, id-sorted. */
-    OpStatsSpan
-    rowHostOps(std::size_t i) const
-    {
-        return OpStatsSpan(host_rows[i]);
-    }
-
-    /** In-progress row @p i's TPU op entries, id-sorted. */
-    OpStatsSpan
-    rowTpuOps(std::size_t i) const
-    {
-        return OpStatsSpan(tpu_rows[i]);
-    }
+    const StepTable &rows() const { return table; }
 
     /**
      * Rewind detection for incremental consumers: the lowest row
@@ -119,7 +151,8 @@ class StepTableBuilder
      */
     void markReplayed(StepId after, StepId through);
 
-    /** Finish aggregation; the builder is consumed. */
+    /** Finish aggregation; the builder's rows move into the
+     * table. */
     StepTable build() &&;
 
   private:
@@ -131,14 +164,8 @@ class StepTableBuilder
                   SimTime busy, SimTime idle, SimTime mxu,
                   OpStatsSpan host, OpStatsSpan tpu);
 
-    /** Parallel columns, sorted ascending by step id. */
-    std::vector<StepId> ids;
-    std::vector<SimTime> begins, ends, busys, idles, mxus;
-    std::vector<std::uint8_t> replays;
-
-    /** Per-row op entries, id-sorted (flattened to CSR on build). */
-    std::vector<std::vector<ColumnarOpStats>> host_rows;
-    std::vector<std::vector<ColumnarOpStats>> tpu_rows;
+    /** The rows aggregated so far, sorted ascending by step id. */
+    StepTable table;
 
     /** Reused merge scratch (capacity retained). */
     std::vector<ColumnarOpStats> scratch;
@@ -151,72 +178,6 @@ class StepTableBuilder
     /** (after, through] ranges whose re-ingested steps are
      * replays. */
     std::vector<std::pair<StepId, StepId>> replay_ranges;
-};
-
-/**
- * Per-step statistics aggregated across every profile window,
- * ascending by step number. Columnar accessors index by row
- * position (0..size()), not by step id.
- */
-class StepTable
-{
-  public:
-    /**
-     * Merge in-memory records into a table (one-shot builder; each
-     * record crosses the toColumnar() boundary).
-     */
-    static StepTable fromRecords(
-        const std::vector<ProfileRecord> &records);
-
-    /** Number of steps observed. */
-    std::size_t size() const { return ids.size(); }
-
-    /** Columnar accessors (unchecked; index < size()). */
-    StepId stepId(std::size_t i) const { return ids[i]; }
-    SimTime beginTime(std::size_t i) const { return begins[i]; }
-    SimTime endTime(std::size_t i) const { return ends[i]; }
-    SimTime tpuBusy(std::size_t i) const { return busys[i]; }
-    SimTime tpuIdle(std::size_t i) const { return idles[i]; }
-    SimTime mxuActive(std::size_t i) const { return mxus[i]; }
-    bool replayed(std::size_t i) const { return replays[i] != 0; }
-
-    /** Wall-clock span covered by step @p i's events. */
-    SimTime
-    span(std::size_t i) const
-    {
-        return ends[i] > begins[i] ? ends[i] - begins[i] : 0;
-    }
-
-    /** Step @p i's operator entries, sorted by interned id. */
-    OpStatsSpan
-    hostOps(std::size_t i) const
-    {
-        return OpStatsSpan(host_entries.data() + host_offsets[i],
-                           host_offsets[i + 1] - host_offsets[i]);
-    }
-
-    OpStatsSpan
-    tpuOps(std::size_t i) const
-    {
-        return OpStatsSpan(tpu_entries.data() + tpu_offsets[i],
-                           tpu_offsets[i + 1] - tpu_offsets[i]);
-    }
-
-    /** Sum of all step spans (the execution time phases divide). */
-    SimTime totalDuration() const;
-
-  private:
-    friend class StepTableBuilder;
-
-    std::vector<StepId> ids;
-    std::vector<SimTime> begins, ends, busys, idles, mxus;
-    std::vector<std::uint8_t> replays;
-
-    /** CSR: row i's entries are *_entries[*_offsets[i] ..
-     * *_offsets[i+1]), id-sorted. Offsets have size()+1 elements
-     * (or are empty for an empty table). */
-    std::vector<std::uint32_t> host_offsets, tpu_offsets;
-    std::vector<ColumnarOpStats> host_entries, tpu_entries;
 };
 
 } // namespace tpupoint

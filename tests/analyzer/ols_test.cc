@@ -20,8 +20,7 @@ feed(OnlineLinearScan &ols, const StepStats &step)
     const ColumnarRecord record =
         testutil::columnar(testutil::makeRecord({step}));
     ols.addStep(record.step[0], record.stepSpan(0),
-                OnlineLinearScan::opKeys(record.hostOps(0),
-                                         record.tpuOps(0)));
+                record.hostOps(0), record.tpuOps(0));
 }
 
 TEST(OlsSimilarityTest, EquationOneExamples)

@@ -2,7 +2,8 @@
  * @file
  * Columnar record decode: equivalence with the row decoder, buffer
  * reuse, and the steady-state zero-allocation guarantee of the
- * analyzer's read loop.
+ * analyzer's read loop; plus the allocation bound of the OLS batch
+ * finalize that consumes those records.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,9 @@
 #include <sstream>
 #include <string>
 
+#include "analyzer/analyzer.hh"
 #include "core/rng.hh"
+#include "core/thread_pool.hh"
 #include "proto/serialize.hh"
 
 // Binary-wide allocation counter: every operator new in this test
@@ -247,6 +250,80 @@ TEST(ColumnarTest, SteadyStateReadLoopDoesNotAllocate)
     EXPECT_EQ(produced, kRecords);
     EXPECT_EQ(allocations_after - allocations_before, 0u);
     EXPECT_EQ(reader.bufferGrowths(), growths_before);
+}
+
+/**
+ * A repeating three-phase run of @p steps steps (train x12, eval x4,
+ * checkpoint x2), ten steps per record, in the columnar form the
+ * analyzer ingests.
+ */
+std::vector<ColumnarRecord>
+threePhaseSchedule(std::size_t steps)
+{
+    const std::vector<std::vector<const char *>> phases = {
+        {"fusion", "MatMul", "Conv2DBackpropFilter", "all-reduce"},
+        {"ArgMax", "Equal", "Squeeze", "Mean"},
+        {"SaveV2", "ShardedFilename", "MergeV2Checkpoints"}};
+    const std::size_t lengths[] = {12, 4, 2};
+    std::vector<ColumnarRecord> out;
+    ProfileRecord record;
+    std::size_t phase = 0, left = lengths[0];
+    for (std::size_t i = 0; i < steps; ++i) {
+        if (left == 0) {
+            phase = (phase + 1) % 3;
+            left = lengths[phase];
+        }
+        --left;
+        StepStats step;
+        step.step = i;
+        step.begin = static_cast<SimTime>(i * 100);
+        step.end = step.begin + 90;
+        for (const char *name : phases[phase]) {
+            OpStats &stats = step.tpu_ops[name];
+            stats.count = 1 + i % 3;
+            stats.total_duration = 10;
+        }
+        step.host_ops["RunGraph"].add(5);
+        record.steps.push_back(std::move(step));
+        if (record.steps.size() == 10 || i + 1 == steps) {
+            toColumnar(record, out.emplace_back());
+            record.steps.clear();
+            ++record.sequence;
+        }
+    }
+    return out;
+}
+
+/** Heap allocations of one OLS batch finalize over @p steps steps. */
+std::uint64_t
+olsFinalizeAllocations(std::size_t steps)
+{
+    AnalyzerOptions options;
+    options.algorithm = PhaseAlgorithm::OnlineLinearScan;
+    AnalysisSession session(options);
+    for (const ColumnarRecord &record : threePhaseSchedule(steps))
+        session.ingest(record);
+    ThreadPool pool(ThreadPoolOptions{});
+    const std::uint64_t before =
+        allocation_count.load(std::memory_order_relaxed);
+    const AnalysisResult result = session.finalize({}, pool);
+    const std::uint64_t after =
+        allocation_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(result.table.size(), steps);
+    EXPECT_EQ(result.phases.size(), 3u);
+    return after - before;
+}
+
+TEST(ColumnarTest, OlsFinalizeAllocationsDoNotGrowWithSteps)
+{
+    // build() adopts the builder's rows, the scan reuses its key
+    // buffers and the phase sums are dense: what finalize
+    // allocates scales with phases and segments' vector doublings,
+    // never once per step.
+    const std::uint64_t small = olsFinalizeAllocations(1000);
+    const std::uint64_t large = olsFinalizeAllocations(8000);
+    EXPECT_LT(large > small ? large - small : small - large, 64u)
+        << "1,000 steps: " << small << ", 8,000 steps: " << large;
 }
 
 } // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "workloads/catalog.hh"
 
 namespace tpupoint {
@@ -132,9 +134,26 @@ TEST(CatalogTest, ResnetCifarKeepsModelChangesDataset)
               imagenet.train_schedule.total_flops / 10);
 }
 
+/** One catalog entry, with the name its ctest id carries. */
+struct CatalogCase
+{
+    const char *name;
+    WorkloadId id;
+};
+
+/**
+ * Print a case by name: without this gtest prints the enum's raw
+ * bytes into the ctest names.
+ */
+void
+PrintTo(const CatalogCase &entry, std::ostream *os)
+{
+    *os << entry.name;
+}
+
 /** Property: every catalog entry builds a consistent workload. */
 class CatalogProperty
-    : public ::testing::TestWithParam<WorkloadId>
+    : public ::testing::TestWithParam<CatalogCase>
 {
 };
 
@@ -142,7 +161,7 @@ TEST_P(CatalogProperty, BuildsConsistentWorkload)
 {
     WorkloadOptions options;
     options.step_scale = 0.02;
-    const RuntimeWorkload w = makeWorkload(GetParam(), options);
+    const RuntimeWorkload w = makeWorkload(GetParam().id, options);
     EXPECT_FALSE(w.name.empty());
     EXPECT_GT(w.batch_size, 0u);
     EXPECT_GT(w.schedule.train_steps, 0u);
@@ -159,16 +178,23 @@ TEST_P(CatalogProperty, BuildsConsistentWorkload)
 
 INSTANTIATE_TEST_SUITE_P(
     AllEntries, CatalogProperty,
-    ::testing::Values(WorkloadId::BertMrpc, WorkloadId::BertSquad,
-                      WorkloadId::BertCola, WorkloadId::BertMnli,
-                      WorkloadId::DcganCifar10,
-                      WorkloadId::DcganMnist,
-                      WorkloadId::QanetSquad,
-                      WorkloadId::RetinanetCoco,
-                      WorkloadId::ResnetImagenet,
-                      WorkloadId::QanetSquadHalf,
-                      WorkloadId::RetinanetCocoHalf,
-                      WorkloadId::ResnetCifar10));
+    ::testing::Values(
+        CatalogCase{"bert_mrpc", WorkloadId::BertMrpc},
+        CatalogCase{"bert_squad", WorkloadId::BertSquad},
+        CatalogCase{"bert_cola", WorkloadId::BertCola},
+        CatalogCase{"bert_mnli", WorkloadId::BertMnli},
+        CatalogCase{"dcgan_cifar10", WorkloadId::DcganCifar10},
+        CatalogCase{"dcgan_mnist", WorkloadId::DcganMnist},
+        CatalogCase{"qanet_squad", WorkloadId::QanetSquad},
+        CatalogCase{"retinanet_coco", WorkloadId::RetinanetCoco},
+        CatalogCase{"resnet_imagenet", WorkloadId::ResnetImagenet},
+        CatalogCase{"qanet_squad_half", WorkloadId::QanetSquadHalf},
+        CatalogCase{"retinanet_coco_half",
+                    WorkloadId::RetinanetCocoHalf},
+        CatalogCase{"resnet_cifar10", WorkloadId::ResnetCifar10}),
+    [](const ::testing::TestParamInfo<CatalogCase> &param_info) {
+        return param_info.param.name;
+    });
 
 } // namespace
 } // namespace tpupoint
