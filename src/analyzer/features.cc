@@ -112,11 +112,16 @@ FeatureMatrix::build(const StepTable &table,
             for (std::size_t d = 0; d < raw_dims; ++d)
                 maxima[d] = std::max(maxima[d], std::abs(row[d]));
         }
+        // An all-zero column divides by 1.0, which is exact: the
+        // loop needs no per-cell branch and no cell changes bits.
+        for (double &divisor : maxima) {
+            if (!(divisor > 0))
+                divisor = 1.0;
+        }
         for (std::size_t r = 0; r < out.data.rows(); ++r) {
             double *row = out.data.rowPtr(r);
             for (std::size_t d = 0; d < raw_dims; ++d)
-                if (maxima[d] > 0)
-                    row[d] /= maxima[d];
+                row[d] /= maxima[d];
         }
     }
 

@@ -43,7 +43,9 @@ TrainingSession::TrainingSession(Simulator &simulator,
              session_config.device.pcie_bandwidth, &hub),
       outfeed(simulator, outfeed_q,
               session_config.device.pcie_bandwidth, &hub),
-      ckpt(simulator, storage, workload_def.model_bytes, &hub)
+      ckpt(simulator, storage, workload_def.model_bytes, &hub),
+      train_priced(core.price(work.train_schedule)),
+      eval_priced(core.price(work.eval_schedule))
 {
     core.setSink(&hub);
     storage.setTraceSink(&hub);
@@ -143,8 +145,8 @@ TrainingSession::initPhase()
 
 void
 TrainingSession::runSteps(std::uint64_t count,
-                          const StepSchedule &schedule, bool is_eval,
-                          std::function<void()> next)
+                          const PricedSchedule &schedule,
+                          bool is_eval, std::function<void()> next)
 {
     if (count == 0) {
         if (next)
@@ -161,9 +163,8 @@ TrainingSession::runSteps(std::uint64_t count,
         emitHost(hostop::kConcatV2, sim.now(), 80 * kUsec, step);
         emitHost(hostop::kSqueeze, sim.now(), 40 * kUsec, step);
     }
-    // Capture the schedule by address: it lives in the workload
-    // definition, which outlives the session.
-    const StepSchedule *sched = &schedule;
+    // Capture the schedule by address: the session owns it.
+    const PricedSchedule *sched = &schedule;
     core.runStep(schedule, step,
                  [this, count, sched, is_eval,
                   next = std::move(next)]() mutable {
@@ -202,7 +203,7 @@ TrainingSession::trainLoop()
     emitHost(hostop::kRunGraph, sim.now(), 2 * kMsec, next_step);
     emitHost(hostop::kSend, sim.now(), 300 * kUsec, next_step);
 
-    runSteps(loop_steps, work.train_schedule, false,
+    runSteps(loop_steps, train_priced, false,
              [this, loop_steps, gstep]() {
         emitHost(hostop::kRecv, sim.now(), 300 * kUsec,
                  next_step ? next_step - 1 : 0);
@@ -232,8 +233,7 @@ TrainingSession::trainLoop()
             // it restores the latest checkpoint, then runs the
             // eval program.
             ckpt.restore(next_step, [this, maybe_checkpoint]() {
-                runSteps(work.schedule.eval_steps,
-                         work.eval_schedule, true,
+                runSteps(work.schedule.eval_steps, eval_priced, true,
                          maybe_checkpoint);
             });
         } else {

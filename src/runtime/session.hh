@@ -153,7 +153,7 @@ class TrainingSession
   private:
     void initPhase();
     void trainLoop();
-    void runSteps(std::uint64_t count, const StepSchedule &schedule,
+    void runSteps(std::uint64_t count, const PricedSchedule &schedule,
                   bool is_eval, std::function<void()> next);
     void finishRun();
     void abortRun(const PreemptionEvent &event);
@@ -180,6 +180,9 @@ class TrainingSession
     InfeedDriver infeed;
     OutfeedDrain outfeed;
     CheckpointManager ckpt;
+    /** The workload's step schedules, priced once for the device. */
+    PricedSchedule train_priced;
+    PricedSchedule eval_priced;
 
     StepCallback step_cb;
     std::function<void()> completion;

@@ -7,6 +7,62 @@
 
 namespace tpupoint {
 
+namespace {
+
+PricedKind
+pricedKind(OpKind kind)
+{
+    switch (kind) {
+      case OpKind::InfeedDequeueTuple:
+      case OpKind::Infeed:
+        return PricedKind::Infeed;
+      case OpKind::OutfeedEnqueueTuple:
+      case OpKind::Outfeed:
+        return PricedKind::Outfeed;
+      default:
+        return PricedKind::Regular;
+    }
+}
+
+} // namespace
+
+PricedSchedule::PricedSchedule(const StepSchedule &schedule,
+                               const TpuDeviceSpec &device)
+    : table(schedule.ops.size())
+{
+    // Back to front, so each regular op can carry the totals from
+    // itself to the end of its run.
+    std::uint32_t run_end = static_cast<std::uint32_t>(table.size());
+    SimTime run_base = 0;
+    SimTime run_mxu_active = 0;
+    for (std::size_t i = table.size(); i-- > 0;) {
+        const ScheduledOp &op = schedule.ops[i];
+        PricedOp &priced = table[i];
+        priced.type = op.typeName();
+        priced.kind = pricedKind(op.kind);
+        priced.mxu = op.mxu;
+        if (priced.kind != PricedKind::Regular) {
+            if (priced.kind == PricedKind::Outfeed) {
+                priced.result_bytes =
+                    op.bytes ? op.bytes : schedule.outfeed_bytes;
+                priced.base = hbmTime(device, priced.result_bytes) +
+                    device.op_overhead;
+            }
+            run_end = static_cast<std::uint32_t>(i);
+            run_base = 0;
+            run_mxu_active = 0;
+            continue;
+        }
+        priced.base = opDuration(device, op);
+        priced.mxu_active = mxuActiveTime(device, op);
+        run_base += priced.base;
+        run_mxu_active += priced.mxu_active;
+        priced.run_base = run_base;
+        priced.run_mxu_active = run_mxu_active;
+        priced.run_end = run_end;
+    }
+}
+
 TpuCore::TpuCore(Simulator &simulator,
                  const TpuDeviceSpec &device_spec,
                  InfeedQueue &infeed_queue,
@@ -34,7 +90,8 @@ TpuCore::emit(const char *type, SimTime start, SimTime duration,
 }
 
 void
-TpuCore::runStep(const StepSchedule &schedule, StepId step, Done done)
+TpuCore::runStep(const PricedSchedule &schedule, StepId step,
+                 Done done)
 {
     if (step_in_flight)
         panic("TpuCore::runStep: a step is already in flight");
@@ -44,10 +101,10 @@ TpuCore::runStep(const StepSchedule &schedule, StepId step, Done done)
 }
 
 void
-TpuCore::execute(const StepSchedule *schedule, std::size_t index,
+TpuCore::execute(const PricedSchedule *schedule, std::size_t index,
                  StepId step)
 {
-    const auto &ops = schedule->ops;
+    const std::span<const PricedOp> ops = schedule->ops();
     if (index >= ops.size()) {
         step_in_flight = false;
         ++stats.steps_completed;
@@ -58,10 +115,9 @@ TpuCore::execute(const StepSchedule *schedule, std::size_t index,
         return;
     }
 
-    const ScheduledOp &op = ops[index];
+    const PricedOp &op = ops[index];
 
-    if (op.kind == OpKind::InfeedDequeueTuple ||
-        op.kind == OpKind::Infeed) {
+    if (op.kind == PricedKind::Infeed) {
         // Wait for the host to deliver the batch; stall time is TPU
         // idle and appears in profiles as an `Infeed` event.
         const SimTime wait_start = sim.now();
@@ -89,24 +145,19 @@ TpuCore::execute(const StepSchedule *schedule, std::size_t index,
         return;
     }
 
-    if (op.kind == OpKind::OutfeedEnqueueTuple ||
-        op.kind == OpKind::Outfeed) {
-        const std::uint64_t result_bytes =
-            op.bytes ? op.bytes : schedule->outfeed_bytes;
-        const SimTime enqueue =
-            hbmTime(device, result_bytes) + device.op_overhead;
+    if (op.kind == PricedKind::Outfeed) {
         const SimTime start = sim.now();
-        sim.schedule(enqueue, [this, schedule, index, step, start,
-                               enqueue, result_bytes]() {
+        sim.schedule(op.base, [this, schedule, index, step, start]() {
+            const PricedOp &out = schedule->ops()[index];
             emit(opKindName(OpKind::OutfeedEnqueueTuple), start,
-                 enqueue, step, false);
-            stats.busy += enqueue;
+                 out.base, step, false);
+            stats.busy += out.base;
             ++stats.ops_executed;
             // Push the result; a full outfeed stalls the device.
             const SimTime push_start = sim.now();
             StepResult result;
             result.step = step;
-            result.bytes = result_bytes;
+            result.bytes = out.result_bytes;
             result.tpu_finished = sim.now();
             outfeed.push(result, [this, schedule, index, step,
                                   push_start]() {
@@ -123,35 +174,31 @@ TpuCore::execute(const StepSchedule *schedule, std::size_t index,
     }
 
     // A run of regular operators: execute back to back, then emit
-    // their events once the run retires (timestamps are exact).
-    run_events.clear();
-    SimTime cursor = sim.now();
-    std::size_t next = index;
-    while (next < ops.size()) {
-        const ScheduledOp &run_op = ops[next];
-        if (run_op.kind == OpKind::InfeedDequeueTuple ||
-            run_op.kind == OpKind::Infeed ||
-            run_op.kind == OpKind::OutfeedEnqueueTuple ||
-            run_op.kind == OpKind::Outfeed)
-            break;
-        const SimTime duration =
-            opDuration(device, run_op) + trace_overhead;
-        const SimTime active = mxuActiveTime(device, run_op);
-        run_events.push_back(PendingEvent{run_op.typeName(), cursor,
-                                          duration, run_op.mxu,
-                                          active});
-        cursor += duration;
-        stats.mxu_active += active;
-        ++next;
-    }
-
-    const SimTime total = cursor - sim.now();
-    sim.schedule(total, [this, schedule, next, step, total]() {
-        for (const auto &e : run_events)
-            emit(e.type, e.start, e.duration, step, e.mxu,
-                 e.mxu_active);
+    // their events once the run retires. The overhead in force now
+    // prices the whole run; each event starts where the previous
+    // one ended, so timestamps are exact integer sums.
+    const SimTime overhead = trace_overhead;
+    const std::size_t count = op.run_end - index;
+    const SimTime total =
+        op.run_base + static_cast<SimTime>(count) * overhead;
+    stats.mxu_active += op.run_mxu_active;
+    const SimTime start = sim.now();
+    sim.schedule(total, [this, schedule, index, step, start, total,
+                         overhead]() {
+        const std::span<const PricedOp> run = schedule->ops();
+        const std::size_t next = run[index].run_end;
+        if (sink) {
+            SimTime cursor = start;
+            for (std::size_t i = index; i < next; ++i) {
+                const PricedOp &e = run[i];
+                const SimTime duration = e.base + overhead;
+                emit(e.type, cursor, duration, step, e.mxu,
+                     e.mxu_active);
+                cursor += duration;
+            }
+        }
         stats.busy += total;
-        stats.ops_executed += run_events.size();
+        stats.ops_executed += next - index;
         execute(schedule, next, step);
     });
 }

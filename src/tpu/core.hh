@@ -6,12 +6,18 @@
  * are accounted here and surface in profile records — they are
  * emergent properties of the host/device balance, not configured
  * numbers.
+ *
+ * Operator costs depend only on the op and the device, so a
+ * schedule is priced once (PricedSchedule) and every step replays
+ * that table: the per-step work is queue hand-offs and one event per
+ * operator, not a roofline evaluation per operator.
  */
 
 #ifndef TPUPOINT_TPU_CORE_HH
 #define TPUPOINT_TPU_CORE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/schedule.hh"
@@ -21,6 +27,56 @@
 #include "tpu/spec.hh"
 
 namespace tpupoint {
+
+/** How an operator of a priced schedule executes. */
+enum class PricedKind : std::uint8_t
+{
+    Regular, ///< Runs back to back with its neighbours.
+    Infeed,  ///< Waits for a host batch, then stages it into HBM.
+    Outfeed, ///< Enqueues its result, then pushes it to the host.
+};
+
+/** One operator of a StepSchedule, priced for one device. */
+struct PricedOp
+{
+    const char *type = nullptr; ///< Op-type label (opKindName).
+    /** opDuration without trace overhead; for an outfeed, the
+     * enqueue time of its result. Unused for an infeed, whose
+     * staging time depends on the batch. */
+    SimTime base = 0;
+    SimTime mxu_active = 0; ///< mxuActiveTime.
+    /** Regular op: the sums of `base` and `mxu_active` from this op
+     * to the end of its run of regular ops. */
+    SimTime run_base = 0;
+    SimTime run_mxu_active = 0;
+    /** Outfeed: bytes pushed to the host. */
+    std::uint64_t result_bytes = 0;
+    /** Regular op: index one past the end of its run. */
+    std::uint32_t run_end = 0;
+    PricedKind kind = PricedKind::Regular;
+    bool mxu = false;
+};
+
+/**
+ * A StepSchedule priced for one device: every operator's duration,
+ * MXU time and label, computed once. Self-contained — it keeps no
+ * reference to the schedule it was built from. The owner keeps one
+ * per (schedule, device) for as long as steps run on it; nothing
+ * caches tables by schedule address, since a freed schedule's
+ * address can come back holding a different schedule.
+ */
+class PricedSchedule
+{
+  public:
+    PricedSchedule() = default;
+    PricedSchedule(const StepSchedule &schedule,
+                   const TpuDeviceSpec &device);
+
+    std::span<const PricedOp> ops() const { return table; }
+
+  private:
+    std::vector<PricedOp> table;
+};
 
 /**
  * Event-driven model of one Cloud TPU instance executing compiled
@@ -57,19 +113,30 @@ class TpuCore
     /**
      * Extra per-op cost while profiling instrumentation is active
      * (the source of TPUPoint's small runtime overhead; Section
-     * VII-C measures it at under 10%).
+     * VII-C measures it at under 10%). A run of regular operators
+     * takes the overhead in force when it starts, so a change lands
+     * at the next run.
      */
     void setTraceOverhead(SimTime per_op) { trace_overhead = per_op; }
 
     /** Current per-op instrumentation cost. */
     SimTime traceOverhead() const { return trace_overhead; }
 
+    /** Price @p schedule for this core's device. */
+    PricedSchedule price(const StepSchedule &schedule) const
+    {
+        return PricedSchedule(schedule, device);
+    }
+
     /**
-     * Execute @p schedule as global step @p step. Asynchronous: @p
-     * done fires when the last operator (and outfeed push) retires.
-     * Only one step may be in flight at a time.
+     * Execute @p schedule (priced for this core's device, and kept
+     * alive until @p done fires) as global step @p step.
+     * Asynchronous: @p done fires when the last operator (and
+     * outfeed push) retires. Only one step may be in flight at a
+     * time.
      */
-    void runStep(const StepSchedule &schedule, StepId step, Done done);
+    void runStep(const PricedSchedule &schedule, StepId step,
+                 Done done);
 
     /** Device counters. */
     const Counters &counters() const { return stats; }
@@ -78,17 +145,7 @@ class TpuCore
     const TpuDeviceSpec &spec() const { return device; }
 
   private:
-    /** An operator of the current run, emitted when the run retires. */
-    struct PendingEvent
-    {
-        const char *type;
-        SimTime start;
-        SimTime duration;
-        bool mxu;
-        SimTime mxu_active;
-    };
-
-    void execute(const StepSchedule *schedule, std::size_t index,
+    void execute(const PricedSchedule *schedule, std::size_t index,
                  StepId step);
 
     void emit(const char *type, SimTime start, SimTime duration,
@@ -105,8 +162,6 @@ class TpuCore
     /** The in-flight step's continuation (one step at a time, so
      * the operator closures need not carry it). */
     Done step_done;
-    /** The in-flight run's operators; reused across runs. */
-    std::vector<PendingEvent> run_events;
 };
 
 } // namespace tpupoint

@@ -6,6 +6,13 @@
  * from a borrowed byte span with explicit bounds checking, so a
  * malformed payload turns into a decode failure instead of a read
  * past the end of the chunk.
+ *
+ * ByteWriter sits on the producer's hot path (every profile window,
+ * every serve journal entry), so each put is inline: one capacity
+ * check, then a store through a `char *`. Its string grows
+ * geometrically by `resize` and may hold bytes past what was
+ * written; `size()` counts only the written bytes, and `str()` trims
+ * to them, so stale bytes of a reused buffer never leak out.
  */
 
 #ifndef TPUPOINT_TRACE_BYTES_HH
@@ -50,86 +57,145 @@ loadLE64(const char *bytes)
     return v;
 }
 
+/** Store @p v little-endian at @p bytes (no alignment needed). */
+inline void
+storeLE32(char *bytes, std::uint32_t v)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(bytes, &v, sizeof(v));
+    } else {
+        for (int i = 0; i < 4; ++i)
+            bytes[i] = static_cast<char>(v >> (8 * i));
+    }
+}
+
+/** Store @p v little-endian at @p bytes (no alignment needed). */
+inline void
+storeLE64(char *bytes, std::uint64_t v)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(bytes, &v, sizeof(v));
+    } else {
+        for (int i = 0; i < 8; ++i)
+            bytes[i] = static_cast<char>(v >> (8 * i));
+    }
+}
+
 /** Append-only little-endian encoder over an owned buffer. */
 class ByteWriter
 {
   public:
     ByteWriter() = default;
 
-    /** Write into @p reuse's storage: its contents are dropped, its
-     * capacity kept. */
-    explicit ByteWriter(std::string reuse) : buffer(std::move(reuse))
+    /** Write into @p reuse's storage: its contents are dropped (never
+     * read back or returned), its capacity kept. */
+    explicit ByteWriter(std::string reuse) : buffer(std::move(reuse)) {}
+
+    ByteWriter(const ByteWriter &) = default;
+    ByteWriter &operator=(const ByteWriter &) = default;
+
+    /** A moved-from writer is empty. */
+    ByteWriter(ByteWriter &&other) noexcept
+        : buffer(std::move(other.buffer)),
+          used(std::exchange(other.used, 0))
     {
-        buffer.clear();
     }
 
-    void
-    putU32(std::uint32_t v)
+    ByteWriter &
+    operator=(ByteWriter &&other) noexcept
     {
-        char bytes[4];
-        for (int i = 0; i < 4; ++i)
-            bytes[i] = static_cast<char>(v >> (8 * i));
-        buffer.append(bytes, sizeof(bytes));
+        buffer = std::move(other.buffer);
+        used = std::exchange(other.used, 0);
+        return *this;
     }
 
-    /** Overwrite the four bytes at @p offset with @p v. */
+    void putU32(std::uint32_t v) { storeLE32(claim(4), v); }
+
+    /** Overwrite the four bytes at @p offset with @p v.
+     * @pre offset + 4 <= size() */
     void
     patchU32(std::size_t offset, std::uint32_t v)
     {
-        for (std::size_t i = 0; i < 4; ++i)
-            buffer[offset + i] = static_cast<char>(v >> (8 * i));
+        storeLE32(buffer.data() + offset, v);
     }
 
-    /** Overwrite the eight bytes at @p offset with @p v. */
+    /** Overwrite the eight bytes at @p offset with @p v.
+     * @pre offset + 8 <= size() */
     void
     patchU64(std::size_t offset, std::uint64_t v)
     {
-        for (std::size_t i = 0; i < 8; ++i)
-            buffer[offset + i] = static_cast<char>(v >> (8 * i));
+        storeLE64(buffer.data() + offset, v);
     }
 
-    void
-    putU64(std::uint64_t v)
-    {
-        char bytes[8];
-        for (int i = 0; i < 8; ++i)
-            bytes[i] = static_cast<char>(v >> (8 * i));
-        buffer.append(bytes, sizeof(bytes));
-    }
+    void putU64(std::uint64_t v) { storeLE64(claim(8), v); }
 
     void putI64(std::int64_t v)
     {
         putU64(static_cast<std::uint64_t>(v));
     }
 
-    void
-    putF64(double v)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        putU64(bits);
-    }
+    void putF64(double v) { putU64(std::bit_cast<std::uint64_t>(v)); }
 
     void
     putString(std::string_view s)
     {
-        putU32(static_cast<std::uint32_t>(s.size()));
-        buffer.append(s.data(), s.size());
+        char *at = claim(4 + s.size());
+        storeLE32(at, static_cast<std::uint32_t>(s.size()));
+        if (!s.empty())
+            std::memcpy(at + 4, s.data(), s.size());
     }
 
-    void putBytes(std::string_view s)
+    void
+    putBytes(std::string_view s)
     {
-        buffer.append(s.data(), s.size());
+        if (!s.empty())
+            std::memcpy(claim(s.size()), s.data(), s.size());
     }
 
-    std::size_t size() const { return buffer.size(); }
+    /** Bytes written so far. */
+    std::size_t size() const { return used; }
 
-    const std::string &str() const & { return buffer; }
+    /** A copy of the bytes written. */
+    std::string str() const & { return buffer.substr(0, used); }
 
-    std::string str() && { return std::move(buffer); }
+    /** The bytes written, in the writer's storage; the writer is
+     * left empty. */
+    std::string
+    str() &&
+    {
+        buffer.resize(used);
+        used = 0;
+        return std::move(buffer);
+    }
 
   private:
+    /** Make room for @p n more bytes and return where they go. */
+    char *
+    claim(std::size_t n)
+    {
+        if (buffer.size() - used < n) [[unlikely]]
+            grow(n);
+        char *at = buffer.data() + used;
+        used += n;
+        return at;
+    }
+
+    /** Geometric growth, using any capacity the string already has
+     * (a reused buffer's, or the small-string buffer). */
+    [[gnu::noinline]] void
+    grow(std::size_t n)
+    {
+        std::size_t target = 2 * buffer.size();
+        if (target < used + n)
+            target = used + n;
+        if (target < buffer.capacity())
+            target = buffer.capacity();
+        buffer.resize(target);
+    }
+
+    /** The first `used` bytes are the output; the rest is slack. */
     std::string buffer;
+    std::size_t used = 0;
 };
 
 /**
