@@ -197,6 +197,43 @@ StatsCollector::record(const TraceEvent &event)
 }
 
 void
+StatsCollector::recordRun(const TraceRun &run)
+{
+    const std::uint64_t n = run.ops.size();
+    // With no negative duration, event ends never decrease, so the
+    // last event is the one the duration cap would see first.
+    if (n == 0 || run.overhead < 0 ||
+        events + n > kMaxEventsPerProfile ||
+        run.end() - window_begin > kMaxProfileDuration) [[unlikely]] {
+        TraceSink::recordRun(run);
+        return;
+    }
+    StepId step = run.step;
+    if (step == kNoStep) {
+        step = latest_step;
+    } else {
+        latest_step = std::max(latest_step, step);
+    }
+    StepAccumulator &acc = accumulatorFor(step);
+    acc.begin = std::min(acc.begin, run.start);
+    acc.end = std::max(acc.end, run.end());
+    const bool tpu = run.device == EventDevice::Tpu;
+    for (const RunLabel &label : run.labels) {
+        const std::uint32_t id = lookupLabel(label.type);
+        const std::size_t index = 2 * std::size_t{id} + (tpu ? 1 : 0);
+        if (index >= acc.ops.size())
+            acc.ops.resize(2 * label_names.size());
+        OpStats &stats = acc.ops[index];
+        stats.count += label.count;
+        stats.total_duration += label.base +
+            static_cast<SimTime>(label.count) * run.overhead;
+    }
+    if (tpu)
+        acc.mxu_active += run.mxu_active;
+    events += n;
+}
+
+void
 StatsCollector::flushMetrics()
 {
     if (events > events_flushed) {

@@ -32,7 +32,9 @@ namespace tpupoint {
  * text gets a dense id the first time it is seen, and a small
  * pointer-keyed cache maps every label pointer to that id, so an
  * event costs one pointer-hash probe plus a few adds into the
- * step's id-indexed counters. harvest() writes the window's wire
+ * step's id-indexed counters; a TraceRun costs the same per
+ * distinct label of its summary instead of per op. harvest() writes
+ * the window's wire
  * payload straight from those counters, in name order; no
  * name-keyed map is built.
  *
@@ -55,6 +57,16 @@ class StatsCollector : public TraceSink
      * Panics on an event with no type label (a null `type`).
      */
     void record(const TraceEvent &event) override;
+
+    /**
+     * Fold a run into the current window, ending in the state its
+     * events would leave through record(). A run that fits under
+     * both caps is folded whole: one label probe and two adds per
+     * distinct label. One that would cross a cap, or whose overhead
+     * could make a duration negative, goes through record() event
+     * by event, so truncation and drop counts stay exact.
+     */
+    void recordRun(const TraceRun &run) override;
 
     /**
      * Close the current window and write its record's wire payload

@@ -1,6 +1,7 @@
 #include "proto/columnar.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "core/logging.hh"
 #include "proto/serialize.hh"
@@ -38,9 +39,49 @@ ColumnarRecord::clear()
 }
 
 /**
+ * The (interned name, id) pair for @p name: from the decoder's own
+ * table when an earlier payload resolved it, else from @p interner,
+ * then remembered.
+ */
+ColumnarDecoder::CachedName
+ColumnarDecoder::resolve(std::string_view name, StringInterner &interner)
+{
+    const std::size_t hash = std::hash<std::string_view>{}(name);
+    if (!known.empty()) {
+        const std::size_t mask = known.size() - 1;
+        for (std::size_t i = hash & mask; known[i].id != kNoId;
+             i = (i + 1) & mask) {
+            if (known[i].name == name)
+                return known[i];
+        }
+    }
+    CachedName resolved;
+    resolved.id = interner.intern(name, resolved.name);
+    const auto place = [](std::vector<CachedName> &table,
+                          const CachedName &entry, std::size_t at) {
+        const std::size_t mask = table.size() - 1;
+        while (table[at & mask].id != kNoId)
+            ++at;
+        table[at & mask] = entry;
+    };
+    if (2 * (known_used + 1) > known.size()) {
+        std::vector<CachedName> grown(
+            std::max<std::size_t>(64, 2 * known.size()));
+        for (const CachedName &entry : known) {
+            if (entry.id != kNoId)
+                place(grown, entry, std::hash<std::string_view>{}(entry.name));
+        }
+        known = std::move(grown);
+    }
+    place(known, resolved, hash);
+    ++known_used;
+    return resolved;
+}
+
+/**
  * Decode one wire op-stats map into @p ops. Each name is a view
  * borrowed off the payload, matched against @p cache's slot for its
- * position and interned only on a mismatch. Entries are id-sorted
+ * position and resolved only on a mismatch. Entries are id-sorted
  * afterwards (skipped when the ids already arrive strictly
  * increasing, which also rules out duplicates) so consumers can
  * merge them linearly; a name repeated within the map is malformed,
@@ -77,7 +118,7 @@ ColumnarDecoder::decodeOps(ByteReader &in,
         fixed += length;
         CachedName &slot = cache[i];
         if (slot.id == kNoId || slot.name != name)
-            slot.id = interner.intern(name, slot.name);
+            slot = resolve(name, interner);
         entry->op = slot.id;
         entry->count = loadLE64(fixed);
         entry->total_duration = static_cast<SimTime>(loadLE64(fixed + 8));
@@ -106,6 +147,8 @@ ColumnarDecoder::decode(std::string_view payload,
         // The cached names and ids belong to another interner.
         host_names.clear();
         tpu_names.clear();
+        known.clear();
+        known_used = 0;
         bound_serial = interner.serial();
     }
     record.clear();

@@ -128,7 +128,10 @@ class ByteReader;
  * in it, the (interned name, id) pair last decoded there. Steps of
  * one stream repeat their operator lists in the same (name) order,
  * so a name usually matches the cached bytes at its position and
- * takes its id without touching the interner's lock or hash.
+ * takes its id without touching the interner's lock or hash. A step
+ * that lacks an op shifts every later position, so a positional
+ * miss looks in a small open-addressing table of every name this
+ * decoder has resolved before it falls back to the interner.
  *
  * The cached names are views into the interner's storage, bound to
  * one interner (by its serial(), not its address): decoding against
@@ -163,11 +166,16 @@ class ColumnarDecoder
     bool decodeOps(ByteReader &in, std::vector<ColumnarOpStats> &ops,
                    std::vector<CachedName> &cache,
                    StringInterner &interner);
+    CachedName resolve(std::string_view name, StringInterner &interner);
 
-    /** serial() of the interner the cache's ids belong to. */
+    /** serial() of the interner the caches' ids belong to. */
     std::uint64_t bound_serial = 0;
     std::vector<CachedName> host_names;
     std::vector<CachedName> tpu_names;
+    /** Every resolved name, hashed; a power of two of slots, at
+     * most half full (empty until the first miss). */
+    std::vector<CachedName> known;
+    std::size_t known_used = 0;
 };
 
 /**

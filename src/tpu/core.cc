@@ -20,7 +20,7 @@ pricedKind(OpKind kind)
       case OpKind::Outfeed:
         return PricedKind::Outfeed;
       default:
-        return PricedKind::Regular;
+        return PricedKind::Run;
     }
 }
 
@@ -28,38 +28,38 @@ pricedKind(OpKind kind)
 
 PricedSchedule::PricedSchedule(const StepSchedule &schedule,
                                const TpuDeviceSpec &device)
-    : table(schedule.ops.size())
 {
-    // Back to front, so each regular op can carry the totals from
-    // itself to the end of its run.
-    std::uint32_t run_end = static_cast<std::uint32_t>(table.size());
-    SimTime run_base = 0;
-    SimTime run_mxu_active = 0;
-    for (std::size_t i = table.size(); i-- > 0;) {
-        const ScheduledOp &op = schedule.ops[i];
-        PricedOp &priced = table[i];
-        priced.type = op.typeName();
-        priced.kind = pricedKind(op.kind);
-        priced.mxu = op.mxu;
-        if (priced.kind != PricedKind::Regular) {
-            if (priced.kind == PricedKind::Outfeed) {
-                priced.result_bytes =
+    for (const ScheduledOp &op : schedule.ops) {
+        const PricedKind kind = pricedKind(op.kind);
+        if (kind != PricedKind::Run) {
+            PricedSegment &feed = parts.emplace_back();
+            feed.kind = kind;
+            if (kind == PricedKind::Outfeed) {
+                feed.result_bytes =
                     op.bytes ? op.bytes : schedule.outfeed_bytes;
-                priced.base = hbmTime(device, priced.result_bytes) +
+                feed.base = hbmTime(device, feed.result_bytes) +
                     device.op_overhead;
             }
-            run_end = static_cast<std::uint32_t>(i);
-            run_base = 0;
-            run_mxu_active = 0;
             continue;
         }
-        priced.base = opDuration(device, op);
-        priced.mxu_active = mxuActiveTime(device, op);
-        run_base += priced.base;
-        run_mxu_active += priced.mxu_active;
-        priced.run_base = run_base;
-        priced.run_mxu_active = run_mxu_active;
-        priced.run_end = run_end;
+        if (parts.empty() || parts.back().kind != PricedKind::Run) {
+            PricedSegment &run = parts.emplace_back();
+            run.first = static_cast<std::uint32_t>(table.size());
+        }
+        PricedSegment &run = parts.back();
+        const RunOp &priced = table.emplace_back(
+            RunOp{op.typeName(), opDuration(device, op),
+                  mxuActiveTime(device, op), op.mxu});
+        run.last = static_cast<std::uint32_t>(table.size());
+        run.base += priced.base;
+        run.mxu_active += priced.mxu_active;
+    }
+    for (PricedSegment &run : parts) {
+        if (run.kind != PricedKind::Run)
+            continue;
+        run.labels_first = static_cast<std::uint32_t>(summaries.size());
+        appendRunLabels(ops(run), summaries);
+        run.labels_last = static_cast<std::uint32_t>(summaries.size());
     }
 }
 
@@ -101,11 +101,11 @@ TpuCore::runStep(const PricedSchedule &schedule, StepId step,
 }
 
 void
-TpuCore::execute(const PricedSchedule *schedule, std::size_t index,
+TpuCore::execute(const PricedSchedule *schedule, std::size_t segment,
                  StepId step)
 {
-    const std::span<const PricedOp> ops = schedule->ops();
-    if (index >= ops.size()) {
+    const std::span<const PricedSegment> parts = schedule->segments();
+    if (segment >= parts.size()) {
         step_in_flight = false;
         ++stats.steps_completed;
         // Moved out first: the continuation may start the next step.
@@ -115,13 +115,13 @@ TpuCore::execute(const PricedSchedule *schedule, std::size_t index,
         return;
     }
 
-    const PricedOp &op = ops[index];
+    const PricedSegment &part = parts[segment];
 
-    if (op.kind == PricedKind::Infeed) {
+    if (part.kind == PricedKind::Infeed) {
         // Wait for the host to deliver the batch; stall time is TPU
         // idle and appears in profiles as an `Infeed` event.
         const SimTime wait_start = sim.now();
-        infeed.pop([this, schedule, index, step,
+        infeed.pop([this, schedule, segment, step,
                     wait_start](DeviceBatch batch) {
             const SimTime wait = sim.now() - wait_start;
             if (wait > 0) {
@@ -133,22 +133,23 @@ TpuCore::execute(const PricedSchedule *schedule, std::size_t index,
             const SimTime stage =
                 hbmTime(device, batch.bytes) + device.op_overhead;
             const SimTime start = sim.now();
-            sim.schedule(stage, [this, schedule, index, step, start,
+            sim.schedule(stage, [this, schedule, segment, step, start,
                                  stage]() {
                 emit(opKindName(OpKind::InfeedDequeueTuple), start,
                      stage, step, false);
                 stats.busy += stage;
                 ++stats.ops_executed;
-                execute(schedule, index + 1, step);
+                execute(schedule, segment + 1, step);
             });
         });
         return;
     }
 
-    if (op.kind == PricedKind::Outfeed) {
+    if (part.kind == PricedKind::Outfeed) {
         const SimTime start = sim.now();
-        sim.schedule(op.base, [this, schedule, index, step, start]() {
-            const PricedOp &out = schedule->ops()[index];
+        sim.schedule(part.base, [this, schedule, segment, step,
+                                 start]() {
+            const PricedSegment &out = schedule->segments()[segment];
             emit(opKindName(OpKind::OutfeedEnqueueTuple), start,
                  out.base, step, false);
             stats.busy += out.base;
@@ -159,7 +160,7 @@ TpuCore::execute(const PricedSchedule *schedule, std::size_t index,
             result.step = step;
             result.bytes = out.result_bytes;
             result.tpu_finished = sim.now();
-            outfeed.push(result, [this, schedule, index, step,
+            outfeed.push(result, [this, schedule, segment, step,
                                   push_start]() {
                 const SimTime wait = sim.now() - push_start;
                 if (wait > 0) {
@@ -167,39 +168,38 @@ TpuCore::execute(const PricedSchedule *schedule, std::size_t index,
                          wait, step, false);
                     stats.idle += wait;
                 }
-                execute(schedule, index + 1, step);
+                execute(schedule, segment + 1, step);
             });
         });
         return;
     }
 
-    // A run of regular operators: execute back to back, then emit
-    // their events once the run retires. The overhead in force now
-    // prices the whole run; each event starts where the previous
-    // one ended, so timestamps are exact integer sums.
+    // A run of regular operators: execute back to back, then hand
+    // the sink the whole run once it retires. The overhead in force
+    // now prices the whole run.
     const SimTime overhead = trace_overhead;
-    const std::size_t count = op.run_end - index;
-    const SimTime total =
-        op.run_base + static_cast<SimTime>(count) * overhead;
-    stats.mxu_active += op.run_mxu_active;
+    const SimTime total = part.base +
+        static_cast<SimTime>(part.last - part.first) * overhead;
+    stats.mxu_active += part.mxu_active;
     const SimTime start = sim.now();
-    sim.schedule(total, [this, schedule, index, step, start, total,
+    sim.schedule(total, [this, schedule, segment, step, start, total,
                          overhead]() {
-        const std::span<const PricedOp> run = schedule->ops();
-        const std::size_t next = run[index].run_end;
+        const PricedSegment &run = schedule->segments()[segment];
         if (sink) {
-            SimTime cursor = start;
-            for (std::size_t i = index; i < next; ++i) {
-                const PricedOp &e = run[i];
-                const SimTime duration = e.base + overhead;
-                emit(e.type, cursor, duration, step, e.mxu,
-                     e.mxu_active);
-                cursor += duration;
-            }
+            TraceRun trace;
+            trace.start = start;
+            trace.overhead = overhead;
+            trace.step = step;
+            trace.device = EventDevice::Tpu;
+            trace.ops = schedule->ops(run);
+            trace.labels = schedule->labels(run);
+            trace.duration = total;
+            trace.mxu_active = run.mxu_active;
+            sink->recordRun(trace);
         }
         stats.busy += total;
-        stats.ops_executed += next - index;
-        execute(schedule, next, step);
+        stats.ops_executed += run.last - run.first;
+        execute(schedule, segment + 1, step);
     });
 }
 

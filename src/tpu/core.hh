@@ -9,8 +9,9 @@
  *
  * Operator costs depend only on the op and the device, so a
  * schedule is priced once (PricedSchedule) and every step replays
- * that table: the per-step work is queue hand-offs and one event per
- * operator, not a roofline evaluation per operator.
+ * that table: the per-step work is queue hand-offs and one sink
+ * call per run of operators, not a roofline evaluation or an event
+ * per operator.
  */
 
 #ifndef TPUPOINT_TPU_CORE_HH
@@ -28,42 +29,44 @@
 
 namespace tpupoint {
 
-/** How an operator of a priced schedule executes. */
+/** How a segment of a priced schedule executes. */
 enum class PricedKind : std::uint8_t
 {
-    Regular, ///< Runs back to back with its neighbours.
+    Run,     ///< Regular operators, back to back.
     Infeed,  ///< Waits for a host batch, then stages it into HBM.
     Outfeed, ///< Enqueues its result, then pushes it to the host.
 };
 
-/** One operator of a StepSchedule, priced for one device. */
-struct PricedOp
+/** A stretch of a priced schedule that executes as one unit: a
+ * maximal run of regular operators, or one infeed or outfeed. */
+struct PricedSegment
 {
-    const char *type = nullptr; ///< Op-type label (opKindName).
-    /** opDuration without trace overhead; for an outfeed, the
+    /** Run: its operators, [first, last) of PricedSchedule's op
+     * table, and its label summary, [labels_first, labels_last). */
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+    std::uint32_t labels_first = 0;
+    std::uint32_t labels_last = 0;
+    /** Run: the sum of its operators' base durations. Outfeed: the
      * enqueue time of its result. Unused for an infeed, whose
      * staging time depends on the batch. */
     SimTime base = 0;
-    SimTime mxu_active = 0; ///< mxuActiveTime.
-    /** Regular op: the sums of `base` and `mxu_active` from this op
-     * to the end of its run of regular ops. */
-    SimTime run_base = 0;
-    SimTime run_mxu_active = 0;
+    SimTime mxu_active = 0; ///< Run: summed mxuActiveTime.
     /** Outfeed: bytes pushed to the host. */
     std::uint64_t result_bytes = 0;
-    /** Regular op: index one past the end of its run. */
-    std::uint32_t run_end = 0;
-    PricedKind kind = PricedKind::Regular;
-    bool mxu = false;
+    PricedKind kind = PricedKind::Run;
 };
 
 /**
- * A StepSchedule priced for one device: every operator's duration,
- * MXU time and label, computed once. Self-contained — it keeps no
- * reference to the schedule it was built from. The owner keeps one
- * per (schedule, device) for as long as steps run on it; nothing
- * caches tables by schedule address, since a freed schedule's
- * address can come back holding a different schedule.
+ * A StepSchedule priced for one device: every regular operator's
+ * duration (opDuration, without trace overhead), MXU time and
+ * label, computed once, in one op table; the schedule cut into
+ * segments; and each run's label summary (appendRunLabels), so a
+ * retiring run goes to the sink as one TraceRun. Self-contained —
+ * it keeps no reference to the schedule it was built from. The
+ * owner keeps one per (schedule, device) for as long as steps run
+ * on it; nothing caches tables by schedule address, since a freed
+ * schedule's address can come back holding a different schedule.
  */
 class PricedSchedule
 {
@@ -72,10 +75,29 @@ class PricedSchedule
     PricedSchedule(const StepSchedule &schedule,
                    const TpuDeviceSpec &device);
 
-    std::span<const PricedOp> ops() const { return table; }
+    std::span<const PricedSegment> segments() const { return parts; }
+
+    /** Operators of run segment @p run. */
+    std::span<const RunOp>
+    ops(const PricedSegment &run) const
+    {
+        return std::span<const RunOp>(table).subspan(
+            run.first, run.last - run.first);
+    }
+
+    /** Label summary of run segment @p run. */
+    std::span<const RunLabel>
+    labels(const PricedSegment &run) const
+    {
+        return std::span<const RunLabel>(summaries)
+            .subspan(run.labels_first,
+                     run.labels_last - run.labels_first);
+    }
 
   private:
-    std::vector<PricedOp> table;
+    std::vector<RunOp> table; ///< Regular operators, in order.
+    std::vector<RunLabel> summaries;
+    std::vector<PricedSegment> parts;
 };
 
 /**
@@ -145,7 +167,7 @@ class TpuCore
     const TpuDeviceSpec &spec() const { return device; }
 
   private:
-    void execute(const PricedSchedule *schedule, std::size_t index,
+    void execute(const PricedSchedule *schedule, std::size_t segment,
                  StepId step);
 
     void emit(const char *type, SimTime start, SimTime duration,

@@ -2,7 +2,8 @@
  * @file
  * TpuCore execution, accounting and event emission, plus a
  * differential check of the priced-schedule core against a
- * reference that prices every operator of every step.
+ * reference that prices every operator of every step and hands the
+ * sink one event at a time.
  */
 
 #include <gtest/gtest.h>
@@ -415,22 +416,35 @@ struct Observed
     TpuCore::Counters counters;
     std::vector<StepResult> results;
     SimTime end = 0;
+    std::uint64_t hub_events = 0; ///< TraceHub::totalEvents().
+    std::string payload; ///< The collector's harvest, if attached.
 };
+
+/** What the core's TraceHub has attached during a drive. */
+enum class Attached { Trace, Collector, Nothing };
 
 /**
  * Run @p plan on a fresh rig. @p make_core builds the core over the
- * rig; @p run_step starts step `s` (eval or train) on it.
+ * rig, writing to a TraceHub that has @p attached behind it;
+ * @p run_step starts step `s` (eval or train) on it.
  */
 template <typename Core, typename MakeCore, typename RunStep>
 Observed
 drive(const TpuDeviceSpec &spec, const RuntimeWorkload &workload,
-      const DrivePlan &plan, MakeCore make_core, RunStep run_step)
+      const DrivePlan &plan, Attached attached, MakeCore make_core,
+      RunStep run_step)
 {
     Simulator sim;
     InfeedQueue infeed(sim, 2);
     OutfeedQueue outfeed(sim, 1);
     InMemoryTrace trace;
-    Core core = make_core(sim, spec, infeed, outfeed, trace);
+    StatsCollector collector(0);
+    TraceHub hub;
+    if (attached == Attached::Trace)
+        hub.attach(&trace);
+    else if (attached == Attached::Collector)
+        hub.attach(&collector);
+    Core core = make_core(sim, spec, infeed, outfeed, hub);
     const std::size_t steps = plan.eval.size();
     Observed observed;
 
@@ -480,6 +494,9 @@ drive(const TpuDeviceSpec &spec, const RuntimeWorkload &workload,
     observed.events = trace.events();
     observed.counters = core.counters();
     observed.end = sim.now();
+    observed.hub_events = hub.totalEvents();
+    if (attached == Attached::Collector)
+        collector.harvest(sim.now(), observed.payload);
     return observed;
 }
 
@@ -592,40 +609,66 @@ TEST(TpuCoreDifferential, PricedScheduleMatchesPerOpPricing)
                              step_time);
                 PricedSchedule train;
                 PricedSchedule eval;
-                const Observed priced = drive<TpuCore>(
-                    spec, workload, plan,
-                    [&](Simulator &sim, const TpuDeviceSpec &device,
-                        InfeedQueue &in, OutfeedQueue &out,
-                        InMemoryTrace &trace) {
-                        TpuCore core(sim, device, in, out);
-                        core.setSink(&trace);
-                        train = core.price(workload.train_schedule);
-                        eval = core.price(workload.eval_schedule);
-                        return core;
-                    },
-                    [&](TpuCore &core, bool is_eval, StepId step,
-                        std::function<void()> done) {
-                        core.runStep(is_eval ? eval : train, step,
-                                     std::move(done));
-                    });
-                const Observed reference = drive<ReferenceCore>(
-                    spec, workload, plan,
-                    [](Simulator &sim, const TpuDeviceSpec &device,
-                       InfeedQueue &in, OutfeedQueue &out,
-                       InMemoryTrace &trace) {
-                        return ReferenceCore(sim, device, in, out,
-                                             trace);
-                    },
-                    [&](ReferenceCore &core, bool is_eval, StepId step,
-                        std::function<void()> done) {
-                        core.runStep(is_eval ? workload.eval_schedule
+                const auto priced_run = [&](Attached attached) {
+                    return drive<TpuCore>(
+                        spec, workload, plan, attached,
+                        [&](Simulator &sim, const TpuDeviceSpec &device,
+                            InfeedQueue &in, OutfeedQueue &out,
+                            TraceSink &sink) {
+                            TpuCore core(sim, device, in, out);
+                            core.setSink(&sink);
+                            train = core.price(workload.train_schedule);
+                            eval = core.price(workload.eval_schedule);
+                            return core;
+                        },
+                        [&](TpuCore &core, bool is_eval, StepId step,
+                            std::function<void()> done) {
+                            core.runStep(is_eval ? eval : train, step,
+                                         std::move(done));
+                        });
+                };
+                const auto reference_run = [&](Attached attached) {
+                    return drive<ReferenceCore>(
+                        spec, workload, plan, attached,
+                        [](Simulator &sim, const TpuDeviceSpec &device,
+                           InfeedQueue &in, OutfeedQueue &out,
+                           TraceSink &sink) {
+                            return ReferenceCore(sim, device, in, out,
+                                                 sink);
+                        },
+                        [&](ReferenceCore &core, bool is_eval,
+                            StepId step, std::function<void()> done) {
+                            core.runStep(is_eval
+                                             ? workload.eval_schedule
                                              : workload.train_schedule,
-                                     step, std::move(done));
-                    });
+                                         step, std::move(done));
+                        });
+                };
+                const Observed priced = priced_run(Attached::Trace);
+                const Observed reference = reference_run(Attached::Trace);
                 const std::string label = std::string(workloadName(id)) +
                     " " + spec.name + " " + variant.name;
                 expectSameRun(priced, reference, label);
                 EXPECT_EQ(priced.counters.steps_completed, kSteps)
+                    << label;
+                // The hub counts every operator of a run, whether or
+                // not a sink is attached.
+                EXPECT_EQ(priced.hub_events, reference.events.size())
+                    << label;
+                EXPECT_EQ(reference.hub_events, reference.events.size())
+                    << label;
+                const Observed detached = priced_run(Attached::Nothing);
+                EXPECT_EQ(detached.hub_events, reference.events.size())
+                    << label;
+                expectSameRun(detached, reference_run(Attached::Nothing),
+                              label + " detached");
+                // A collector folding whole runs harvests the bytes
+                // it would from the same events one at a time.
+                const Observed folded = priced_run(Attached::Collector);
+                const Observed per_event =
+                    reference_run(Attached::Collector);
+                EXPECT_FALSE(per_event.payload.empty()) << label;
+                EXPECT_TRUE(folded.payload == per_event.payload)
                     << label;
                 events += priced.events.size();
                 for (const TraceEvent &e : priced.events) {

@@ -447,10 +447,71 @@ labelPool(std::deque<std::string> &storage)
     return pool;
 }
 
+/** A run as a producer hands it over: its ops, their label
+ * summary and the totals TraceRun carries. */
+struct RunFixture
+{
+    std::vector<RunOp> ops;
+    std::vector<RunLabel> labels;
+    TraceRun run;
+
+    /** Fill `run` from `ops` for a run at @p start. */
+    void
+    seal(SimTime start, SimTime overhead, StepId step,
+         EventDevice device)
+    {
+        labels.clear();
+        appendRunLabels(ops, labels);
+        run = TraceRun{};
+        run.start = start;
+        run.overhead = overhead;
+        run.step = step;
+        run.device = device;
+        run.ops = ops;
+        run.labels = labels;
+        for (const RunOp &op : ops) {
+            run.duration += op.base + overhead;
+            run.mxu_active += op.mxu_active;
+        }
+    }
+};
+
+/** Give @p run to @p oracle one event at a time, written out here
+ * rather than through TraceSink's default expansion. */
+void
+recordEachEvent(MapFoldCollector &oracle, const TraceRun &run)
+{
+    SimTime start = run.start;
+    for (const RunOp &op : run.ops) {
+        TraceEvent e;
+        e.type = op.type;
+        e.start = start;
+        e.duration = op.base + run.overhead;
+        e.step = run.step;
+        e.device = run.device;
+        e.mxu = op.mxu;
+        e.mxu_active = op.mxu_active;
+        oracle.record(e);
+        start += e.duration;
+    }
+}
+
+/**
+ * Random events and runs into the collector (runs through
+ * recordRun), the same events one by one into the map-fold oracle.
+ * Runs cross both caps mid-run, carry kNoStep, run on either
+ * device, and now and then carry a negative overhead.
+ */
 TEST(CollectorTest, MatchesMapFoldOracleProperty)
 {
     std::deque<std::string> storage;
     const std::vector<const char *> pool = labelPool(storage);
+    std::size_t runs = 0;
+    std::size_t event_cap_crossings = 0;
+    std::size_t duration_cap_crossings = 0;
+    std::size_t no_step_runs = 0;
+    std::size_t host_runs = 0;
+    RunFixture fixture;
     for (std::uint64_t seed = 1; seed <= 150; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         Rng rng(seed);
@@ -458,18 +519,42 @@ TEST(CollectorTest, MatchesMapFoldOracleProperty)
         // streams differ in vocabulary size and label order.
         const std::size_t vocabulary = 1 + rng.nextBounded(pool.size());
         const std::size_t offset = rng.nextBounded(pool.size());
+        const auto label = [&] {
+            return pool[(offset + rng.nextBounded(vocabulary)) %
+                        pool.size()];
+        };
         const SimTime begin = static_cast<SimTime>(rng.nextBounded(1000));
         StatsCollector collector(begin);
         MapFoldCollector oracle(begin);
         SimTime now = begin;
         StepId step = rng.nextBounded(5);
+        if (seed % 75 == 0) {
+            // Fill the first window to just under the event cap, so
+            // the stream's runs cross it.
+            fixture.ops.assign(10'000, RunOp{});
+            for (RunOp &op : fixture.ops)
+                op = RunOp{label(), static_cast<SimTime>(
+                                        rng.nextBounded(50)),
+                           0, false};
+            const std::uint64_t fill =
+                kMaxEventsPerProfile - 100 - rng.nextBounded(400);
+            for (std::uint64_t filled = 0; filled < fill;) {
+                const std::uint64_t n =
+                    std::min<std::uint64_t>(fill - filled, 10'000);
+                fixture.ops.resize(n);
+                fixture.seal(now, 1, step, EventDevice::Tpu);
+                collector.recordRun(fixture.run);
+                recordEachEvent(oracle, fixture.run);
+                now = fixture.run.end();
+                filled += n;
+            }
+        }
         const std::uint64_t windows = 1 + rng.nextBounded(4);
         for (std::uint64_t window = 0; window < windows; ++window) {
             const std::uint64_t count = rng.nextBounded(600);
             for (std::uint64_t i = 0; i < count; ++i) {
                 TraceEvent e;
-                e.type = pool[(offset + rng.nextBounded(vocabulary)) %
-                              pool.size()];
+                e.type = label();
                 e.device = rng.nextBounded(2) ? EventDevice::Tpu
                                               : EventDevice::Host;
                 now += static_cast<SimTime>(rng.nextBounded(50 * kMsec));
@@ -499,8 +584,58 @@ TEST(CollectorTest, MatchesMapFoldOracleProperty)
                         kMaxProfileDuration +
                         static_cast<SimTime>(rng.nextBounded(kSec));
                 }
-                collector.record(e);
-                oracle.record(e);
+                if (rng.nextBounded(8) != 0) {
+                    collector.record(e);
+                    oracle.record(e);
+                    continue;
+                }
+
+                // A run in place of the event, from the same draws.
+                const std::size_t n = rng.nextBounded(4) == 0
+                    ? rng.nextBounded(400)
+                    : rng.nextBounded(40);
+                fixture.ops.resize(n);
+                for (RunOp &op : fixture.ops) {
+                    op.type = label();
+                    op.base = static_cast<SimTime>(
+                        rng.nextBounded(3) == 0
+                            ? rng.nextBounded(1000)
+                            : rng.nextBounded(kMsec));
+                    op.mxu_active = static_cast<SimTime>(
+                        rng.nextBounded(op.base + 1));
+                    op.mxu = op.mxu_active > 0;
+                }
+                const SimTime overhead = rng.nextBounded(20) == 0
+                    ? -static_cast<SimTime>(rng.nextBounded(2000))
+                    : static_cast<SimTime>(rng.nextBounded(3 * kUsec));
+                fixture.seal(e.start, overhead, e.step, e.device);
+                const SimTime first =
+                    n > 0 ? fixture.ops[0].base + overhead : 0;
+                if (overhead >= 0 && fixture.run.duration > first &&
+                    rng.nextBounded(25) == 0) {
+                    // Straddle the 60 s cap: it falls inside the
+                    // run, after its first op.
+                    const SimTime cap =
+                        collector.windowBegin() + kMaxProfileDuration;
+                    fixture.run.start = cap - first -
+                        static_cast<SimTime>(rng.nextBounded(
+                            static_cast<std::uint64_t>(
+                                fixture.run.duration - first)));
+                }
+                const TraceRun &run = fixture.run;
+                const std::uint64_t before = collector.eventsInWindow();
+                event_cap_crossings += before < kMaxEventsPerProfile &&
+                    before + n > kMaxEventsPerProfile;
+                duration_cap_crossings += n > 1 &&
+                    run.start + first - collector.windowBegin() <=
+                        kMaxProfileDuration &&
+                    run.end() - collector.windowBegin() >
+                        kMaxProfileDuration;
+                no_step_runs += n > 0 && run.step == kNoStep;
+                host_runs += n > 0 && run.device == EventDevice::Host;
+                ++runs;
+                collector.recordRun(run);
+                recordEachEvent(oracle, run);
             }
             now += static_cast<SimTime>(rng.nextBounded(kSec));
             expectHarvestMatchesOracle(collector, oracle, now);
@@ -508,6 +643,12 @@ TEST(CollectorTest, MatchesMapFoldOracleProperty)
                 return;
         }
     }
+    // The streams reach every path of recordRun.
+    EXPECT_GT(runs, 1000u);
+    EXPECT_GT(event_cap_crossings, 0u);
+    EXPECT_GT(duration_cap_crossings, 0u);
+    EXPECT_GT(no_step_runs, 0u);
+    EXPECT_GT(host_runs, 0u);
 }
 
 TEST(CollectorTest, EventCapWindowMatchesMapFoldOracle)

@@ -205,6 +205,64 @@ TEST(ColumnarTest, EntriesAreIdSortedWithinStep)
     }
 }
 
+void
+expectSameOps(OpStatsSpan got, OpStatsSpan want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(got[k].op, want[k].op);
+        EXPECT_EQ(got[k].count, want[k].count);
+        EXPECT_EQ(got[k].total_duration, want[k].total_duration);
+    }
+}
+
+// A step that lacks an op shifts every later name off its cached
+// position. A long-lived decoder resolves the shifted names from its
+// own table; every decode must still equal a fresh decoder's, over
+// a vocabulary large enough to grow that table.
+TEST(ColumnarTest, ShiftedOpListsDecodeAsAFreshDecoderDoes)
+{
+    StringInterner interner;
+    std::vector<std::string> vocabulary;
+    for (int i = 0; i < 300; ++i)
+        vocabulary.push_back("op" + std::to_string(i));
+    Rng rng(13);
+    ColumnarDecoder warm;
+    ColumnarRecord warm_record;
+    ColumnarRecord fresh_record;
+    for (std::uint64_t sequence = 0; sequence < 60; ++sequence) {
+        ProfileRecord record;
+        record.sequence = sequence;
+        for (std::uint64_t s = 0; s < 4; ++s) {
+            StepStats step;
+            step.step = 4 * sequence + s;
+            const std::size_t used =
+                1 + rng.nextBounded(vocabulary.size());
+            for (std::size_t k = 0; k < used; ++k) {
+                const OpStats stats{1 + k, static_cast<SimTime>(k)};
+                if (rng.nextBounded(6) != 0)
+                    step.tpu_ops[vocabulary[k]] = stats;
+                if (rng.nextBounded(6) == 0)
+                    step.host_ops[vocabulary[k]] = stats;
+            }
+            record.steps.push_back(std::move(step));
+        }
+        const std::string payload = encodeProfileRecord(record);
+        ASSERT_TRUE(warm.decode(payload, warm_record, interner));
+        ASSERT_TRUE(
+            decodeProfileRecordColumnar(payload, fresh_record, interner));
+        ASSERT_EQ(warm_record.stepCount(), record.steps.size());
+        for (std::size_t i = 0; i < record.steps.size(); ++i) {
+            expectSameOps(warm_record.hostOps(i), fresh_record.hostOps(i));
+            expectSameOps(warm_record.tpuOps(i), fresh_record.tpuOps(i));
+            for (const ColumnarOpStats &entry : warm_record.tpuOps(i))
+                EXPECT_TRUE(record.steps[i].tpu_ops.count(
+                    std::string(interner.view(entry.op))));
+        }
+        ASSERT_FALSE(HasFailure()) << "record " << sequence;
+    }
+}
+
 TEST(ColumnarTest, ClearRetainsCapacity)
 {
     ColumnarRecord record;
