@@ -27,16 +27,16 @@ using namespace tpupoint;
 namespace {
 
 /** Profile DCGAN once and reuse the records for every benchmark. */
-const std::vector<ProfileRecord> &
-cachedRecords()
+const std::vector<std::string> &
+cachedPayloads()
 {
-    static const std::vector<ProfileRecord> records = [] {
+    static const std::vector<std::string> payloads = [] {
         const RuntimeWorkload w =
             benchutil::buildScaled(WorkloadId::DcganCifar10);
         return benchutil::profiledRun(w, TpuGeneration::V2)
-            .records;
+            .payloads;
     }();
-    return records;
+    return payloads;
 }
 
 /** A step table truncated to the first @p steps steps. */
@@ -44,11 +44,7 @@ StepTable
 truncatedTable(std::size_t steps)
 {
     StepTableBuilder builder;
-    ColumnarRecord columnar;
-    for (const ProfileRecord &record : cachedRecords()) {
-        toColumnar(record, columnar);
-        builder.ingest(columnar);
-    }
+    benchutil::ingestPayloads(builder, cachedPayloads());
     if (steps > 0 && steps < builder.stepsAggregated())
         builder.dropAfter(builder.rows().stepId(steps - 1));
     return std::move(builder).build();

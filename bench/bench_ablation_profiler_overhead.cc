@@ -44,7 +44,7 @@ main(int argc, char **argv)
                     workloadName(ids[i]),
                     toSeconds(plain.wall_time),
                     toSeconds(profiled.result.wall_time),
-                    100 * overhead, profiled.records.size());
+                    100 * overhead, profiled.payloads.size());
     }
     std::printf("\nPaper: profiling/optimization overhead stays "
                 "under 10%% of complete program execution.\n");

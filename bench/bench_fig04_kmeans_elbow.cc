@@ -83,7 +83,7 @@ main(int argc, char **argv)
         const auto run =
             benchutil::profiledRun(w, TpuGeneration::V2);
         const StepTable table =
-            StepTable::fromRecords(run.records);
+            benchutil::stepTable(run.payloads);
         const FeatureMatrix features = FeatureMatrix::build(table);
         const KMeansSweep sweep = kMeansSweep(
             features.matrix(), 1, 15,

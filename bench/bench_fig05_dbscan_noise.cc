@@ -28,7 +28,7 @@ main()
         const auto run =
             benchutil::profiledRun(w, TpuGeneration::V2);
         const StepTable table =
-            StepTable::fromRecords(run.records);
+            benchutil::stepTable(run.payloads);
         const FeatureMatrix features = FeatureMatrix::build(table);
         const DbscanSweep sweep = dbscanSweep(features.matrix());
 

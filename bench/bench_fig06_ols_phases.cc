@@ -34,7 +34,7 @@ main()
         const auto run =
             benchutil::profiledRun(w, TpuGeneration::V2);
         const StepTable table =
-            StepTable::fromRecords(run.records);
+            benchutil::stepTable(run.payloads);
 
         std::printf("%-16s", workloadName(id));
         for (const double t : thresholds) {

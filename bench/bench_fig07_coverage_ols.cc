@@ -31,7 +31,7 @@ main()
         options.algorithm = PhaseAlgorithm::OnlineLinearScan;
         options.ols_threshold = 0.70;
         const AnalysisResult analysis =
-            TpuPointAnalyzer(options).analyze(run.records);
+            TpuPointAnalyzer(options).analyze(run.payloads);
 
         SimTime total = 0;
         for (const auto &phase : analysis.phases)

@@ -32,7 +32,7 @@ main()
         options.algorithm = PhaseAlgorithm::Dbscan;
         options.dbscan_fixed_min_samples = 30;
         const AnalysisResult analysis =
-            TpuPointAnalyzer(options).analyze(run.records);
+            TpuPointAnalyzer(options).analyze(run.payloads);
 
         const DbscanResult &best =
             analysis.detections[0].dbscan.best;

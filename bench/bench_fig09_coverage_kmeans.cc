@@ -32,7 +32,7 @@ main()
         options.algorithm = PhaseAlgorithm::KMeans;
         options.kmeans_fixed_k = 5;
         const AnalysisResult analysis =
-            TpuPointAnalyzer(options).analyze(run.records);
+            TpuPointAnalyzer(options).analyze(run.payloads);
 
         std::printf("%-16s %8zu %9.1f%%\n", workloadName(id),
                     analysis.phases.size(),

@@ -28,6 +28,8 @@
 
 #include "analyzer/analyzer.hh"
 #include "bench/common.hh"
+#include "core/logging.hh"
+#include "proto/serialize.hh"
 
 using namespace tpupoint;
 
@@ -48,10 +50,15 @@ slug(const char *name)
 }
 
 /** @p copies back-to-back replicas, step ids and times shifted. */
-std::vector<ProfileRecord>
-replicateStream(const std::vector<ProfileRecord> &records,
+std::vector<std::string>
+replicateStream(const std::vector<std::string> &payloads,
                 unsigned copies)
 {
+    std::vector<ProfileRecord> records(payloads.size());
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+        if (!decodeProfileRecord(payloads[i], records[i]))
+            fatal("bench: malformed record payload");
+    }
     StepId step_stride = 0;
     SimTime time_stride = 0;
     for (const ProfileRecord &record : records) {
@@ -62,7 +69,7 @@ replicateStream(const std::vector<ProfileRecord> &records,
     ++step_stride;
     time_stride += kMsec;
 
-    std::vector<ProfileRecord> out;
+    std::vector<std::string> out;
     out.reserve(records.size() * copies);
     for (unsigned copy = 0; copy < copies; ++copy) {
         const StepId step_base = step_stride *
@@ -79,7 +86,7 @@ replicateStream(const std::vector<ProfileRecord> &records,
                 step.begin += time_base;
                 step.end += time_base;
             }
-            out.push_back(std::move(shifted));
+            out.push_back(encodeProfileRecord(shifted));
         }
     }
     return out;
@@ -90,11 +97,15 @@ replicateStream(const std::vector<ProfileRecord> &records,
  * the timed passes measure ingest and snapshots only.
  */
 std::vector<ColumnarRecord>
-columnarStream(const std::vector<ProfileRecord> &records)
+columnarStream(const std::vector<std::string> &payloads)
 {
-    std::vector<ColumnarRecord> out(records.size());
-    for (std::size_t i = 0; i < records.size(); ++i)
-        toColumnar(records[i], out[i]);
+    ColumnarDecoder decoder;
+    std::vector<ColumnarRecord> out(payloads.size());
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+        if (!decoder.decode(payloads[i], out[i],
+                            StringInterner::global()))
+            fatal("bench: malformed record payload");
+    }
     return out;
 }
 
@@ -181,9 +192,9 @@ main(int argc, char **argv)
                 "delta", "ols");
     bool all_exact = true;
     for (std::size_t i = 0; i < ids.size(); ++i) {
-        const auto &records = runs[i].records;
+        const auto &payloads = runs[i].payloads;
         const std::vector<ColumnarRecord> stream =
-            columnarStream(records);
+            columnarStream(payloads);
         const std::string key = slug(workloadName(ids[i]));
 
         // The batch answer the streaming path is held against.
@@ -192,7 +203,7 @@ main(int argc, char **argv)
         batch_opts.extra_algorithms = {PhaseAlgorithm::KMeans};
         const AnalysisResult batch =
             TpuPointAnalyzer(batch_opts).analyze(
-                records, runs[i].checkpoints);
+                payloads, runs[i].checkpoints);
         const double batch_coverage =
             batch.detections[1].top3_coverage;
 
@@ -237,9 +248,9 @@ main(int argc, char **argv)
     // Bounded per-step cost: the same pipeline over a 10x longer
     // stream must not get more expensive per step.
     const std::vector<ColumnarRecord> base =
-        columnarStream(runs[1].records); // DCGAN-MNIST
+        columnarStream(runs[1].payloads); // DCGAN-MNIST
     const std::vector<ColumnarRecord> ten_x =
-        columnarStream(replicateStream(runs[1].records, 10));
+        columnarStream(replicateStream(runs[1].payloads, 10));
     const StreamCost one =
         streamingPass(base, ols_opts, kIterations);
     const StreamCost ten =

@@ -62,13 +62,8 @@ identical(const std::vector<SweepOutcome> &a,
     if (a.size() != b.size())
         return false;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].records.size() != b[i].records.size())
+        if (a[i].payloads != b[i].payloads)
             return false;
-        for (std::size_t r = 0; r < a[i].records.size(); ++r) {
-            if (encodeProfileRecord(a[i].records[r]) !=
-                encodeProfileRecord(b[i].records[r]))
-                return false;
-        }
         if (a[i].result.wall_time != b[i].result.wall_time ||
             a[i].profiler_bytes != b[i].profiler_bytes ||
             a[i].profile_requests != b[i].profile_requests)
@@ -126,11 +121,11 @@ main(int argc, char **argv)
                 "records", "phases");
     for (const auto &outcome : pool_out) {
         const AnalysisResult analysis =
-            TpuPointAnalyzer().analyze(outcome.records);
+            TpuPointAnalyzer().analyze(outcome.payloads);
         std::printf("%-16s %9.1fs %10zu %10zu\n",
                     jobs[outcome.job_index].workload.name.c_str(),
                     toSeconds(outcome.result.wall_time),
-                    outcome.records.size(),
+                    outcome.payloads.size(),
                     analysis.phases.size());
     }
     report.figure("serial_s", serial_s);

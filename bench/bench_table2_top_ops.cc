@@ -44,7 +44,7 @@ analyzeOne(WorkloadId id, TpuGeneration generation,
         options.kmeans_fixed_k = 5;
         options.dbscan_fixed_min_samples = 30;
         const AnalysisResult analysis =
-            TpuPointAnalyzer(options).analyze(run.records);
+            TpuPointAnalyzer(options).analyze(run.payloads);
         const Phase *longest = analysis.longest();
         if (!longest)
             continue;

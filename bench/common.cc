@@ -65,9 +65,30 @@ profiledRun(const RuntimeWorkload &workload,
 
     RunOutput out;
     out.result = session.result();
-    out.records = profiler.records();
+    out.payloads = profiler.payloads();
     out.checkpoints = session.checkpoints().checkpoints();
     return out;
+}
+
+void
+ingestPayloads(StepTableBuilder &builder,
+               const std::vector<std::string> &payloads)
+{
+    ColumnarDecoder decoder;
+    ColumnarRecord record;
+    for (const std::string &payload : payloads) {
+        if (!decoder.decode(payload, record, StringInterner::global()))
+            fatal("ingestPayloads: malformed record payload");
+        builder.ingest(record);
+    }
+}
+
+StepTable
+stepTable(const std::vector<std::string> &payloads)
+{
+    StepTableBuilder builder;
+    ingestPayloads(builder, payloads);
+    return std::move(builder).build();
 }
 
 SessionResult
@@ -148,7 +169,7 @@ profiledSweep(const std::vector<WorkloadId> &ids,
     std::vector<RunOutput> outputs(outcomes.size());
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         outputs[i].result = outcomes[i].result;
-        outputs[i].records = std::move(outcomes[i].records);
+        outputs[i].payloads = std::move(outcomes[i].payloads);
         outputs[i].checkpoints =
             std::move(outcomes[i].checkpoints);
     }

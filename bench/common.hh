@@ -20,8 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include "analyzer/step_table.hh"
 #include "host/pipeline.hh"
-#include "proto/record.hh"
 #include "runtime/session.hh"
 #include "tpu/spec.hh"
 #include "workloads/catalog.hh"
@@ -39,7 +39,7 @@ RuntimeWorkload buildScaled(WorkloadId id);
 struct RunOutput
 {
     SessionResult result;
-    std::vector<ProfileRecord> records;
+    std::vector<std::string> payloads; ///< The profile's records.
     std::vector<CheckpointInfo> checkpoints;
 };
 
@@ -48,6 +48,13 @@ RunOutput profiledRun(const RuntimeWorkload &workload,
                       TpuGeneration generation,
                       const PipelineConfig &pipeline =
                           PipelineConfig{});
+
+/** Decode a profile's record payloads into @p builder. */
+void ingestPayloads(StepTableBuilder &builder,
+                    const std::vector<std::string> &payloads);
+
+/** The step table of a profile's record payloads. */
+StepTable stepTable(const std::vector<std::string> &payloads);
 
 /** Run without the profiler (platform metrics only). */
 SessionResult plainRun(const RuntimeWorkload &workload,

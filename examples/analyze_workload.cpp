@@ -18,6 +18,7 @@
 #include <string>
 
 #include "analyzer/visualization.hh"
+#include "core/logging.hh"
 #include "profiler/profiler.hh"
 #include "proto/serialize.hh"
 #include "runtime/session.hh"
@@ -87,7 +88,7 @@ main(int argc, char **argv)
     analyzer_options.algorithm = algorithm;
     const AnalysisResult analysis =
         TpuPointAnalyzer(analyzer_options)
-            .analyze(profiler.records(),
+            .analyze(profiler.payloads(),
                      session.checkpoints().checkpoints());
 
     std::printf("steps: %zu   phases: %zu   top-3 coverage: "
@@ -124,9 +125,12 @@ main(int argc, char **argv)
     const std::string base = "tpupoint_analysis";
     {
         std::vector<ProfileWindowInfo> windows;
+        ColumnarDecoder decoder;
         ColumnarRecord columnar;
-        for (const auto &record : profiler.records()) {
-            toColumnar(record, columnar);
+        for (const std::string &payload : profiler.payloads()) {
+            if (!decoder.decode(payload, columnar,
+                                StringInterner::global()))
+                fatal("analyze_workload: malformed record payload");
             windows.emplace_back(columnar);
         }
         std::ofstream out(base + ".trace.json");

@@ -40,7 +40,7 @@ main()
 
     // Analyze and print the phase/checkpoint association.
     const AnalysisResult analysis = TpuPointAnalyzer().analyze(
-        profiler.records(), session.checkpoints().checkpoints());
+        profiler.payloads(), session.checkpoints().checkpoints());
     std::printf("\nphase -> nearest checkpoint:\n");
     for (const auto &assoc : analysis.checkpoints) {
         std::printf("  phase %d -> step %llu (distance %llu)\n",

@@ -61,7 +61,7 @@ main()
                 100 * result.mxu_utilization);
     std::printf("profiler: %zu records, %llu bytes streamed to "
                 "cloud storage\n",
-                profiler.records().size(),
+                profiler.payloads().size(),
                 static_cast<unsigned long long>(
                     profiler.bytesRecorded()));
 
@@ -71,7 +71,7 @@ main()
         PhaseAlgorithm::OnlineLinearScan;
     const AnalysisResult analysis =
         TpuPointAnalyzer(analyzer_options)
-            .analyze(profiler.records(),
+            .analyze(profiler.payloads(),
                      session.checkpoints().checkpoints());
 
     std::printf("\nphases found: %zu (top-3 cover %.1f%% of "

@@ -539,8 +539,28 @@ sys.exit(0 if result["correct"] is True else 1)' \
     rm -rf "${work}"
 }
 
+# A profile in memory is its record payloads. The row form
+# (ProfileRecord with its StepStats) stays at the edges: the row
+# codec in src/proto and tpupoint-salvage, which re-encodes what it
+# salvages. Fail when the row pair spreads anywhere else in src/ or
+# tools/.
+row_record_gate() {
+    echo "== gate: row ProfileRecord/StepStats stay in the row codec"
+    local allowed='src/proto/(record|serialize)\.hh|src/proto/serialize\.cc'
+    allowed+='|tools/tpupoint_salvage\.cc'
+    local stray
+    stray=$(grep -rlwE 'ProfileRecord|StepStats' src tools |
+        grep -vxE "${allowed}" || true)
+    if [ -n "${stray}" ]; then
+        echo "gate: the row record spread to:" >&2
+        echo "${stray}" >&2
+        return 1
+    fi
+}
+
 sanitizers=${TPUPOINT_CI_SANITIZERS-"address thread undefined"}
 
+row_record_gate
 # Every build is warning-free, so any new warning fails the gate.
 run_suite build -DTPUPOINT_WERROR=ON "$@"
 bench_smoke build

@@ -307,17 +307,20 @@ namespace {
 
 AnalysisSession
 ingestAll(const AnalyzerOptions &opts,
-          const std::vector<ProfileRecord> &records)
+          const std::vector<std::string> &payloads)
 {
     AnalysisSession session(opts);
     obs::TraceSpan ingest_span("analyze.ingest");
     ingest_span.arg("records",
-                    static_cast<std::uint64_t>(records.size()));
+                    static_cast<std::uint64_t>(payloads.size()));
     std::uint64_t events = 0;
-    ColumnarRecord columnar;
-    for (const auto &record : records) {
-        toColumnar(record, columnar);
-        session.ingest(columnar);
+    ColumnarDecoder decoder;
+    ColumnarRecord record;
+    for (const std::string &payload : payloads) {
+        if (!decoder.decode(payload, record,
+                            StringInterner::global()))
+            fatal("TpuPointAnalyzer: malformed record payload");
+        session.ingest(record);
         events += record.event_count;
     }
     ingest_span.arg("events", events);
@@ -328,20 +331,20 @@ ingestAll(const AnalyzerOptions &opts,
 
 AnalysisResult
 TpuPointAnalyzer::analyze(
-    const std::vector<ProfileRecord> &records,
+    const std::vector<std::string> &payloads,
     const std::vector<CheckpointInfo> &checkpoints) const
 {
-    AnalysisSession session = ingestAll(opts, records);
+    AnalysisSession session = ingestAll(opts, payloads);
     return session.finalize(checkpoints);
 }
 
 AnalysisResult
 TpuPointAnalyzer::analyze(
-    const std::vector<ProfileRecord> &records,
+    const std::vector<std::string> &payloads,
     const std::vector<CheckpointInfo> &checkpoints,
     ThreadPool &pool) const
 {
-    AnalysisSession session = ingestAll(opts, records);
+    AnalysisSession session = ingestAll(opts, payloads);
     return session.finalize(checkpoints, pool);
 }
 

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analyzer/dbscan.hh"
@@ -245,12 +246,11 @@ class AnalysisSession
 
     /**
      * Fold one decoded record (see ProfileReader::read(
-     * ColumnarRecord&); in-memory ProfileRecords cross over
-     * through toColumnar()). Attempt-boundary records (container
-     * v4) stitch instead of aggregate: steps the dead attempt ran
-     * past the restart's resume point are dropped, and the
-     * replayed range is marked so re-ingested steps count once
-     * with a replay flag.
+     * ColumnarRecord&) and ColumnarDecoder). Attempt-boundary
+     * records (container v4) stitch instead of aggregate: steps
+     * the dead attempt ran past the restart's resume point are
+     * dropped, and the replayed range is marked so re-ingested
+     * steps count once with a replay flag.
      */
     void ingest(const ColumnarRecord &record);
 
@@ -353,19 +353,22 @@ class TpuPointAnalyzer
     explicit TpuPointAnalyzer(const AnalyzerOptions &options = {});
 
     /**
-     * Full post-execution analysis of in-memory @p records: each
-     * crosses toColumnar() into an AnalysisSession, which is then
-     * finalized.
+     * Full post-execution analysis of an in-memory profile, its
+     * record @p payloads in stream order (see
+     * TpuPointProfiler::payloads()): one ColumnarDecoder decodes
+     * each into one reused record for an AnalysisSession, which is
+     * then finalized — the path tpupoint-analyze takes on the
+     * written file. A malformed payload is fatal.
      * @param checkpoints The run's checkpoint registry, used for
      *     phase/checkpoint association (may be empty).
      */
     AnalysisResult analyze(
-        const std::vector<ProfileRecord> &records,
+        const std::vector<std::string> &payloads,
         const std::vector<CheckpointInfo> &checkpoints = {}) const;
 
     /** analyze() on a caller-provided pool (see AnalysisSession). */
     AnalysisResult analyze(
-        const std::vector<ProfileRecord> &records,
+        const std::vector<std::string> &payloads,
         const std::vector<CheckpointInfo> &checkpoints,
         ThreadPool &pool) const;
 

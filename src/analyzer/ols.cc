@@ -11,9 +11,9 @@ namespace tpupoint {
 namespace {
 
 /**
- * Materialize a key signature back into the sorted label strings
- * StepStats::opSet() would have produced ("host:" labels sort
- * before "tpu:" labels, names sorted within each side).
+ * Materialize a key signature back into sorted label strings
+ * ("host:" labels sort before "tpu:" labels, names sorted within
+ * each side).
  */
 std::vector<std::string>
 labelsFromKeys(const std::vector<std::uint64_t> &keys)
@@ -30,15 +30,19 @@ labelsFromKeys(const std::vector<std::uint64_t> &keys)
     return labels;
 }
 
-/**
- * Append the sorted operator-key set of one step to @p keys: host
- * entries map to even keys (id * 2), TPU entries to odd
- * (id * 2 + 1). Both runs are id-sorted, so each key run is
- * ascending and one linear merge orders them.
- */
+} // namespace
+
+OnlineLinearScan::OnlineLinearScan(const OlsOptions &options)
+    : opts(options)
+{
+    if (opts.similarity_threshold < 0.0 ||
+        opts.similarity_threshold > 1.0)
+        fatal("OnlineLinearScan: threshold must be in [0, 1]");
+}
+
 void
-mergeOpKeys(OpStatsSpan host, OpStatsSpan tpu,
-            std::vector<std::uint64_t> &keys)
+OnlineLinearScan::stepKeys(OpStatsSpan host, OpStatsSpan tpu,
+                           std::vector<std::uint64_t> &keys)
 {
     keys.reserve(keys.size() + host.size() + tpu.size());
     std::size_t i = 0, j = 0;
@@ -61,40 +65,6 @@ mergeOpKeys(OpStatsSpan host, OpStatsSpan tpu,
     for (; j < tpu.size(); ++j)
         keys.push_back(
             (static_cast<std::uint64_t>(tpu[j].op) << 1) | 1);
-}
-
-} // namespace
-
-OnlineLinearScan::OnlineLinearScan(const OlsOptions &options)
-    : opts(options)
-{
-    if (opts.similarity_threshold < 0.0 ||
-        opts.similarity_threshold > 1.0)
-        fatal("OnlineLinearScan: threshold must be in [0, 1]");
-}
-
-double
-OnlineLinearScan::setSimilarity(const std::vector<std::string> &a,
-                                const std::vector<std::string> &b)
-{
-    if (a.empty() || b.empty())
-        return a.empty() && b.empty() ? 1.0 : 0.0;
-    // Both sets are sorted (map iteration order); linear merge.
-    std::size_t i = 0, j = 0, common = 0;
-    while (i < a.size() && j < b.size()) {
-        if (a[i] == b[j]) {
-            ++common;
-            ++i;
-            ++j;
-        } else if (a[i] < b[j]) {
-            ++i;
-        } else {
-            ++j;
-        }
-    }
-    const std::size_t smaller = std::min(a.size(), b.size());
-    return static_cast<double>(common) /
-        static_cast<double>(smaller);
 }
 
 double
@@ -120,13 +90,6 @@ OnlineLinearScan::keySimilarity(const std::vector<std::uint64_t> &a,
         static_cast<double>(smaller);
 }
 
-double
-OnlineLinearScan::stepSimilarity(const StepStats &a,
-                                 const StepStats &b)
-{
-    return setSimilarity(a.opSet(), b.opSet());
-}
-
 void
 OnlineLinearScan::addStep(StepId step, SimTime span, OpStatsSpan host,
                           OpStatsSpan tpu)
@@ -135,7 +98,7 @@ OnlineLinearScan::addStep(StepId step, SimTime span, OpStatsSpan host,
         panic("OnlineLinearScan::addStep after finish");
 
     step_set.clear();
-    mergeOpKeys(host, tpu, step_set);
+    stepKeys(host, tpu, step_set);
     if (!have_current) {
         current = Span{step, step, 1, span};
         current_signature = step_set;

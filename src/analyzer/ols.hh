@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "proto/columnar.hh"
-#include "proto/record.hh"
 
 namespace tpupoint {
 
@@ -112,18 +111,19 @@ class OnlineLinearScan
     std::size_t peakStepsHeld() const { return peak_held; }
 
     /**
-     * Equation 1: |events(a) ∩ events(b)| / min(|events(a)|,
-     * |events(b)|), where a step's event set is its distinct
-     * operator labels.
+     * Append the sorted operator-key set of one step to @p keys:
+     * host entry op maps to key op * 2, TPU entry op to op * 2 + 1.
+     * Both runs are id-sorted, so one linear merge orders them.
      */
-    static double stepSimilarity(const StepStats &a,
-                                 const StepStats &b);
+    static void stepKeys(OpStatsSpan host, OpStatsSpan tpu,
+                         std::vector<std::uint64_t> &keys);
 
-    /** Equation 1 over pre-extracted sorted label sets. */
-    static double setSimilarity(const std::vector<std::string> &a,
-                                const std::vector<std::string> &b);
-
-    /** Equation 1 over sorted operator-key sets. */
+    /**
+     * Equation 1 over sorted operator-key sets: |a ∩ b| /
+     * min(|a|, |b|), where a step's set is its distinct operator
+     * keys (the label <-> key bijection keeps the value of the
+     * label-set form).
+     */
     static double
     keySimilarity(const std::vector<std::uint64_t> &a,
                   const std::vector<std::uint64_t> &b);

@@ -15,6 +15,7 @@
 
 #include "analyzer/ols.hh"
 #include "analyzer/step_table.hh"
+#include "proto/record.hh"
 
 namespace tpupoint {
 

@@ -167,18 +167,6 @@ StepTableBuilder::build() &&
     return std::move(table);
 }
 
-StepTable
-StepTable::fromRecords(const std::vector<ProfileRecord> &records)
-{
-    StepTableBuilder builder;
-    ColumnarRecord columnar;
-    for (const auto &record : records) {
-        toColumnar(record, columnar);
-        builder.ingest(columnar);
-    }
-    return std::move(builder).build();
-}
-
 SimTime
 StepTable::totalDuration() const
 {

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "proto/columnar.hh"
-#include "proto/record.hh"
 
 namespace tpupoint {
 
@@ -36,13 +35,6 @@ namespace tpupoint {
 class StepTable
 {
   public:
-    /**
-     * Merge in-memory records into a table (one-shot builder; each
-     * record crosses the toColumnar() boundary).
-     */
-    static StepTable fromRecords(
-        const std::vector<ProfileRecord> &records);
-
     /** Number of steps observed. */
     std::size_t size() const { return ids.size(); }
 

@@ -121,10 +121,4 @@ Rng::exponential(double rate)
     return -std::log(u) / rate;
 }
 
-Rng
-Rng::fork()
-{
-    return Rng(nextU64());
-}
-
 } // namespace tpupoint

@@ -78,12 +78,6 @@ class Rng
     /** Exponential with the given rate (lambda). */
     double exponential(double rate);
 
-    /**
-     * Fork an independent child stream. The child is seeded from
-     * this stream's output, so forking is itself deterministic.
-     */
-    Rng fork();
-
   private:
     std::array<std::uint64_t, 4> state;
     bool have_spare_gaussian = false;

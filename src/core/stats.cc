@@ -147,12 +147,4 @@ Ewma::add(double x)
     }
 }
 
-double
-percent(double part, double whole)
-{
-    if (whole == 0.0)
-        return 0.0;
-    return 100.0 * part / whole;
-}
-
 } // namespace tpupoint

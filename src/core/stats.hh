@@ -126,9 +126,6 @@ class Ewma
     bool primed = false;
 };
 
-/** Percent helper: 100 * part / whole, 0 when whole == 0. */
-double percent(double part, double whole);
-
 } // namespace tpupoint
 
 #endif // TPUPOINT_CORE_STATS_HH

@@ -1,7 +1,5 @@
 #include "core/strings.hh"
 
-#include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -34,45 +32,6 @@ split(std::string_view text, char delim)
         out.emplace_back(text.substr(start, pos - start));
         start = pos + 1;
     }
-    return out;
-}
-
-bool
-startsWith(std::string_view text, std::string_view prefix)
-{
-    return text.size() >= prefix.size() &&
-        text.substr(0, prefix.size()) == prefix;
-}
-
-bool
-endsWith(std::string_view text, std::string_view suffix)
-{
-    return text.size() >= suffix.size() &&
-        text.substr(text.size() - suffix.size()) == suffix;
-}
-
-std::string
-trim(std::string_view text)
-{
-    std::size_t begin = 0;
-    std::size_t end = text.size();
-    while (begin < end &&
-           std::isspace(static_cast<unsigned char>(text[begin])))
-        ++begin;
-    while (end > begin &&
-           std::isspace(static_cast<unsigned char>(text[end - 1])))
-        --end;
-    return std::string(text.substr(begin, end - begin));
-}
-
-std::string
-toLower(std::string_view text)
-{
-    std::string out(text);
-    std::transform(out.begin(), out.end(), out.begin(),
-                   [](unsigned char c) {
-                       return static_cast<char>(std::tolower(c));
-                   });
     return out;
 }
 

@@ -23,18 +23,6 @@ std::string join(const std::vector<std::string> &parts,
 /** Split @p text on a single-character delimiter; keeps empties. */
 std::vector<std::string> split(std::string_view text, char delim);
 
-/** True when @p text starts with @p prefix. */
-bool startsWith(std::string_view text, std::string_view prefix);
-
-/** True when @p text ends with @p suffix. */
-bool endsWith(std::string_view text, std::string_view suffix);
-
-/** Strip leading and trailing ASCII whitespace. */
-std::string trim(std::string_view text);
-
-/** Lower-case an ASCII string. */
-std::string toLower(std::string_view text);
-
 /** Format with fixed decimals, e.g. formatDouble(1.2345, 2) = "1.23". */
 std::string formatDouble(double value, int decimals);
 

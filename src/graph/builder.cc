@@ -451,18 +451,6 @@ GraphBuilder::gather(NodeId ids, std::int64_t width,
 }
 
 NodeId
-GraphBuilder::oneHot(NodeId ids, std::int64_t depth,
-                     const std::string &name)
-{
-    const TensorShape &in = shapeOf(ids);
-    std::vector<std::int64_t> out_dims = in.dimensions();
-    out_dims.push_back(depth);
-    TensorShape out(std::move(out_dims));
-    return emit(OpKind::OneHot, name, {ids}, out, default_dtype, 0,
-                bytesOf(ids) + out.numBytes(default_dtype), false);
-}
-
-NodeId
 GraphBuilder::pool(OpKind kind, NodeId x, std::int64_t window,
                    std::int64_t stride, const std::string &name)
 {

@@ -148,10 +148,6 @@ class GraphBuilder
     NodeId gather(NodeId ids, std::int64_t width,
                   const std::string &name);
 
-    /** One-hot expansion: [...] -> [..., depth]. */
-    NodeId oneHot(NodeId ids, std::int64_t depth,
-                  const std::string &name);
-
     // ---- Pooling -------------------------------------------------
 
     /** Square-window pooling on NHWC input. */

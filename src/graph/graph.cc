@@ -42,15 +42,6 @@ Graph::consumerCounts() const
 }
 
 std::uint64_t
-Graph::totalFlops() const
-{
-    std::uint64_t total = 0;
-    for (const auto &n : node_list)
-        total += n.flops;
-    return total;
-}
-
-std::uint64_t
 Graph::totalBytes() const
 {
     std::uint64_t total = 0;

@@ -73,9 +73,6 @@ class Graph
     /** Number of consumers of each node (index = NodeId). */
     std::vector<std::uint32_t> consumerCounts() const;
 
-    /** Sum of flops over all nodes. */
-    std::uint64_t totalFlops() const;
-
     /** Sum of bytes over all nodes. */
     std::uint64_t totalBytes() const;
 

@@ -56,7 +56,7 @@ SimTime
 TpuPointOptimizer::postProcessingTime() const
 {
     const std::uint64_t records =
-        profiler ? profiler->records().size() : 0;
+        profiler ? profiler->payloads().size() : 0;
     return opts.post_processing_base +
         static_cast<SimTime>(records) *
         opts.post_processing_per_record;

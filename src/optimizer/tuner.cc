@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/interner.hh"
 #include "core/logging.hh"
 #include "core/strings.hh"
 
@@ -11,31 +12,19 @@ namespace {
 
 /** The common operator pattern of Section VI (Observations 3-4). */
 bool
-matchesCommonPattern(const OpStatsMap &tpu, const OpStatsMap &host)
+matchesCommonPattern(const PhaseOpTimes &phase)
 {
-    // Merge and rank by duration.
-    std::vector<std::pair<std::string, SimTime>> ranked;
-    for (const auto &[name, stats] : tpu)
-        ranked.emplace_back("tpu:" + name, stats.total_duration);
-    for (const auto &[name, stats] : host)
-        ranked.emplace_back("host:" + name, stats.total_duration);
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto &a, const auto &b) {
-                  return a.second > b.second;
-              });
-    if (ranked.size() > 5)
-        ranked.resize(5);
-
-    static const char *pattern[] = {
-        "tpu:fusion", "tpu:Reshape", "tpu:Infeed",
-        "tpu:InfeedDequeueTuple", "tpu:Outfeed",
-        "host:OutfeedDequeueTuple",
-        "host:TransferBufferToInfeedLocked",
+    static const PhaseOp pattern[] = {
+        {true, "fusion"}, {true, "Reshape"}, {true, "Infeed"},
+        {true, "InfeedDequeueTuple"}, {true, "Outfeed"},
+        {false, "OutfeedDequeueTuple"},
+        {false, "TransferBufferToInfeedLocked"},
     };
     int hits = 0;
-    for (const auto &[name, duration] : ranked) {
-        for (const char *candidate : pattern) {
-            if (name == candidate) {
+    for (const PhaseOp &op : phase.top(5)) {
+        for (const PhaseOp &candidate : pattern) {
+            if (op.tpu == candidate.tpu &&
+                op.name == candidate.name) {
                 ++hits;
                 break;
             }
@@ -46,14 +35,41 @@ matchesCommonPattern(const OpStatsMap &tpu, const OpStatsMap &host)
 
 } // namespace
 
+void
+PhaseOpTimes::add(OpStatsSpan host_ops, OpStatsSpan tpu_ops)
+{
+    const StringInterner &interner = StringInterner::global();
+    for (const ColumnarOpStats &entry : host_ops)
+        host[interner.view(entry.op)] += entry.total_duration;
+    for (const ColumnarOpStats &entry : tpu_ops)
+        tpu[interner.view(entry.op)] += entry.total_duration;
+}
+
+std::vector<PhaseOp>
+PhaseOpTimes::top(std::size_t n) const
+{
+    std::vector<PhaseOp> ranked;
+    ranked.reserve(tpu.size() + host.size());
+    for (const auto &[name, duration] : tpu)
+        ranked.push_back({true, name, duration});
+    for (const auto &[name, duration] : host)
+        ranked.push_back({false, name, duration});
+    std::sort(ranked.begin(), ranked.end(),
+              [](const PhaseOp &a, const PhaseOp &b) {
+                  return a.duration > b.duration;
+              });
+    if (ranked.size() > n)
+        ranked.resize(n);
+    return ranked;
+}
+
 OnlineTuner::OnlineTuner(Simulator &simulator,
                          TrainingSession &session_ref,
                          TpuPointProfiler &profiler_ref,
                          const std::vector<TunableParam> &adjustable,
                          const TunerOptions &options)
     : sim(simulator), session(session_ref), profiler(profiler_ref),
-      opts(options), params(adjustable),
-      ols(OlsOptions{options.ols_threshold})
+      opts(options), params(adjustable)
 {
     status.initial_config = session.pipeline().config();
     status.best_config = status.initial_config;
@@ -98,31 +114,30 @@ void
 OnlineTuner::pollRecords()
 {
     poll_event = 0;
-    const auto &records = profiler.records();
+    const auto &payloads = profiler.payloads();
 
     // Track phases over newly arrived records.
-    for (; records_seen < records.size(); ++records_seen) {
-        const ProfileRecord &record = records[records_seen];
-        for (const StepStats &step : record.steps) {
-            observed_time += step.span();
+    for (; records_seen < payloads.size(); ++records_seen) {
+        if (!decoder.decode(payloads[records_seen], record,
+                            StringInterner::global()))
+            panic("OnlineTuner: harvested payload does not decode");
+        for (std::size_t i = 0; i < record.stepCount(); ++i) {
+            const SimTime span = record.stepSpan(i);
+            observed_time += span;
 
-            if (have_prev_step) {
-                const double similarity =
-                    OnlineLinearScan::stepSimilarity(prev_step,
-                                                     step);
-                if (similarity < opts.ols_threshold) {
-                    // Phase boundary: reset the running phase.
-                    current_phase_time = 0;
-                    phase_tpu_ops.clear();
-                    phase_host_ops.clear();
-                }
+            step_keys.clear();
+            OnlineLinearScan::stepKeys(record.hostOps(i),
+                                       record.tpuOps(i), step_keys);
+            if (have_prev_step &&
+                OnlineLinearScan::keySimilarity(prev_keys, step_keys) <
+                    opts.ols_threshold) {
+                // Phase boundary: reset the running phase.
+                current_phase_time = 0;
+                phase_ops.clear();
             }
-            current_phase_time += step.span();
-            for (const auto &[name, stats] : step.tpu_ops)
-                phase_tpu_ops[name].merge(stats);
-            for (const auto &[name, stats] : step.host_ops)
-                phase_host_ops[name].merge(stats);
-            prev_step = step;
+            current_phase_time += span;
+            phase_ops.add(record.hostOps(i), record.tpuOps(i));
+            std::swap(prev_keys, step_keys);
             have_prev_step = true;
 
             if (state == State::WaitCritical) {
@@ -130,8 +145,7 @@ OnlineTuner::pollRecords()
                     static_cast<double>(current_phase_time) /
                         static_cast<double>(observed_time) >
                         opts.critical_share;
-                const bool pattern = matchesCommonPattern(
-                    phase_tpu_ops, phase_host_ops);
+                const bool pattern = matchesCommonPattern(phase_ops);
                 if (dominant || pattern) {
                     status.critical_phase_detected = true;
                     status.critical_detected_at = sim.now();

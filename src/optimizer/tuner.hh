@@ -1,7 +1,8 @@
 /**
  * @file
  * TPUPoint-Optimizer's online tuner (Section VII-B). It watches the
- * profiler's statistical records until the workload enters its
+ * profiler's statistical records (decoding the retained payloads as
+ * they arrive) until the workload enters its
  * performance-critical phase — detected either by the common
  * pattern of operators (reshape, infeed, fusion, outfeed) topping
  * the current phase, or by the current phase exceeding half of the
@@ -15,7 +16,9 @@
 #define TPUPOINT_OPTIMIZER_TUNER_HH
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analyzer/ols.hh"
@@ -47,6 +50,45 @@ struct TunerOptions
 
     /** OLS threshold for the tuner's phase tracking. */
     double ols_threshold = 0.70;
+};
+
+/** One operator of the tuner's running phase, as it is ranked. */
+struct PhaseOp
+{
+    bool tpu = false;
+    std::string_view name; ///< Interned (global interner).
+    SimTime duration = 0;  ///< Total time in the phase.
+};
+
+/**
+ * Per-operator time of the tuner's running phase, folded from
+ * decoded steps. Entries are keyed by interned name, not id, so
+ * each side iterates in name order: the order top() breaks
+ * duration ties in.
+ */
+class PhaseOpTimes
+{
+  public:
+    /** Fold one step's id-sorted host and TPU entries in. */
+    void add(OpStatsSpan host, OpStatsSpan tpu);
+
+    void
+    clear()
+    {
+        host.clear();
+        tpu.clear();
+    }
+
+    /**
+     * The @p n longest operators: TPU entries then host entries,
+     * each side in name order, put through std::sort by duration
+     * descending. That sort is not stable, so ties resolve by
+     * this input order, which the Figure 14-16 goldens pin.
+     */
+    std::vector<PhaseOp> top(std::size_t n) const;
+
+  private:
+    std::map<std::string_view, SimTime> host, tpu;
 };
 
 /**
@@ -108,15 +150,17 @@ class OnlineTuner
     std::vector<TunableParam> params;
     OutputQualityGuard guard;
 
-    // Phase tracking (the OLS three-step sliding window).
-    OnlineLinearScan ols;
+    // Phase tracking: OLS's neighbour comparison over the decoded
+    // payloads, one step's keys held back by swap.
+    ColumnarDecoder decoder;
+    ColumnarRecord record;
     std::size_t records_seen = 0;
     SimTime observed_time = 0;
     SimTime current_phase_time = 0;
-    StepStats prev_step;
+    std::vector<std::uint64_t> step_keys;
+    std::vector<std::uint64_t> prev_keys;
     bool have_prev_step = false;
-    OpStatsMap phase_tpu_ops;
-    OpStatsMap phase_host_ops;
+    PhaseOpTimes phase_ops;
 
     // Hill climbing.
     State state = State::WaitCritical;

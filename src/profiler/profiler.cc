@@ -114,20 +114,18 @@ TpuPointProfiler::handleResponse()
         recorded_bytes += bytes;
         session.storageBucket().write(bytes, nullptr);
     }
-    // Retained records are the payload decoded: one encoding, so
-    // the in-memory records cannot drift from the spooled bytes.
-    if (opts.retain_records &&
-        !decodeProfileRecord(payload, profile_records.emplace_back()))
-        panic("TpuPointProfiler: harvested payload does not decode");
+    // A copy, not the buffer: harvest reuses its capacity.
+    if (opts.retain_records)
+        retained.push_back(payload);
 }
 
-const std::vector<ProfileRecord> &
-TpuPointProfiler::records() const
+const std::vector<std::string> &
+TpuPointProfiler::payloads() const
 {
     if (!opts.retain_records && records_recorded > 0)
-        fatal("TpuPointProfiler::records: retention is disabled "
+        fatal("TpuPointProfiler::payloads: retention is disabled "
               "(streaming-only profile)");
-    return profile_records;
+    return retained;
 }
 
 void
@@ -136,9 +134,9 @@ TpuPointProfiler::writeRecords(std::ostream &out) const
     if (!opts.retain_records && records_recorded > 0)
         fatal("TpuPointProfiler::writeRecords: retention is "
               "disabled; use streamTo() before start()");
-    ProfileWriter writer(out);
-    for (const auto &record : profile_records)
-        writer.write(record);
+    RecordStreamWriter writer(out);
+    for (const std::string &retained_payload : retained)
+        writer.append(retained_payload);
     writer.finish();
 }
 

@@ -14,12 +14,14 @@
  *   profiler.stop();
  * @endcode
  *
- * The recording path is streaming: harvested records are framed
- * through a backpressured RecordSpool (trace transport layer) and
- * can be spooled directly to a caller-supplied stream via
- * streamTo(), keeping host memory bounded for arbitrarily long
- * runs. In-memory retention for the optimizer path stays available
- * through ProfilerOptions::retain_records.
+ * The recording path is streaming: each harvested record's wire
+ * payload is framed through a backpressured RecordSpool (trace
+ * transport layer) and can be spooled directly to a caller-supplied
+ * stream via streamTo(), keeping host memory bounded for
+ * arbitrarily long runs. In memory a profile is those same
+ * payloads: ProfilerOptions::retain_records keeps a copy of each
+ * (payloads()) for the optimizer and in-process analysis, which
+ * decode them exactly as they would decode the written file.
  */
 
 #ifndef TPUPOINT_PROFILER_PROFILER_HH
@@ -33,7 +35,6 @@
 
 #include "obs/span.hh"
 #include "profiler/collector.hh"
-#include "proto/serialize.hh"
 #include "runtime/session.hh"
 #include "sim/simulator.hh"
 #include "trace/spool.hh"
@@ -56,7 +57,8 @@ struct ProfilerOptions
     StepId breakpoint = 0;
 
     /**
-     * Keep harvested records in host memory (records()). The
+     * Keep harvested records' payloads in host memory
+     * (payloads()). The
      * optimizer and the in-process analyze examples need this;
      * long-running stream-to-disk profiling turns it off for
      * bounded memory.
@@ -120,10 +122,11 @@ class TpuPointProfiler
     bool running() const { return active; }
 
     /**
-     * All records harvested so far (host-memory buffer).
+     * The wire payload of every record harvested so far, in
+     * harvest order: the bytes the spool framed.
      * @pre ProfilerOptions::retain_records
      */
-    const std::vector<ProfileRecord> &records() const;
+    const std::vector<std::string> &payloads() const;
 
     /** Records harvested, independent of retention. */
     std::uint64_t recordsRecorded() const
@@ -131,7 +134,7 @@ class TpuPointProfiler
         return records_recorded;
     }
 
-    /** Serialize all retained records in the binary format. */
+    /** Frame all retained payloads as a profile container. */
     void writeRecords(std::ostream &out) const;
 
     /** Bytes the recording thread pushed to cloud storage. */
@@ -155,7 +158,7 @@ class TpuPointProfiler
     ProfilerOptions opts;
     StatsCollector collector;
     std::unique_ptr<obs::TraceSpan> run_span;
-    std::vector<ProfileRecord> profile_records;
+    std::vector<std::string> retained; ///< payloads()
     std::string payload; ///< The last harvested window's payload.
     std::unique_ptr<RecordSpool> spool;
     RecordSpool *external_spool = nullptr;

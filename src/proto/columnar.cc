@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "core/logging.hh"
-#include "proto/serialize.hh"
 #include "trace/bytes.hh"
 
 namespace tpupoint {
@@ -210,22 +208,6 @@ ColumnarDecoder::decode(std::string_view payload,
     if (!in.getU64(record.events_dropped))
         return false;
     return in.atEnd();
-}
-
-bool
-decodeProfileRecordColumnar(std::string_view payload,
-                            ColumnarRecord &record,
-                            StringInterner &interner)
-{
-    return ColumnarDecoder().decode(payload, record, interner);
-}
-
-void
-toColumnar(const ProfileRecord &row, ColumnarRecord &out)
-{
-    if (!decodeProfileRecordColumnar(encodeProfileRecord(row), out,
-                                     StringInterner::global()))
-        panic("toColumnar: encoded record does not decode");
 }
 
 } // namespace tpupoint

@@ -1,27 +1,23 @@
 /**
  * @file
- * Columnar profile records: the analyzer-side twin of ProfileRecord.
- * Where ProfileRecord keeps each step's operator statistics in
- * per-step `std::map<std::string, OpStats>` (convenient for the
- * producer, poison for ingest bandwidth), ColumnarRecord stores one
- * struct-of-arrays block per record — contiguous per-step columns
- * plus a CSR-style (offsets + flat entries) layout for the per-step
- * operator lists, with operator names replaced by dense
- * StringInterner ids.
+ * Columnar profile records: how the analyzer reads a record
+ * payload. ColumnarRecord stores one struct-of-arrays block per
+ * record — contiguous per-step columns plus a CSR-style (offsets +
+ * flat entries) layout for the per-step operator lists, with
+ * operator names replaced by dense StringInterner ids.
  *
  * The decode path is built for reuse: ColumnarDecoder writes into a
  * caller-owned record whose `clear()` retains vector capacity, and
- * it reads op names as `string_view`s borrowed from the chunk
- * buffer, matching them against its positional name cache before
- * falling back to the interner — so after the vocabulary
- * stabilizes, steady-state decoding performs no heap allocation at
- * all.
+ * it reads op names as `string_view`s borrowed from the payload,
+ * matching them against its positional name cache before falling
+ * back to the interner — so after the vocabulary stabilizes,
+ * steady-state decoding performs no heap allocation at all.
  *
- * ColumnarRecord is the only record form the analyzer accepts.
- * In-memory ProfileRecords (the live profiler, test fixtures)
- * cross into it through toColumnar(), which round-trips the wire
- * encoding, so in-process analysis reads exactly the bytes an
- * analysis of the written profile would.
+ * ColumnarRecord is the only record form the analyzer and the
+ * tuner accept. A profile in memory is its wire payloads (the live
+ * profiler retains copies of what it spools), so in-process
+ * analysis decodes exactly the bytes an analysis of the written
+ * profile reads.
  */
 
 #ifndef TPUPOINT_PROTO_COLUMNAR_HH
@@ -37,8 +33,6 @@
 
 namespace tpupoint {
 
-struct ProfileRecord;
-
 /** One operator's accumulated stats, name replaced by its id. */
 struct ColumnarOpStats
 {
@@ -51,10 +45,11 @@ struct ColumnarOpStats
 using OpStatsSpan = std::span<const ColumnarOpStats>;
 
 /**
- * One profile response in columnar form. Scalar fields mirror
- * ProfileRecord; steps are parallel arrays indexed 0..stepCount(),
- * and each step's host/TPU operator entries live in flat arrays
- * addressed by offset columns (entries id-sorted within a step).
+ * One profile response in columnar form. Scalar fields mirror the
+ * payload's header and tail; steps are parallel arrays indexed
+ * 0..stepCount(), and each step's host/TPU operator entries live
+ * in flat arrays addressed by offset columns (entries id-sorted
+ * within a step).
  */
 struct ColumnarRecord
 {
@@ -177,22 +172,6 @@ class ColumnarDecoder
     std::vector<CachedName> known;
     std::size_t known_used = 0;
 };
-
-/**
- * Decode one record's payload with a fresh ColumnarDecoder (no
- * cache carried over); see ColumnarDecoder::decode.
- */
-bool decodeProfileRecordColumnar(std::string_view payload,
-                                 ColumnarRecord &record,
-                                 StringInterner &interner);
-
-/**
- * The row -> columnar boundary: encode @p row with
- * encodeProfileRecord and decode the payload into @p out against
- * the global interner. Panics if the encoder's own output does not
- * decode.
- */
-void toColumnar(const ProfileRecord &row, ColumnarRecord &out);
 
 } // namespace tpupoint
 

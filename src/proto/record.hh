@@ -4,6 +4,12 @@
  * events; each profile window is summarized into per-step operator
  * statistics plus device meta-data (TPU idle time, MXU utilization),
  * exactly the information Section III-A describes.
+ *
+ * ProfileRecord is the row view of one record's wire payload, used
+ * by the row codec (proto/serialize) only. In memory a profile is
+ * its payloads, which consumers decode to ColumnarRecord
+ * (proto/columnar); OpStats/OpStatsMap also serve the analyzer's
+ * name-keyed phase rankings.
  */
 
 #ifndef TPUPOINT_PROTO_RECORD_HH
@@ -59,9 +65,6 @@ struct StepStats
 
     /** Wall-clock span covered by this step's events. */
     SimTime span() const { return end > begin ? end - begin : 0; }
-
-    /** Set of distinct op labels (host + TPU), used by OLS Eq. 1. */
-    std::vector<std::string> opSet() const;
 };
 
 /**

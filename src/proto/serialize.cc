@@ -1,6 +1,5 @@
 #include "proto/serialize.hh"
 
-#include "core/json.hh"
 #include "core/logging.hh"
 #include "trace/bytes.hh"
 
@@ -38,20 +37,6 @@ getOpStatsMap(ByteReader &in, OpStatsMap &ops)
             return false;
     }
     return true;
-}
-
-void
-jsonOpStatsMap(JsonWriter &w, const OpStatsMap &ops)
-{
-    w.beginObject();
-    for (const auto &[name, stats] : ops) {
-        w.key(name);
-        w.beginObject();
-        w.field("count", stats.count);
-        w.field("total_duration_ns", stats.total_duration);
-        w.endObject();
-    }
-    w.endObject();
 }
 
 } // namespace
@@ -144,14 +129,18 @@ decodeProfileRecord(std::string_view payload,
     return in.atEnd();
 }
 
-ProfileWriter::ProfileWriter(std::ostream &out) : framing(out)
+std::string
+encodeAttemptBoundary(std::uint32_t attempt, StepId preempted_at_step,
+                      StepId resume_step, SimTime at)
 {
-}
-
-void
-ProfileWriter::write(const ProfileRecord &record)
-{
-    framing.append(encodeProfileRecord(record));
+    ProfileRecord boundary;
+    boundary.attempt = attempt;
+    boundary.attempt_boundary = true;
+    boundary.preempted_at_step = preempted_at_step;
+    boundary.resume_step = resume_step;
+    boundary.window_begin = at;
+    boundary.window_end = at;
+    return encodeProfileRecord(boundary);
 }
 
 ProfileReader::ProfileReader(std::istream &in, bool salvage)
@@ -161,24 +150,23 @@ ProfileReader::ProfileReader(std::istream &in, bool salvage)
         fatal("ProfileReader: ", framing.error());
 }
 
+template <typename Decode>
 bool
-ProfileReader::read(ProfileRecord &record)
+ProfileReader::readNext(Decode &&decode)
 {
     std::string_view payload;
     for (;;) {
         switch (framing.next(payload)) {
           case StreamStatus::Ok:
-            if (!decodeProfileRecord(payload, record)) {
-                if (framing.salvaging()) {
-                    // The chunk CRC passed but this payload does
-                    // not decode (written damaged, or a version
-                    // skew): drop the record, keep the stream.
-                    ++undecodable;
-                    continue;
-                }
+            if (decode(payload))
+                return true;
+            if (!framing.salvaging())
                 fatal("ProfileReader: malformed record payload");
-            }
-            return true;
+            // The chunk CRC passed but this payload does not decode
+            // (written damaged, or a version skew): drop the
+            // record, keep the stream.
+            ++undecodable;
+            continue;
           case StreamStatus::End:
             return false;
           case StreamStatus::Truncated:
@@ -187,83 +175,23 @@ ProfileReader::read(ProfileRecord &record)
         }
         panic("ProfileReader: unreachable stream status");
     }
+}
+
+bool
+ProfileReader::read(ProfileRecord &record)
+{
+    return readNext([&record](std::string_view payload) {
+        return decodeProfileRecord(payload, record);
+    });
 }
 
 bool
 ProfileReader::read(ColumnarRecord &record,
                     StringInterner &interner)
 {
-    std::string_view payload;
-    for (;;) {
-        switch (framing.next(payload)) {
-          case StreamStatus::Ok:
-            if (!decoder.decode(payload, record, interner)) {
-                if (framing.salvaging()) {
-                    ++undecodable;
-                    continue;
-                }
-                fatal("ProfileReader: malformed record payload");
-            }
-            return true;
-          case StreamStatus::End:
-            return false;
-          case StreamStatus::Truncated:
-          case StreamStatus::Corrupt:
-            fatal("ProfileReader: ", framing.error());
-        }
-        panic("ProfileReader: unreachable stream status");
-    }
-}
-
-std::vector<ProfileRecord>
-ProfileReader::readAll()
-{
-    std::vector<ProfileRecord> records;
-    ProfileRecord record;
-    while (read(record))
-        records.push_back(std::move(record));
-    return records;
-}
-
-void
-profileRecordToJson(const ProfileRecord &record, std::ostream &out,
-                    bool pretty)
-{
-    JsonWriter w(out, pretty);
-    w.beginObject();
-    w.field("sequence", record.sequence);
-    w.field("window_begin_ns", record.window_begin);
-    w.field("window_end_ns", record.window_end);
-    w.field("event_count", record.event_count);
-    w.field("truncated", record.truncated);
-    w.field("events_dropped", record.events_dropped);
-    w.field("tpu_idle_fraction", record.tpu_idle_fraction);
-    w.field("mxu_utilization", record.mxu_utilization);
-    w.field("retries", record.retries);
-    w.field("retry_time_ns", record.retry_time);
-    w.field("attempt",
-            static_cast<std::uint64_t>(record.attempt));
-    w.field("attempt_boundary", record.attempt_boundary);
-    w.field("preempted_at_step", record.preempted_at_step);
-    w.field("resume_step", record.resume_step);
-    w.key("steps");
-    w.beginArray();
-    for (const auto &s : record.steps) {
-        w.beginObject();
-        w.field("step", s.step);
-        w.field("begin_ns", s.begin);
-        w.field("end_ns", s.end);
-        w.field("tpu_busy_ns", s.tpu_busy);
-        w.field("tpu_idle_ns", s.tpu_idle);
-        w.field("mxu_active_ns", s.mxu_active);
-        w.key("host_ops");
-        jsonOpStatsMap(w, s.host_ops);
-        w.key("tpu_ops");
-        jsonOpStatsMap(w, s.tpu_ops);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
+    return readNext([&](std::string_view payload) {
+        return decoder.decode(payload, record, interner);
+    });
 }
 
 } // namespace tpupoint

@@ -3,24 +3,23 @@
  * Profile-record serialization. TPUPoint-Profiler's recording thread
  * streams records into cloud storage; this module defines the
  * compact binary wire format (the stand-in for the Protobuf
- * messages the real toolchain uses) plus a JSON form for
- * interoperability and debugging.
+ * messages the real toolchain uses).
  *
- * The record encoding lives here; container framing (chunking,
- * versioning, checksums, truncation detection) is delegated to the
- * trace transport layer (`trace/record_stream`). ProfileWriter and
- * ProfileReader are the typed convenience wrappers every producer
- * and consumer goes through.
+ * The profiler writes payloads straight from its accumulators, and
+ * a profile in memory is its payloads; the row codec here
+ * (ProfileRecord) serves tpupoint-salvage, the benchmark and the
+ * decoder oracle. Container framing (chunking, versioning,
+ * checksums, truncation detection) is delegated to the trace
+ * transport layer (`trace/record_stream`); ProfileReader is the
+ * typed reader every consumer goes through.
  */
 
 #ifndef TPUPOINT_PROTO_SERIALIZE_HH
 #define TPUPOINT_PROTO_SERIALIZE_HH
 
 #include <istream>
-#include <ostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "proto/columnar.hh"
 #include "proto/record.hh"
@@ -39,38 +38,18 @@ bool decodeProfileRecord(std::string_view payload,
                          ProfileRecord &record);
 
 /**
- * Streaming binary writer. Records can be appended one at a time —
- * the recording thread persists each profile response as it
- * arrives. finish() (or destruction) seals the stream; a profile
- * without its end marker reads back as truncated.
+ * The wire payload of an attempt-boundary record (container v4): a
+ * stepless record announcing that attempt @p attempt of a resilient
+ * run resumes at checkpoint step @p resume_step after the previous
+ * attempt was preempted at @p preempted_at_step, at simulated time
+ * @p at. Steps in (resume_step, preempted_at_step] are replays.
  */
-class ProfileWriter
-{
-  public:
-    /** Writes the container header immediately. */
-    explicit ProfileWriter(std::ostream &out);
-
-    /** Append one record. */
-    void write(const ProfileRecord &record);
-
-    /** Flush buffered chunks and write the end marker. */
-    void finish() { framing.finish(); }
-
-    /** Records written so far. */
-    std::uint64_t written() const { return framing.records(); }
-
-    /** Bytes pushed to the underlying stream so far. */
-    std::uint64_t bytesWritten() const
-    {
-        return framing.bytesWritten();
-    }
-
-  private:
-    RecordStreamWriter framing;
-};
+std::string encodeAttemptBoundary(std::uint32_t attempt,
+                                  StepId preempted_at_step,
+                                  StepId resume_step, SimTime at);
 
 /**
- * Streaming binary reader for files produced by ProfileWriter.
+ * Streaming binary reader for files framed by RecordStreamWriter.
  * Incremental with bounded memory: one chunk is resident at a
  * time, however large the profile.
  *
@@ -109,9 +88,6 @@ class ProfileReader
      */
     bool read(ColumnarRecord &record,
               StringInterner &interner = StringInterner::global());
-
-    /** Read every remaining record. */
-    std::vector<ProfileRecord> readAll();
 
     /** Bytes consumed from the underlying stream so far. */
     std::uint64_t bytesRead() const { return framing.bytesRead(); }
@@ -158,14 +134,17 @@ class ProfileReader
     }
 
   private:
+    /**
+     * The next payload @p decode accepts: the framing switch plus
+     * the salvage drop-and-count, shared by both read()s.
+     */
+    template <typename Decode>
+    bool readNext(Decode &&decode);
+
     RecordStreamReader framing;
     ColumnarDecoder decoder;
     std::uint64_t undecodable = 0;
 };
-
-/** Serialize one record as a JSON object into @p out. */
-void profileRecordToJson(const ProfileRecord &record,
-                         std::ostream &out, bool pretty = false);
 
 } // namespace tpupoint
 

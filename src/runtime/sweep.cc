@@ -10,6 +10,7 @@
 #include "obs/metrics.hh"
 #include "obs/pool_metrics.hh"
 #include "obs/span.hh"
+#include "proto/serialize.hh"
 #include "runtime/pool_map.hh"
 
 namespace tpupoint {
@@ -35,9 +36,9 @@ runResilientJob(const SweepJob &job, std::size_t index,
     auto harvest = [&outcome, &profiler]() {
         if (!profiler)
             return;
-        const auto &records = profiler->records();
-        outcome.records.insert(outcome.records.end(),
-                               records.begin(), records.end());
+        const auto &payloads = profiler->payloads();
+        outcome.payloads.insert(outcome.payloads.end(),
+                                payloads.begin(), payloads.end());
         outcome.profiler_bytes += profiler->bytesRecorded();
         outcome.profile_requests += profiler->requestsIssued();
         profiler.reset();
@@ -61,14 +62,9 @@ runResilientJob(const SweepJob &job, std::size_t index,
             // marker, then (next iteration) the restarted
             // attempt's records.
             harvest();
-            ProfileRecord boundary;
-            boundary.attempt = failed.index + 1;
-            boundary.attempt_boundary = true;
-            boundary.preempted_at_step = failed.reached_step;
-            boundary.resume_step = resume;
-            boundary.window_begin = failed.ended_at;
-            boundary.window_end = failed.ended_at;
-            outcome.records.push_back(boundary);
+            outcome.payloads.push_back(encodeAttemptBoundary(
+                failed.index + 1, failed.reached_step, resume,
+                failed.ended_at));
         });
     }
 
@@ -117,7 +113,7 @@ runJob(const SweepJob &job, std::size_t index,
     outcome.result = session.result();
     outcome.checkpoints = session.checkpoints().checkpoints();
     if (profiler) {
-        outcome.records = profiler->records();
+        outcome.payloads = profiler->payloads();
         outcome.profiler_bytes = profiler->bytesRecorded();
         outcome.profile_requests = profiler->requestsIssued();
     }

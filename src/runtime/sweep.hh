@@ -71,7 +71,10 @@ struct SweepOutcome
     std::uint64_t replayed_steps = 0;
 
     SessionResult result;
-    std::vector<ProfileRecord> records;
+
+    /** The profile's record payloads in stream order (see
+     * TpuPointProfiler::payloads()), attempt boundaries included. */
+    std::vector<std::string> payloads;
     std::vector<CheckpointInfo> checkpoints;
     std::uint64_t profiler_bytes = 0;
     std::uint64_t profile_requests = 0;

@@ -11,12 +11,13 @@ namespace tpupoint {
 namespace {
 
 using testutil::makeRecord;
+using testutil::payloadsOf;
 using testutil::threePhaseRun;
 
-std::vector<ProfileRecord>
-syntheticRecords()
+std::vector<std::string>
+syntheticPayloads()
 {
-    return {makeRecord(threePhaseRun())};
+    return payloadsOf({makeRecord(threePhaseRun())});
 }
 
 TEST(AnalyzerTest, OlsFindsThreePhasesWithFullCoverage)
@@ -24,7 +25,7 @@ TEST(AnalyzerTest, OlsFindsThreePhasesWithFullCoverage)
     AnalyzerOptions options;
     options.algorithm = PhaseAlgorithm::OnlineLinearScan;
     const AnalysisResult result =
-        TpuPointAnalyzer(options).analyze(syntheticRecords());
+        TpuPointAnalyzer(options).analyze(syntheticPayloads());
     EXPECT_EQ(result.algorithm,
               PhaseAlgorithm::OnlineLinearScan);
     EXPECT_EQ(result.phases.size(), 3u);
@@ -40,7 +41,7 @@ TEST(AnalyzerTest, KMeansSweepSelectsSmallK)
     AnalyzerOptions options;
     options.algorithm = PhaseAlgorithm::KMeans;
     const AnalysisResult result =
-        TpuPointAnalyzer(options).analyze(syntheticRecords());
+        TpuPointAnalyzer(options).analyze(syntheticPayloads());
     const KMeansSweep &kmeans = result.detections[0].kmeans;
     EXPECT_GE(kmeans.elbow_k, 2);
     EXPECT_LE(kmeans.elbow_k, 6);
@@ -54,7 +55,7 @@ TEST(AnalyzerTest, KMeansFixedKIsHonored)
     options.algorithm = PhaseAlgorithm::KMeans;
     options.kmeans_fixed_k = 5;
     const AnalysisResult result =
-        TpuPointAnalyzer(options).analyze(syntheticRecords());
+        TpuPointAnalyzer(options).analyze(syntheticPayloads());
     EXPECT_EQ(result.detections[0].kmeans.best.k, 5);
     EXPECT_LE(result.phases.size(), 5u);
 }
@@ -64,7 +65,7 @@ TEST(AnalyzerTest, DbscanSweepAndFixedMinSamples)
     AnalyzerOptions sweep;
     sweep.algorithm = PhaseAlgorithm::Dbscan;
     const AnalysisResult swept =
-        TpuPointAnalyzer(sweep).analyze(syntheticRecords());
+        TpuPointAnalyzer(sweep).analyze(syntheticPayloads());
     EXPECT_FALSE(swept.detections[0].dbscan.noise_curve.empty());
     EXPECT_GT(swept.phases.size(), 0u);
 
@@ -72,7 +73,7 @@ TEST(AnalyzerTest, DbscanSweepAndFixedMinSamples)
     fixed.algorithm = PhaseAlgorithm::Dbscan;
     fixed.dbscan_fixed_min_samples = 30;
     const AnalysisResult result =
-        TpuPointAnalyzer(fixed).analyze(syntheticRecords());
+        TpuPointAnalyzer(fixed).analyze(syntheticPayloads());
     EXPECT_EQ(result.detections[0].dbscan.best.min_samples,
               30u);
     EXPECT_GE(result.phases.size(), 1u);
@@ -83,7 +84,7 @@ TEST(AnalyzerTest, DbscanSweepAndFixedMinSamples)
     extreme.algorithm = PhaseAlgorithm::Dbscan;
     extreme.dbscan_fixed_min_samples = 200;
     const AnalysisResult noisy =
-        TpuPointAnalyzer(extreme).analyze(syntheticRecords());
+        TpuPointAnalyzer(extreme).analyze(syntheticPayloads());
     bool has_noise_phase = false;
     for (const auto &phase : noisy.phases)
         has_noise_phase |= phase.is_noise;
@@ -104,7 +105,7 @@ TEST(AnalyzerTest, ChecksAssociateNearestCheckpoint)
 
     AnalyzerOptions options;
     const AnalysisResult result = TpuPointAnalyzer(options)
-        .analyze(syntheticRecords(), checkpoints);
+        .analyze(syntheticPayloads(), checkpoints);
     ASSERT_EQ(result.checkpoints.size(), result.phases.size());
     for (const auto &assoc : result.checkpoints) {
         EXPECT_TRUE(assoc.checkpoint_step == 10 ||
@@ -141,9 +142,9 @@ TEST(AnalyzerTest, StitchesAttemptBoundariesWithoutDoubleCount)
     stitched.push_back(rerun);
 
     const AnalysisResult a =
-        TpuPointAnalyzer().analyze(stitched);
+        TpuPointAnalyzer().analyze(payloadsOf(stitched));
     const AnalysisResult b = TpuPointAnalyzer().analyze(
-        {makeRecord(all)});
+        payloadsOf({makeRecord(all)}));
 
     EXPECT_EQ(a.attempts, 2u);
     EXPECT_EQ(a.replayed_steps, 10u); // steps 21..30
@@ -214,7 +215,7 @@ TEST_P(AnalyzerCoverageProperty, PhasesPartitionSteps)
     AnalyzerOptions options;
     options.algorithm = GetParam().algorithm;
     const AnalysisResult result =
-        TpuPointAnalyzer(options).analyze(syntheticRecords());
+        TpuPointAnalyzer(options).analyze(syntheticPayloads());
     std::size_t covered = 0;
     for (const auto &phase : result.phases)
         covered += phase.size();

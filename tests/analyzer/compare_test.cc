@@ -17,7 +17,7 @@ AnalysisResult
 analyzeSteps(std::vector<StepStats> steps)
 {
     return TpuPointAnalyzer().analyze(
-        {makeRecord(std::move(steps))});
+        testutil::payloadsOf({makeRecord(std::move(steps))}));
 }
 
 TEST(CompareTest, SharesAndDeltas)

@@ -14,12 +14,13 @@ namespace tpupoint {
 namespace {
 
 using testutil::makeRecord;
+using testutil::payloadsOf;
 using testutil::threePhaseRun;
 
-std::vector<ProfileRecord>
-syntheticRecords()
+std::vector<std::string>
+syntheticPayloads()
 {
-    return {makeRecord(threePhaseRun())};
+    return payloadsOf({makeRecord(threePhaseRun())});
 }
 
 TEST(DetectorRegistryTest, BuiltinsAreRegistered)
@@ -69,7 +70,7 @@ TEST(DetectorTest, MultiAlgorithmRunProducesOneDetectionEach)
                                 PhaseAlgorithm::OnlineLinearScan};
     options.threads = 4;
     const AnalysisResult result =
-        TpuPointAnalyzer(options).analyze(syntheticRecords());
+        TpuPointAnalyzer(options).analyze(syntheticPayloads());
 
     ASSERT_EQ(result.detections.size(), 3u);
     EXPECT_EQ(result.detections[0].algorithm,
@@ -97,13 +98,13 @@ TEST(DetectorTest, ExtrasMatchSingleAlgorithmRuns)
     multi.algorithm = PhaseAlgorithm::OnlineLinearScan;
     multi.extra_algorithms = {PhaseAlgorithm::KMeans};
     const AnalysisResult both =
-        TpuPointAnalyzer(multi).analyze(syntheticRecords());
+        TpuPointAnalyzer(multi).analyze(syntheticPayloads());
     ASSERT_EQ(both.detections.size(), 2u);
 
     AnalyzerOptions solo;
     solo.algorithm = PhaseAlgorithm::KMeans;
     const AnalysisResult alone =
-        TpuPointAnalyzer(solo).analyze(syntheticRecords());
+        TpuPointAnalyzer(solo).analyze(syntheticPayloads());
 
     const DetectorResult &extra = both.detections[1];
     const KMeansSweep &solo_kmeans = alone.detections[0].kmeans;
@@ -121,7 +122,7 @@ TEST(DetectorTest, DuplicateExtrasCollapse)
                                 PhaseAlgorithm::KMeans,
                                 PhaseAlgorithm::KMeans};
     const AnalysisResult result =
-        TpuPointAnalyzer(options).analyze(syntheticRecords());
+        TpuPointAnalyzer(options).analyze(syntheticPayloads());
     ASSERT_EQ(result.detections.size(), 2u);
     EXPECT_EQ(result.detections[0].algorithm,
               PhaseAlgorithm::OnlineLinearScan);
@@ -179,7 +180,7 @@ TEST(DetectorTest, CustomDetectorReplacesAndRestores)
     AnalyzerOptions options;
     options.algorithm = PhaseAlgorithm::Dbscan;
     const AnalysisResult stubbed =
-        TpuPointAnalyzer(options).analyze(syntheticRecords());
+        TpuPointAnalyzer(options).analyze(syntheticPayloads());
     EXPECT_EQ(calls, 1);
     EXPECT_TRUE(stubbed.phases.empty());
 
@@ -187,7 +188,7 @@ TEST(DetectorTest, CustomDetectorReplacesAndRestores)
     // real algorithm again.
     registerDetector(PhaseAlgorithm::Dbscan, nullptr);
     const AnalysisResult real =
-        TpuPointAnalyzer(options).analyze(syntheticRecords());
+        TpuPointAnalyzer(options).analyze(syntheticPayloads());
     EXPECT_EQ(calls, 1);
     EXPECT_FALSE(real.phases.empty());
 }

@@ -146,14 +146,14 @@ mixedTable(std::size_t steps, std::uint64_t seed)
             step.tpu_ops["rare"] = stats();
         rows.push_back(std::move(step));
     }
-    return StepTable::fromRecords({makeRecord(rows)});
+    return testutil::tableOf({makeRecord(rows)});
 }
 
 TEST(FeaturesTest, TwoDimensionsPerOp)
 {
     auto record = makeRecord({makeStep(0, {"fusion", "MatMul"}),
                               makeStep(1, {"fusion"})});
-    const StepTable table = StepTable::fromRecords({record});
+    const StepTable table = testutil::tableOf({record});
     const FeatureMatrix features = FeatureMatrix::build(table);
     // 2 distinct ops x (count, duration) = 4 dims.
     EXPECT_EQ(features.dimensions(), 4u);
@@ -165,7 +165,7 @@ TEST(FeaturesTest, TwoDimensionsPerOp)
 TEST(FeaturesTest, CountsOnlyOption)
 {
     auto record = makeRecord({makeStep(0, {"fusion", "MatMul"})});
-    const StepTable table = StepTable::fromRecords({record});
+    const StepTable table = testutil::tableOf({record});
     FeatureOptions options;
     options.include_durations = false;
     const FeatureMatrix features =
@@ -177,7 +177,7 @@ TEST(FeaturesTest, MissingOpsAreZero)
 {
     auto record = makeRecord({makeStep(0, {"fusion", "MatMul"}),
                               makeStep(1, {"fusion"})});
-    const StepTable table = StepTable::fromRecords({record});
+    const StepTable table = testutil::tableOf({record});
     FeatureOptions options;
     options.normalize = false;
     const FeatureMatrix features =
@@ -194,7 +194,7 @@ TEST(FeaturesTest, NormalizationBoundsDimensions)
 {
     auto record = makeRecord({makeStep(0, {"fusion"}),
                               makeStep(1, {"fusion"})});
-    const StepTable table = StepTable::fromRecords({record});
+    const StepTable table = testutil::tableOf({record});
     const FeatureMatrix features = FeatureMatrix::build(table);
     const Matrix &data = features.matrix();
     for (std::size_t r = 0; r < data.rows(); ++r)
@@ -216,7 +216,7 @@ TEST(FeaturesTest, PcaCapsDimensions)
         steps.push_back(makeStep(s, ops));
     }
     const StepTable table =
-        StepTable::fromRecords({makeRecord(steps)});
+        testutil::tableOf({makeRecord(steps)});
     FeatureOptions options;
     options.max_dimensions = 10;
     const FeatureMatrix features =
@@ -231,7 +231,7 @@ TEST(FeaturesTest, RawDimensionsAreSortedAndPrefixed)
     auto record = makeRecord(
         {makeStep(0, {"MatMul"}, {"RunGraph"}),
          makeStep(1, {"fusion"}, {"Recv"})});
-    const StepTable table = StepTable::fromRecords({record});
+    const StepTable table = testutil::tableOf({record});
     const std::vector<std::string> labels =
         FeatureMatrix::build(table).rawDimensions();
     ASSERT_EQ(labels.size(), 4u);
@@ -295,7 +295,7 @@ TEST(FeaturesTest, PaperDefaultCapIsOneHundred)
 
 TEST(FeaturesTest, EmptyTable)
 {
-    const StepTable table = StepTable::fromRecords({});
+    const StepTable table = StepTableBuilder().build();
     const FeatureMatrix features = FeatureMatrix::build(table);
     EXPECT_EQ(features.matrix().rows(), 0u);
     EXPECT_EQ(features.dimensions(), 0u);

@@ -16,7 +16,7 @@ using testutil::makeStep;
 StepTable
 simpleTable()
 {
-    return StepTable::fromRecords({makeRecord(
+    return testutil::tableOf({makeRecord(
         {makeStep(0, {"fusion"}, {}, 100),
          makeStep(1, {"fusion"}, {}, 100),
          makeStep(2, {"ArgMax"}, {}, 50),

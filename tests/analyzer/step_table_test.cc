@@ -28,7 +28,7 @@ TEST(StepTableTest, MergesRecordsByStep)
     auto second = makeRecord(
         {makeStep(2, {"MatMul"}), makeStep(3, {"fusion"})}, 1);
     const StepTable table =
-        StepTable::fromRecords({first, second});
+        testutil::tableOf({first, second});
 
     ASSERT_EQ(table.size(), 3u);
     EXPECT_EQ(table.stepId(0), 1u);
@@ -45,7 +45,7 @@ TEST(StepTableTest, StepsAreAscendingRegardlessOfInput)
     auto record = makeRecord({makeStep(9, {"a"}),
                               makeStep(3, {"b"}),
                               makeStep(7, {"c"})});
-    const StepTable table = StepTable::fromRecords({record});
+    const StepTable table = testutil::tableOf({record});
     ASSERT_EQ(table.size(), 3u);
     EXPECT_EQ(table.stepId(0), 3u);
     EXPECT_EQ(table.stepId(1), 7u);
@@ -56,7 +56,7 @@ TEST(StepTableTest, TotalDurationSumsSpans)
 {
     auto record = makeRecord(
         {makeStep(0, {"a"}, {}, 100), makeStep(1, {"a"}, {}, 50)});
-    const StepTable table = StepTable::fromRecords({record});
+    const StepTable table = testutil::tableOf({record});
     EXPECT_EQ(table.totalDuration(), 150);
 }
 
@@ -143,7 +143,7 @@ TEST(StepTableTest, MarkReplayedEmptyRangeIsIgnored)
 
 TEST(StepTableTest, EmptyInput)
 {
-    const StepTable table = StepTable::fromRecords({});
+    const StepTable table = StepTableBuilder().build();
     EXPECT_EQ(table.size(), 0u);
     EXPECT_EQ(table.totalDuration(), 0);
 }

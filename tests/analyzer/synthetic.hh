@@ -1,4 +1,8 @@
-/** @file Synthetic step/record builders shared by analyzer tests. */
+/**
+ * @file Synthetic step/record builders shared by the tests, and the
+ * crossings between row fixtures (ProfileRecord) and the payloads a
+ * profile in memory is.
+ */
 
 #ifndef TPUPOINT_TESTS_ANALYZER_SYNTHETIC_HH
 #define TPUPOINT_TESTS_ANALYZER_SYNTHETIC_HH
@@ -12,9 +16,11 @@
 #include <string_view>
 #include <vector>
 
+#include "analyzer/step_table.hh"
+#include "core/logging.hh"
 #include "core/math.hh"
 #include "proto/columnar.hh"
-#include "proto/record.hh"
+#include "proto/serialize.hh"
 
 namespace tpupoint {
 namespace testutil {
@@ -117,12 +123,55 @@ bitMismatch(const Matrix &got, const Matrix &want)
     return "";
 }
 
+/** The wire payload of each record, in order. */
+inline std::vector<std::string>
+payloadsOf(const std::vector<ProfileRecord> &records)
+{
+    std::vector<std::string> out;
+    out.reserve(records.size());
+    for (const ProfileRecord &record : records)
+        out.push_back(encodeProfileRecord(record));
+    return out;
+}
+
+/** Each payload decoded as a row record; panics on a bad one. */
+inline std::vector<ProfileRecord>
+rowsOf(const std::vector<std::string> &payloads)
+{
+    std::vector<ProfileRecord> out(payloads.size());
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+        if (!decodeProfileRecord(payloads[i], out[i]))
+            panic("rowsOf: payload ", i, " does not decode");
+    }
+    return out;
+}
+
+/** @p payload in the columnar form the analyzer ingests. */
+inline ColumnarRecord
+columnar(std::string_view payload)
+{
+    ColumnarRecord out;
+    if (!ColumnarDecoder().decode(payload, out,
+                                  StringInterner::global()))
+        panic("columnar: payload does not decode");
+    return out;
+}
+
 /** @p record in the columnar form the analyzer ingests. */
 inline ColumnarRecord
 columnar(const ProfileRecord &record)
 {
-    ColumnarRecord out;
-    toColumnar(record, out);
+    return columnar(encodeProfileRecord(record));
+}
+
+/** Every payload of @p payloads, decoded in order. */
+inline std::vector<ColumnarRecord>
+columnar(const std::vector<std::string> &payloads)
+{
+    std::vector<ColumnarRecord> out;
+    out.reserve(payloads.size());
+    for (const std::string &payload : payloads)
+        out.push_back(columnar(payload));
     return out;
 }
 
@@ -130,10 +179,48 @@ columnar(const ProfileRecord &record)
 inline std::vector<ColumnarRecord>
 columnar(const std::vector<ProfileRecord> &records)
 {
-    std::vector<ColumnarRecord> out(records.size());
-    for (std::size_t i = 0; i < records.size(); ++i)
-        toColumnar(records[i], out[i]);
+    std::vector<ColumnarRecord> out;
+    out.reserve(records.size());
+    for (const ProfileRecord &record : records)
+        out.push_back(columnar(record));
     return out;
+}
+
+/** The step table of @p records, through the builder. */
+inline StepTable
+tableOf(const std::vector<ProfileRecord> &records)
+{
+    StepTableBuilder builder;
+    for (const ProfileRecord &record : records)
+        builder.ingest(columnar(record));
+    return std::move(builder).build();
+}
+
+/** The record payloads framed in profile container @p bytes. */
+inline std::vector<std::string>
+payloadsIn(const std::string &bytes)
+{
+    std::istringstream in(bytes, std::ios::binary);
+    RecordStreamReader reader(in);
+    std::vector<std::string> out;
+    std::string_view payload;
+    StreamStatus status;
+    while ((status = reader.next(payload)) == StreamStatus::Ok)
+        out.emplace_back(payload);
+    if (status != StreamStatus::End)
+        panic("payloadsIn: damaged container");
+    return out;
+}
+
+/** Every remaining record of @p reader, as rows. */
+inline std::vector<ProfileRecord>
+readAll(ProfileReader &reader)
+{
+    std::vector<ProfileRecord> records;
+    ProfileRecord record;
+    while (reader.read(record))
+        records.push_back(std::move(record));
+    return records;
 }
 
 /** The entry named @p name in an id-sorted run, or nullptr. */

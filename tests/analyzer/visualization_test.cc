@@ -19,7 +19,8 @@ analyzed(std::vector<ProfileRecord> &records_out)
 {
     records_out = {makeRecord(threePhaseRun())};
     AnalyzerOptions options;
-    return TpuPointAnalyzer(options).analyze(records_out);
+    return TpuPointAnalyzer(options).analyze(
+        testutil::payloadsOf(records_out));
 }
 
 /** The trace viewer's windows, taken off columnar records. */
@@ -27,11 +28,8 @@ std::vector<ProfileWindowInfo>
 windowsOf(const std::vector<ProfileRecord> &records)
 {
     std::vector<ProfileWindowInfo> windows;
-    ColumnarRecord columnar;
-    for (const auto &record : records) {
-        toColumnar(record, columnar);
-        windows.emplace_back(columnar);
-    }
+    for (const auto &record : records)
+        windows.emplace_back(testutil::columnar(record));
     return windows;
 }
 

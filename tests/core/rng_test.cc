@@ -153,19 +153,6 @@ TEST(RngTest, ExponentialRejectsNonPositiveRate)
     EXPECT_THROW(rng.exponential(0.0), std::logic_error);
 }
 
-TEST(RngTest, ForkedStreamsAreIndependentAndDeterministic)
-{
-    Rng parent_a(12), parent_b(12);
-    Rng child_a = parent_a.fork();
-    Rng child_b = parent_b.fork();
-    // Fork is deterministic.
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(child_a.nextU64(), child_b.nextU64());
-    // Parent stream continues identically after forking.
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(parent_a.nextU64(), parent_b.nextU64());
-}
-
 /** Property sweep: bounded generation respects arbitrary bounds. */
 class RngBoundedProperty
     : public ::testing::TestWithParam<std::uint64_t>

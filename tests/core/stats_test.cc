@@ -169,11 +169,5 @@ TEST(EwmaTest, RejectsBadAlpha)
     EXPECT_THROW(Ewma(1.5), std::runtime_error);
 }
 
-TEST(PercentTest, HandlesZeroWhole)
-{
-    EXPECT_EQ(percent(5, 0), 0.0);
-    EXPECT_EQ(percent(1, 4), 25.0);
-}
-
 } // namespace
 } // namespace tpupoint

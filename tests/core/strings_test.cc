@@ -40,30 +40,6 @@ TEST(StringsTest, SplitJoinRoundTrip)
     EXPECT_EQ(join(split(text, ','), ","), text);
 }
 
-TEST(StringsTest, StartsEndsWith)
-{
-    EXPECT_TRUE(startsWith("tpu:MatMul", "tpu:"));
-    EXPECT_FALSE(startsWith("tpu", "tpu:"));
-    EXPECT_TRUE(endsWith("model.ckpt", ".ckpt"));
-    EXPECT_FALSE(endsWith("ckpt", "model.ckpt"));
-    EXPECT_TRUE(startsWith("abc", ""));
-    EXPECT_TRUE(endsWith("abc", ""));
-}
-
-TEST(StringsTest, TrimRemovesSurroundingWhitespace)
-{
-    EXPECT_EQ(trim("  hi \t\n"), "hi");
-    EXPECT_EQ(trim(""), "");
-    EXPECT_EQ(trim(" \t "), "");
-    EXPECT_EQ(trim("inner space"), "inner space");
-}
-
-TEST(StringsTest, ToLower)
-{
-    EXPECT_EQ(toLower("TPUPoint"), "tpupoint");
-    EXPECT_EQ(toLower("abc123"), "abc123");
-}
-
 TEST(StringsTest, FormatDouble)
 {
     EXPECT_EQ(formatDouble(1.2345, 2), "1.23");

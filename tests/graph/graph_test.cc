@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "graph/graph.hh"
+#include "tests/graph/total_flops.hh"
 
 namespace tpupoint {
 namespace {
@@ -71,7 +72,7 @@ TEST(GraphTest, TotalsAndKindCounts)
         makeNode(OpKind::InfeedDequeueTuple, {}, 0, 64));
     g.add(makeNode(OpKind::MatMul, {a}, 100, 32));
     g.add(makeNode(OpKind::MatMul, {a}, 200, 16));
-    EXPECT_EQ(g.totalFlops(), 300u);
+    EXPECT_EQ(testutil::totalFlops(g), 300u);
     EXPECT_EQ(g.totalBytes(), 112u);
     EXPECT_EQ(g.countKind(OpKind::MatMul), 2u);
     EXPECT_EQ(g.countKind(OpKind::Relu), 0u);

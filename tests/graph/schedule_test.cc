@@ -4,6 +4,7 @@
 
 #include "graph/builder.hh"
 #include "graph/schedule.hh"
+#include "tests/graph/total_flops.hh"
 
 namespace tpupoint {
 namespace {
@@ -49,7 +50,7 @@ TEST(ScheduleTest, TotalsAndMxuFlops)
     gb.outfeed(relu, "out");
     const Graph g = gb.finish();
     const StepSchedule s = extractSchedule(g);
-    EXPECT_EQ(s.total_flops, g.totalFlops());
+    EXPECT_EQ(s.total_flops, testutil::totalFlops(g));
     EXPECT_EQ(s.mxu_flops, g.node(mm).flops);
     EXPECT_EQ(s.size(), g.size());
     EXPECT_EQ(s.model, "t");

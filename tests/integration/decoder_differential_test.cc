@@ -1,15 +1,16 @@
 /**
  * @file
- * Differential decoder fuzz: every analyzer input, in-process ones
- * included (toColumnar), passes through decodeProfileRecordColumnar,
- * so it must agree with the row decoder on every payload. A seeded,
+ * Differential decoder fuzz: every analyzer input, in-process
+ * payloads included, passes through ColumnarDecoder, so it must
+ * agree with the row decoder on every payload. A seeded,
  * fixed-budget mutation driver (bit flips, truncations, byte
  * insertions and length-field edits) runs over the record payloads
  * of the committed bert-mrpc golden profile, a faulted and
  * preempted multi-attempt profile (attempt-boundary records, v4
  * tails) and one capped window (v5 drop count). For each mutant:
  * the two decoders accept or reject together, and on accept
- * toColumnar(row decode) equals the columnar decode field by field.
+ * the columnar decode of the row decode's re-encoding equals the
+ * columnar decode field by field.
  * A long-lived ColumnarDecoder, whose positional name cache stays
  * warm across payloads, must decode every payload exactly as a
  * fresh one does.
@@ -260,12 +261,14 @@ decodeBothWays(std::string_view payload)
     ProfileRecord row;
     ColumnarRecord columnar;
     const bool row_ok = decodeProfileRecord(payload, row);
-    const bool columnar_ok = decodeProfileRecordColumnar(
+    const bool columnar_ok = ColumnarDecoder().decode(
         payload, columnar, StringInterner::global());
     EXPECT_EQ(row_ok, columnar_ok);
     if (row_ok && columnar_ok) {
         ColumnarRecord converted;
-        toColumnar(row, converted);
+        EXPECT_TRUE(ColumnarDecoder().decode(encodeProfileRecord(row),
+                                             converted,
+                                             StringInterner::global()));
         expectSameColumnar(converted, columnar);
     }
     return row_ok;
@@ -351,7 +354,7 @@ TEST(DecoderDifferential, WarmDecoderMatchesFreshDecoder)
         }
         const bool warm_ok = warm.decode(payload, warm_record,
                                          StringInterner::global());
-        const bool fresh_ok = decodeProfileRecordColumnar(
+        const bool fresh_ok = ColumnarDecoder().decode(
             payload, fresh_record, StringInterner::global());
         EXPECT_EQ(warm_ok, fresh_ok);
         if (warm_ok && fresh_ok) {
@@ -419,7 +422,7 @@ TEST(DecoderDifferential, CachedIdsNeverCrossInterners)
     // The first corpus record that carries TPU ops.
     std::string payload;
     for (const std::string &candidate : corpus()) {
-        ASSERT_TRUE(decodeProfileRecordColumnar(
+        ASSERT_TRUE(ColumnarDecoder().decode(
             candidate, fresh_record, StringInterner::global()));
         if (fresh_record.tpu_ops.size() > 1) {
             payload = candidate;
@@ -436,8 +439,8 @@ TEST(DecoderDifferential, CachedIdsNeverCrossInterners)
 
     StringInterner second;
     ASSERT_TRUE(warm.decode(payload, warm_record, second));
-    ASSERT_TRUE(decodeProfileRecordColumnar(payload, fresh_record,
-                                            second));
+    ASSERT_TRUE(ColumnarDecoder().decode(payload, fresh_record,
+                                         second));
     expectSameColumnar(warm_record, fresh_record);
     for (const ColumnarOpStats &entry : warm_record.tpu_ops)
         EXPECT_LT(entry.op, second.size());
@@ -448,8 +451,8 @@ TEST(DecoderDifferential, CachedIdsNeverCrossInterners)
     first.reset();
     auto third = std::make_unique<StringInterner>();
     ASSERT_TRUE(warm.decode(payload, warm_record, *third));
-    ASSERT_TRUE(decodeProfileRecordColumnar(payload, fresh_record,
-                                            *third));
+    ASSERT_TRUE(ColumnarDecoder().decode(payload, fresh_record,
+                                         *third));
     expectSameColumnar(warm_record, fresh_record);
 }
 

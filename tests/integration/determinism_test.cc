@@ -13,6 +13,7 @@
 #include "analyzer/analyzer.hh"
 #include "profiler/profiler.hh"
 #include "proto/serialize.hh"
+#include "tests/analyzer/synthetic.hh"
 #include "workloads/catalog.hh"
 
 namespace tpupoint {
@@ -60,10 +61,8 @@ TEST(DeterminismTest, DifferentSeedsDifferentJitter)
     EXPECT_NE(profiledRunBytes(w, 1), profiledRunBytes(w, 2));
     // ...but the structural analysis is stable.
     auto analyze = [&](std::uint64_t seed) {
-        std::istringstream in(profiledRunBytes(w, seed));
-        ProfileReader reader(in);
-        AnalysisResult result =
-            TpuPointAnalyzer().analyze(reader.readAll());
+        AnalysisResult result = TpuPointAnalyzer().analyze(
+            testutil::payloadsIn(profiledRunBytes(w, seed)));
         return result.phases.size();
     };
     EXPECT_EQ(analyze(1), analyze(2));

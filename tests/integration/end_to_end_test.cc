@@ -7,6 +7,7 @@
 #include "analyzer/visualization.hh"
 #include "profiler/profiler.hh"
 #include "proto/serialize.hh"
+#include "tests/analyzer/synthetic.hh"
 #include "workloads/catalog.hh"
 
 namespace tpupoint {
@@ -14,7 +15,7 @@ namespace {
 
 struct ProfiledRun
 {
-    std::vector<ProfileRecord> records;
+    std::vector<std::string> payloads;
     std::vector<CheckpointInfo> checkpoints;
     SessionResult result;
 };
@@ -38,7 +39,7 @@ profileWorkload(WorkloadId id, TpuGeneration gen)
     profiler.stop();
 
     ProfiledRun run;
-    run.records = profiler.records();
+    run.payloads = profiler.payloads();
     run.checkpoints = session.checkpoints().checkpoints();
     run.result = session.result();
     return run;
@@ -49,11 +50,11 @@ TEST(EndToEndTest, ProfileAnalyzeExportPipeline)
     const ProfiledRun run =
         profileWorkload(WorkloadId::DcganCifar10,
                         TpuGeneration::V2);
-    ASSERT_FALSE(run.records.empty());
+    ASSERT_FALSE(run.payloads.empty());
 
     AnalyzerOptions options;
     const AnalysisResult analysis = TpuPointAnalyzer(options)
-        .analyze(run.records, run.checkpoints);
+        .analyze(run.payloads, run.checkpoints);
     EXPECT_GT(analysis.table.size(), 100u);
     EXPECT_GE(analysis.phases.size(), 2u);
     EXPECT_LE(analysis.phases.size(), 15u);
@@ -63,17 +64,14 @@ TEST(EndToEndTest, ProfileAnalyzeExportPipeline)
     // Every output artifact is producible.
     std::ostringstream trace, csv, json, profile_bin;
     std::vector<ProfileWindowInfo> windows;
-    ColumnarRecord columnar;
-    for (const auto &record : run.records) {
-        toColumnar(record, columnar);
-        windows.emplace_back(columnar);
-    }
+    for (const std::string &payload : run.payloads)
+        windows.emplace_back(testutil::columnar(payload));
     writeChromeTrace(analysis, windows, trace);
     writePhaseCsv(analysis, csv);
     writeAnalysisJson(analysis, json);
-    ProfileWriter writer(profile_bin);
-    for (const auto &record : run.records)
-        writer.write(record);
+    RecordStreamWriter writer(profile_bin);
+    for (const std::string &payload : run.payloads)
+        writer.append(payload);
     writer.finish();
     EXPECT_GT(trace.str().size(), 100u);
     EXPECT_GT(csv.str().size(), 100u);
@@ -82,9 +80,8 @@ TEST(EndToEndTest, ProfileAnalyzeExportPipeline)
     // The binary profile round-trips to an equivalent analysis.
     std::istringstream replay(profile_bin.str());
     ProfileReader reader(replay);
-    const auto decoded = reader.readAll();
-    const AnalysisResult again =
-        TpuPointAnalyzer(options).analyze(decoded);
+    const AnalysisResult again = TpuPointAnalyzer(options).analyze(
+        testutil::payloadsOf(testutil::readAll(reader)));
     EXPECT_EQ(again.phases.size(), analysis.phases.size());
     EXPECT_DOUBLE_EQ(again.top3_coverage,
                      analysis.top3_coverage);
@@ -104,7 +101,7 @@ TEST(EndToEndTest, AllAlgorithmsAgreeOnDominantOps)
         options.kmeans_fixed_k = 5;
         options.dbscan_fixed_min_samples = 30;
         const AnalysisResult analysis =
-            TpuPointAnalyzer(options).analyze(run.records);
+            TpuPointAnalyzer(options).analyze(run.payloads);
         const Phase *longest = analysis.longest();
         ASSERT_NE(longest, nullptr);
         const auto top = topOps(longest->tpu_ops, 1);

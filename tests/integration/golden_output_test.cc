@@ -38,7 +38,7 @@ namespace {
 
 struct ProfiledRun
 {
-    std::vector<ProfileRecord> records;
+    std::vector<std::string> payloads;
     std::vector<CheckpointInfo> checkpoints;
 };
 
@@ -62,19 +62,19 @@ profileWorkload(WorkloadId id, TpuGeneration gen)
     profiler.stop();
 
     ProfiledRun run;
-    run.records = profiler.records();
+    run.payloads = profiler.payloads();
     run.checkpoints = session.checkpoints().checkpoints();
     return run;
 }
 
 /** Serialize a run to the binary container format. */
 std::string
-encodeProfile(const std::vector<ProfileRecord> &records)
+encodeProfile(const std::vector<std::string> &payloads)
 {
     std::ostringstream out(std::ios::binary);
-    ProfileWriter writer(out);
-    for (const auto &record : records)
-        writer.write(record);
+    RecordStreamWriter writer(out);
+    for (const std::string &payload : payloads)
+        writer.append(payload);
     writer.finish();
     return out.str();
 }
@@ -121,7 +121,7 @@ expectGolden(const std::string &name, const std::string &produced)
 
 /** One full analysis with all three detectors at @p threads. */
 AnalysisResult
-analyzeAll(const std::vector<ProfileRecord> &records,
+analyzeAll(const std::vector<std::string> &payloads,
            const std::vector<CheckpointInfo> &checkpoints,
            unsigned threads, std::size_t max_dimensions = 100)
 {
@@ -131,7 +131,7 @@ analyzeAll(const std::vector<ProfileRecord> &records,
                                 PhaseAlgorithm::Dbscan};
     options.threads = threads;
     options.features.max_dimensions = max_dimensions;
-    return TpuPointAnalyzer(options).analyze(records, checkpoints);
+    return TpuPointAnalyzer(options).analyze(payloads, checkpoints);
 }
 
 std::string
@@ -171,10 +171,10 @@ runV3()
 TEST(GoldenOutput, AnalyzeCsvAndJsonAcrossThreadCounts)
 {
     const ProfiledRun &run = runV2();
-    ASSERT_FALSE(run.records.empty());
+    ASSERT_FALSE(run.payloads.empty());
 
     const AnalysisResult serial =
-        analyzeAll(run.records, run.checkpoints, 1);
+        analyzeAll(run.payloads, run.checkpoints, 1);
     const std::string csv = phaseCsv(serial);
     const std::string json = analysisJson(serial);
     expectGolden("analyze_phases.csv", csv);
@@ -182,7 +182,7 @@ TEST(GoldenOutput, AnalyzeCsvAndJsonAcrossThreadCounts)
 
     for (const unsigned threads : {2u, 8u}) {
         const AnalysisResult parallel =
-            analyzeAll(run.records, run.checkpoints, threads);
+            analyzeAll(run.payloads, run.checkpoints, threads);
         EXPECT_EQ(phaseCsv(parallel), csv)
             << "CSV diverges at --threads " << threads;
         EXPECT_EQ(analysisJson(parallel), json)
@@ -205,7 +205,7 @@ TEST(GoldenOutput, PcaReducedAnalysis)
     for (const unsigned threads : {1u, 8u}) {
         options.threads = threads;
         const AnalysisResult analysis =
-            TpuPointAnalyzer(options).analyze(run.records,
+            TpuPointAnalyzer(options).analyze(run.payloads,
                                               run.checkpoints);
         EXPECT_TRUE(analysis.detections.size() == 2);
         const std::string produced = analysisJson(analysis);
@@ -229,7 +229,7 @@ TEST(GoldenOutput, DbscanPrimaryAnalysis)
     for (const unsigned threads : {1u, 2u, 8u}) {
         options.threads = threads;
         const AnalysisResult analysis =
-            TpuPointAnalyzer(options).analyze(run.records,
+            TpuPointAnalyzer(options).analyze(run.payloads,
                                               run.checkpoints);
         const std::string produced = analysisJson(analysis);
         if (threads == 1) {
@@ -245,9 +245,9 @@ TEST(GoldenOutput, DbscanPrimaryAnalysis)
 TEST(GoldenOutput, CompareReport)
 {
     const AnalysisResult a =
-        analyzeAll(runV2().records, runV2().checkpoints, 2);
+        analyzeAll(runV2().payloads, runV2().checkpoints, 2);
     const AnalysisResult b =
-        analyzeAll(runV3().records, runV3().checkpoints, 2);
+        analyzeAll(runV3().payloads, runV3().checkpoints, 2);
     const AnalysisComparison comparison =
         compareAnalyses(a, b, "TPUv2", "TPUv3");
     std::ostringstream out;
@@ -258,7 +258,7 @@ TEST(GoldenOutput, CompareReport)
 TEST(GoldenOutput, ExportTrace)
 {
     const ProfiledRun &run = runV2();
-    const std::string profile = encodeProfile(run.records);
+    const std::string profile = encodeProfile(run.payloads);
 
     // Stream through the reader exactly as tpupoint-export does.
     std::istringstream in(profile, std::ios::binary);
@@ -292,13 +292,13 @@ TEST(GoldenOutput, StreamingAgreementAcrossTableIWorkloads)
         SCOPED_TRACE(workloadName(id));
         const ProfiledRun run =
             profileWorkload(id, TpuGeneration::V3);
-        ASSERT_FALSE(run.records.empty());
+        ASSERT_FALSE(run.payloads.empty());
 
         AnalyzerOptions batch_opts;
         batch_opts.algorithm = PhaseAlgorithm::OnlineLinearScan;
         batch_opts.extra_algorithms = {PhaseAlgorithm::KMeans};
         const AnalysisResult batch =
-            TpuPointAnalyzer(batch_opts).analyze(run.records,
+            TpuPointAnalyzer(batch_opts).analyze(run.payloads,
                                                  run.checkpoints);
         const std::string batch_json = analysisJson(batch);
         ASSERT_EQ(batch.detections.size(), 2u);
@@ -306,7 +306,7 @@ TEST(GoldenOutput, StreamingAgreementAcrossTableIWorkloads)
             batch.detections[1].top3_coverage;
 
         const std::vector<ColumnarRecord> stream =
-            testutil::columnar(run.records);
+            testutil::columnar(run.payloads);
         for (const unsigned threads : {1u, 2u, 8u}) {
             AnalyzerOptions opts = batch_opts;
             opts.threads = threads;
@@ -350,7 +350,7 @@ TEST(GoldenOutput, StreamingAgreementAcrossTableIWorkloads)
 TEST(GoldenOutput, SalvagedAnalysis)
 {
     const ProfiledRun &run = runV2();
-    std::string profile = encodeProfile(run.records);
+    std::string profile = encodeProfile(run.payloads);
     ASSERT_GT(profile.size(), 1024u);
 
     // Deterministic damage: corrupt one byte mid-stream (inside

@@ -19,7 +19,7 @@ namespace {
 struct Measured
 {
     SessionResult result;
-    std::vector<ProfileRecord> records;
+    std::vector<std::string> payloads;
 };
 
 Measured
@@ -40,7 +40,7 @@ measure(WorkloadId id, TpuGeneration gen,
     session.start(nullptr);
     sim.run();
     profiler.stop();
-    return {session.result(), profiler.records()};
+    return {session.result(), profiler.payloads()};
 }
 
 /** One workload under test, named in the ctest name. */
@@ -72,7 +72,7 @@ TEST_P(PhaseObservations, FewPhasesCoverMostExecution)
     AnalyzerOptions options;
     options.ols_threshold = 0.70;
     const AnalysisResult analysis =
-        TpuPointAnalyzer(options).analyze(m.records);
+        TpuPointAnalyzer(options).analyze(m.payloads);
 
     // Observation 1: a limited number of phases.
     EXPECT_GE(analysis.phases.size(), 1u);
@@ -99,7 +99,7 @@ TEST(Observations, ThreeAndFour_DataMovementDominatesHost)
     const Measured m =
         measure(WorkloadId::ResnetImagenet, TpuGeneration::V2);
     const AnalysisResult analysis =
-        TpuPointAnalyzer().analyze(m.records);
+        TpuPointAnalyzer().analyze(m.payloads);
     const Phase *longest = analysis.longest();
     ASSERT_NE(longest, nullptr);
 
@@ -123,7 +123,7 @@ TEST(Observations, FusionTopsTheTpuOperators)
     const Measured dcgan =
         measure(WorkloadId::DcganCifar10, TpuGeneration::V2);
     const AnalysisResult dcgan_analysis =
-        TpuPointAnalyzer().analyze(dcgan.records);
+        TpuPointAnalyzer().analyze(dcgan.payloads);
     const Phase *dcgan_longest = dcgan_analysis.longest();
     ASSERT_NE(dcgan_longest, nullptr);
     const auto dcgan_top = topOps(dcgan_longest->tpu_ops, 5);
@@ -136,7 +136,7 @@ TEST(Observations, FusionTopsTheTpuOperators)
     const Measured bert =
         measure(WorkloadId::BertSquad, TpuGeneration::V2);
     const AnalysisResult analysis =
-        TpuPointAnalyzer().analyze(bert.records);
+        TpuPointAnalyzer().analyze(bert.payloads);
     const Phase *longest = analysis.longest();
     ASSERT_NE(longest, nullptr);
     const auto tpu_top = topOps(longest->tpu_ops, 5);

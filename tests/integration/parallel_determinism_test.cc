@@ -22,8 +22,8 @@
 namespace tpupoint {
 namespace {
 
-std::vector<ProfileRecord>
-profiledRecords()
+std::vector<std::string>
+profiledPayloads()
 {
     WorkloadOptions options;
     options.step_scale = 0.02;
@@ -38,11 +38,11 @@ profiledRecords()
     session.start(nullptr);
     sim.run();
     profiler.stop();
-    return profiler.records();
+    return profiler.payloads();
 }
 
 AnalysisResult
-analyzeWith(const std::vector<ProfileRecord> &records,
+analyzeWith(const std::vector<std::string> &payloads,
             unsigned threads)
 {
     AnalyzerOptions options;
@@ -50,7 +50,7 @@ analyzeWith(const std::vector<ProfileRecord> &records,
     options.extra_algorithms = {PhaseAlgorithm::Dbscan,
                                 PhaseAlgorithm::OnlineLinearScan};
     options.threads = threads;
-    return TpuPointAnalyzer(options).analyze(records);
+    return TpuPointAnalyzer(options).analyze(payloads);
 }
 
 /** Every field a thread count could possibly perturb. */
@@ -107,7 +107,7 @@ analysisJson(const AnalysisResult &result)
 
 TEST(ParallelDeterminismTest, ThreadCountNeverChangesTheResult)
 {
-    const auto records = profiledRecords();
+    const auto records = profiledPayloads();
     const AnalysisResult serial = analyzeWith(records, 1);
     const AnalysisResult two = analyzeWith(records, 2);
     const AnalysisResult eight = analyzeWith(records, 8);
@@ -117,7 +117,7 @@ TEST(ParallelDeterminismTest, ThreadCountNeverChangesTheResult)
 
 TEST(ParallelDeterminismTest, ArtifactsAreByteIdentical)
 {
-    const auto records = profiledRecords();
+    const auto records = profiledPayloads();
     const AnalysisResult serial = analyzeWith(records, 1);
     const AnalysisResult parallel = analyzeWith(records, 8);
     EXPECT_EQ(phaseCsv(serial), phaseCsv(parallel));
@@ -126,7 +126,7 @@ TEST(ParallelDeterminismTest, ArtifactsAreByteIdentical)
 
 TEST(ParallelDeterminismTest, CallerPoolMatchesOwnedPool)
 {
-    const auto records = profiledRecords();
+    const auto records = profiledPayloads();
     AnalyzerOptions options;
     options.algorithm = PhaseAlgorithm::KMeans;
     options.threads = 1;
@@ -168,14 +168,7 @@ TEST(ParallelDeterminismTest, SweepRunnerOnBorrowedPool)
                   pooled[i].result.wall_time);
         EXPECT_EQ(serial[i].result.steps_completed,
                   pooled[i].result.steps_completed);
-        ASSERT_EQ(serial[i].records.size(),
-                  pooled[i].records.size());
-        for (std::size_t r = 0; r < serial[i].records.size();
-             ++r) {
-            EXPECT_EQ(
-                encodeProfileRecord(serial[i].records[r]),
-                encodeProfileRecord(pooled[i].records[r]));
-        }
+        EXPECT_EQ(serial[i].payloads, pooled[i].payloads);
     }
 }
 

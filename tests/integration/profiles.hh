@@ -81,14 +81,9 @@ resilientProfileBytes(std::uint32_t *attempts)
         });
     runner.setBoundaryHook(
         [&](const AttemptOutcome &failed, StepId resume) {
-            ProfileRecord boundary;
-            boundary.attempt = failed.index + 1;
-            boundary.attempt_boundary = true;
-            boundary.preempted_at_step = failed.reached_step;
-            boundary.resume_step = resume;
-            boundary.window_begin = failed.ended_at;
-            boundary.window_end = failed.ended_at;
-            spool.push(encodeProfileRecord(boundary));
+            spool.push(encodeAttemptBoundary(
+                failed.index + 1, failed.reached_step, resume,
+                failed.ended_at));
         });
     const ResilientResult result = runner.run();
     spool.finish();

@@ -10,6 +10,7 @@
 #include "analyzer/analyzer.hh"
 #include "profiler/collector.hh"
 #include "profiler/profiler.hh"
+#include "tests/analyzer/synthetic.hh"
 #include "workloads/catalog.hh"
 
 namespace tpupoint {
@@ -27,7 +28,7 @@ workload()
 struct MeasuredRun
 {
     SessionResult result;
-    std::vector<ProfileRecord> records;
+    std::vector<std::string> payloads;
 };
 
 MeasuredRun
@@ -43,13 +44,13 @@ runWith(const StorageSpec &storage)
     session.start(nullptr);
     sim.run();
     profiler.stop();
-    return {session.result(), profiler.records()};
+    return {session.result(), profiler.payloads()};
 }
 
 struct FaultedRun
 {
     SessionResult result;
-    std::vector<ProfileRecord> records;
+    std::vector<std::string> payloads;
     std::uint64_t retries = 0;
     SimTime retry_time = 0;
     std::uint64_t injected = 0;
@@ -69,7 +70,7 @@ runWithFaults(const FaultSpec &faults, std::uint64_t seed)
     session.start(nullptr);
     sim.run();
     profiler.stop();
-    return {session.result(), profiler.records(),
+    return {session.result(), profiler.payloads(),
             session.storageBucket().retriesPerformed(),
             session.storageBucket().retryTime(),
             session.faultPlan().injectedTotal()};
@@ -106,7 +107,7 @@ TEST(FailureInjectionTest, AnalyzerPinpointsTheStarvation)
     const MeasuredRun sick = runWith(degraded);
 
     const AnalysisResult analysis =
-        TpuPointAnalyzer().analyze(sick.records);
+        TpuPointAnalyzer().analyze(sick.payloads);
     const Phase *longest = analysis.longest();
     ASSERT_NE(longest, nullptr);
 
@@ -183,7 +184,8 @@ TEST(FailureInjectionTest, RetriesSurfaceInProfileRecords)
     std::uint64_t recorded_retries = 0;
     SimTime recorded_retry_time = 0;
     bool retry_op_in_host_table = false;
-    for (const ProfileRecord &record : faulted.records) {
+    for (const ProfileRecord &record :
+         testutil::rowsOf(faulted.payloads)) {
         recorded_retries += record.retries;
         recorded_retry_time += record.retry_time;
         for (const auto &step : record.steps)
@@ -197,7 +199,7 @@ TEST(FailureInjectionTest, RetriesSurfaceInProfileRecords)
     // The analyzer still produces a phase structure from the
     // faulted records, with the slowdown attributed to input.
     const AnalysisResult analysis =
-        TpuPointAnalyzer().analyze(faulted.records);
+        TpuPointAnalyzer().analyze(faulted.payloads);
     EXPECT_FALSE(analysis.phases.empty());
 }
 

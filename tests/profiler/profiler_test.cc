@@ -7,12 +7,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "obs/metrics.hh"
 #include "profiler/profiler.hh"
 #include "proto/serialize.hh"
-#include "trace/record_stream.hh"
+#include "tests/analyzer/synthetic.hh"
 #include "workloads/catalog.hh"
 
 namespace tpupoint {
@@ -42,16 +41,17 @@ TEST(ProfilerTest, CollectsRecordsOverWholeRun)
 
     EXPECT_FALSE(profiler.running());
     EXPECT_GT(profiler.requestsIssued(), 2u);
-    ASSERT_FALSE(profiler.records().empty());
+    const std::vector<ProfileRecord> records =
+        testutil::rowsOf(profiler.payloads());
+    ASSERT_FALSE(records.empty());
 
     // Sequences ascend; windows tile the run.
     StepId max_step = 0;
     std::uint64_t total_events = 0;
-    for (std::size_t i = 0; i < profiler.records().size(); ++i) {
-        const ProfileRecord &r = profiler.records()[i];
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const ProfileRecord &r = records[i];
         if (i) {
-            EXPECT_GE(r.window_begin,
-                      profiler.records()[i - 1].window_begin);
+            EXPECT_GE(r.window_begin, records[i - 1].window_begin);
         }
         total_events += r.event_count;
         for (const auto &s : r.steps)
@@ -124,7 +124,7 @@ TEST(ProfilerTest, BreakpointStopsProfilingEarly)
     EXPECT_EQ(session.result().steps_completed, 100u);
     // Only early steps were profiled.
     StepId max_step = 0;
-    for (const auto &r : profiler.records())
+    for (const auto &r : testutil::rowsOf(profiler.payloads()))
         for (const auto &s : r.steps)
             max_step = std::max(max_step, s.step);
     EXPECT_LT(max_step, 60u);
@@ -143,9 +143,8 @@ TEST(ProfilerTest, WriteRecordsRoundTrips)
 
     std::stringstream buffer;
     profiler.writeRecords(buffer);
-    ProfileReader reader(buffer);
-    const auto decoded = reader.readAll();
-    EXPECT_EQ(decoded.size(), profiler.records().size());
+    ASSERT_FALSE(profiler.payloads().empty());
+    EXPECT_EQ(testutil::payloadsIn(buffer.str()), profiler.payloads());
 }
 
 TEST(ProfilerTest, StreamedProfileMatchesBufferedWriteRecords)
@@ -183,24 +182,21 @@ TEST(ProfilerTest, StreamedProfileMatchesBufferedWriteRecords)
     EXPECT_EQ(streamed.recordsRecorded(),
               buffered.recordsRecorded());
 
-    // The streamed profile decodes to exactly the records the
-    // buffered run retained, byte for byte.
-    ProfileReader reader(streamed_bytes);
-    const auto decoded = reader.readAll();
-    ASSERT_EQ(decoded.size(), buffered.records().size());
-    for (std::size_t i = 0; i < decoded.size(); ++i) {
-        EXPECT_EQ(encodeProfileRecord(decoded[i]),
-                  encodeProfileRecord(buffered.records()[i]));
-    }
+    // The streamed profile frames exactly the payloads the
+    // buffered run retained, byte for byte, and so does the
+    // buffered run's own container.
+    EXPECT_EQ(testutil::payloadsIn(streamed_bytes.str()),
+              buffered.payloads());
+    EXPECT_EQ(streamed_bytes.str(), buffered_bytes.str());
 
     // Retention off means the in-memory accessors refuse.
-    EXPECT_THROW(streamed.records(), std::runtime_error);
+    EXPECT_THROW(streamed.payloads(), std::runtime_error);
 }
 
 TEST(ProfilerTest, RetainedRecordsAreTheStreamedPayloadsDecoded)
 {
-    // Retention and streaming together: records() must be exactly
-    // the decode of the payloads that reached the stream.
+    // Retention and streaming together: payloads() must be exactly
+    // the payloads that reached the stream, byte for byte.
     Simulator sim;
     const RuntimeWorkload w = smallWorkload();
     TrainingSession session(sim, SessionConfig{}, w);
@@ -215,22 +211,12 @@ TEST(ProfilerTest, RetainedRecordsAreTheStreamedPayloadsDecoded)
     sim.run();
     profiler.stop();
 
-    RecordStreamReader reader(bytes);
-    std::string_view payload;
-    std::size_t index = 0;
-    while (reader.next(payload) == StreamStatus::Ok) {
-        ProfileRecord decoded;
-        ASSERT_TRUE(decodeProfileRecord(payload, decoded));
-        ASSERT_LT(index, profiler.records().size());
+    const std::vector<std::string> streamed =
+        testutil::payloadsIn(bytes.str());
+    EXPECT_GT(streamed.size(), 2u);
+    EXPECT_EQ(streamed, profiler.payloads());
+    for (const ProfileRecord &decoded : testutil::rowsOf(streamed))
         EXPECT_EQ(decoded.attempt, 3u);
-        EXPECT_EQ(encodeProfileRecord(decoded),
-                  encodeProfileRecord(profiler.records()[index]));
-        EXPECT_EQ(encodeProfileRecord(decoded), payload);
-        ++index;
-    }
-    EXPECT_EQ(reader.status(), StreamStatus::End);
-    EXPECT_EQ(index, profiler.records().size());
-    EXPECT_GT(index, 2u);
 }
 
 TEST(ProfilerTest, EmptyWindowsLeaveSequenceGaps)
@@ -248,7 +234,8 @@ TEST(ProfilerTest, EmptyWindowsLeaveSequenceGaps)
     sim.run();
     profiler.stop();
 
-    const auto &records = profiler.records();
+    const std::vector<ProfileRecord> records =
+        testutil::rowsOf(profiler.payloads());
     ASSERT_GT(records.size(), 1u);
     EXPECT_LT(records.size(), profiler.requestsIssued());
     bool gap = false;

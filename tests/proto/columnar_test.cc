@@ -18,6 +18,7 @@
 #include "core/rng.hh"
 #include "core/thread_pool.hh"
 #include "proto/serialize.hh"
+#include "tests/analyzer/synthetic.hh"
 
 // Binary-wide allocation counter: every operator new in this test
 // binary bumps it, so a test can assert that a code region
@@ -144,9 +145,9 @@ TEST(ColumnarTest, MatchesRowDecode)
 {
     Rng rng(11);
     std::stringstream buffer;
-    ProfileWriter writer(buffer);
+    RecordStreamWriter writer(buffer);
     for (std::uint64_t i = 0; i < 8; ++i)
-        writer.write(vocabRecord(rng, i));
+        writer.append(encodeProfileRecord(vocabRecord(rng, i)));
     writer.finish();
     const std::string bytes = buffer.str();
 
@@ -190,8 +191,8 @@ TEST(ColumnarTest, EntriesAreIdSortedWithinStep)
 {
     Rng rng(12);
     std::stringstream buffer;
-    ProfileWriter writer(buffer);
-    writer.write(vocabRecord(rng, 0));
+    RecordStreamWriter writer(buffer);
+    writer.append(encodeProfileRecord(vocabRecord(rng, 0)));
     writer.finish();
     ProfileReader reader(buffer);
     ColumnarRecord record;
@@ -250,7 +251,7 @@ TEST(ColumnarTest, ShiftedOpListsDecodeAsAFreshDecoderDoes)
         const std::string payload = encodeProfileRecord(record);
         ASSERT_TRUE(warm.decode(payload, warm_record, interner));
         ASSERT_TRUE(
-            decodeProfileRecordColumnar(payload, fresh_record, interner));
+            ColumnarDecoder().decode(payload, fresh_record, interner));
         ASSERT_EQ(warm_record.stepCount(), record.steps.size());
         for (std::size_t i = 0; i < record.steps.size(); ++i) {
             expectSameOps(warm_record.hostOps(i), fresh_record.hostOps(i));
@@ -285,10 +286,10 @@ TEST(ColumnarTest, SteadyStateReadLoopDoesNotAllocate)
     // allocations (the tentpole guarantee of the columnar path).
     Rng rng(13);
     std::stringstream buffer;
-    ProfileWriter writer(buffer);
+    RecordStreamWriter writer(buffer);
     constexpr std::uint64_t kRecords = 200;
     for (std::uint64_t i = 0; i < kRecords; ++i)
-        writer.write(vocabRecord(rng, i));
+        writer.append(encodeProfileRecord(vocabRecord(rng, i)));
     writer.finish();
 
     ProfileReader reader(buffer);
@@ -344,7 +345,7 @@ threePhaseSchedule(std::size_t steps)
         step.host_ops["RunGraph"].add(5);
         record.steps.push_back(std::move(step));
         if (record.steps.size() == 10 || i + 1 == steps) {
-            toColumnar(record, out.emplace_back());
+            out.push_back(testutil::columnar(record));
             record.steps.clear();
             ++record.sequence;
         }

@@ -7,6 +7,7 @@
 
 #include "core/rng.hh"
 #include "proto/serialize.hh"
+#include "tests/analyzer/synthetic.hh"
 
 namespace tpupoint {
 namespace {
@@ -109,10 +110,10 @@ TEST(SerializeTest, RoundTripSingleRecord)
     Rng rng(1);
     const ProfileRecord original = randomRecord(rng, 0);
     std::stringstream buffer;
-    ProfileWriter writer(buffer);
-    writer.write(original);
+    RecordStreamWriter writer(buffer);
+    writer.append(encodeProfileRecord(original));
     writer.finish();
-    EXPECT_EQ(writer.written(), 1u);
+    EXPECT_EQ(writer.records(), 1u);
 
     ProfileReader reader(buffer);
     ProfileRecord decoded;
@@ -126,14 +127,15 @@ TEST(SerializeTest, RoundTripManyRecordsFuzz)
     Rng rng(99);
     std::vector<ProfileRecord> originals;
     std::stringstream buffer;
-    ProfileWriter writer(buffer);
+    RecordStreamWriter writer(buffer);
     for (std::uint64_t i = 0; i < 25; ++i) {
         originals.push_back(randomRecord(rng, i));
-        writer.write(originals.back());
+        writer.append(encodeProfileRecord(originals.back()));
     }
     writer.finish();
     ProfileReader reader(buffer);
-    const std::vector<ProfileRecord> decoded = reader.readAll();
+    const std::vector<ProfileRecord> decoded =
+        testutil::readAll(reader);
     ASSERT_EQ(decoded.size(), originals.size());
     for (std::size_t i = 0; i < decoded.size(); ++i)
         expectEqualRecords(originals[i], decoded[i]);
@@ -143,9 +145,9 @@ TEST(SerializeTest, StreamedReadMatchesReadAll)
 {
     Rng rng(7);
     std::stringstream buffer;
-    ProfileWriter writer(buffer);
+    RecordStreamWriter writer(buffer);
     for (std::uint64_t i = 0; i < 40; ++i)
-        writer.write(randomRecord(rng, i));
+        writer.append(encodeProfileRecord(randomRecord(rng, i)));
     writer.finish();
     const std::string bytes = buffer.str();
 
@@ -158,7 +160,8 @@ TEST(SerializeTest, StreamedReadMatchesReadAll)
 
     std::istringstream bulk_in(bytes);
     ProfileReader bulk(bulk_in);
-    const std::vector<ProfileRecord> all = bulk.readAll();
+    const std::vector<ProfileRecord> all =
+        testutil::readAll(bulk);
 
     ASSERT_EQ(one_at_a_time.size(), all.size());
     for (std::size_t i = 0; i < all.size(); ++i) {
@@ -172,7 +175,7 @@ TEST(SerializeTest, StreamedReadMatchesReadAll)
 TEST(SerializeTest, EmptyProfileReadsZeroRecords)
 {
     std::stringstream buffer;
-    ProfileWriter writer(buffer);
+    RecordStreamWriter writer(buffer);
     writer.finish();
     ProfileReader reader(buffer);
     ProfileRecord record;
@@ -192,8 +195,8 @@ TEST(SerializeTest, TruncatedStreamIsRejected)
 {
     Rng rng(2);
     std::stringstream buffer;
-    ProfileWriter writer(buffer);
-    writer.write(randomRecord(rng, 0));
+    RecordStreamWriter writer(buffer);
+    writer.append(encodeProfileRecord(randomRecord(rng, 0)));
     writer.finish();
     std::string bytes = buffer.str();
     bytes.resize(bytes.size() / 2);
@@ -294,17 +297,20 @@ TEST(SerializeTest, PartialAttemptTailIsRejected)
     EXPECT_FALSE(decodeProfileRecord(payload, decoded));
 }
 
-TEST(SerializeTest, JsonOutputContainsKeyFields)
+TEST(SerializeTest, AttemptBoundaryPayloadIsASteplessMarker)
 {
-    Rng rng(3);
-    const ProfileRecord record = randomRecord(rng, 7);
-    std::ostringstream out;
-    profileRecordToJson(record, out);
-    const std::string json = out.str();
-    EXPECT_NE(json.find("\"sequence\":7"), std::string::npos);
-    EXPECT_NE(json.find("\"steps\""), std::string::npos);
-    EXPECT_NE(json.find("\"tpu_ops\""), std::string::npos);
-    EXPECT_NE(json.find("fusion"), std::string::npos);
+    ProfileRecord decoded;
+    ASSERT_TRUE(decodeProfileRecord(
+        encodeAttemptBoundary(2, 480, 450, 7 * kSec), decoded));
+    EXPECT_TRUE(decoded.attempt_boundary);
+    EXPECT_EQ(decoded.attempt, 2u);
+    EXPECT_EQ(decoded.preempted_at_step, 480u);
+    EXPECT_EQ(decoded.resume_step, 450u);
+    EXPECT_EQ(decoded.window_begin, 7 * kSec);
+    EXPECT_EQ(decoded.window_end, 7 * kSec);
+    EXPECT_EQ(decoded.sequence, 0u);
+    EXPECT_EQ(decoded.event_count, 0u);
+    EXPECT_TRUE(decoded.steps.empty());
 }
 
 } // namespace

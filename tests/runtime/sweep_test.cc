@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analyzer/analyzer.hh"
-#include "proto/serialize.hh"
+#include "analyzer/visualization.hh"
+#include "runtime/analysis_pipeline.hh"
 #include "runtime/sweep.hh"
+#include "tests/analyzer/synthetic.hh"
 #include "workloads/catalog.hh"
 
 namespace tpupoint {
@@ -49,7 +54,7 @@ TEST(SweepRunnerTest, OutcomesLandInJobOrder)
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         EXPECT_EQ(outcomes[i].job_index, i);
         EXPECT_GT(outcomes[i].result.steps_completed, 0u);
-        EXPECT_FALSE(outcomes[i].records.empty());
+        EXPECT_FALSE(outcomes[i].payloads.empty());
     }
 }
 
@@ -61,12 +66,7 @@ TEST(SweepRunnerTest, ThreadCountNeverChangesResults)
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         // Bitwise: every profile record serializes identically.
-        ASSERT_EQ(serial[i].records.size(),
-                  parallel[i].records.size());
-        for (std::size_t r = 0; r < serial[i].records.size(); ++r) {
-            EXPECT_EQ(encodeProfileRecord(serial[i].records[r]),
-                      encodeProfileRecord(parallel[i].records[r]));
-        }
+        EXPECT_EQ(serial[i].payloads, parallel[i].payloads);
         EXPECT_EQ(serial[i].result.wall_time,
                   parallel[i].result.wall_time);
         EXPECT_EQ(serial[i].result.steps_completed,
@@ -78,9 +78,9 @@ TEST(SweepRunnerTest, ThreadCountNeverChangesResults)
 
         // And the downstream analysis agrees phase for phase.
         const AnalysisResult a =
-            TpuPointAnalyzer().analyze(serial[i].records);
+            TpuPointAnalyzer().analyze(serial[i].payloads);
         const AnalysisResult b =
-            TpuPointAnalyzer().analyze(parallel[i].records);
+            TpuPointAnalyzer().analyze(parallel[i].payloads);
         ASSERT_EQ(a.phases.size(), b.phases.size());
         for (std::size_t p = 0; p < a.phases.size(); ++p) {
             EXPECT_EQ(a.phases[p].first_step,
@@ -101,7 +101,7 @@ TEST(SweepRunnerTest, UnprofiledJobsCarryNoRecords)
         job.profile = false;
     const auto outcomes = runWith(2, jobs);
     for (const auto &outcome : outcomes) {
-        EXPECT_TRUE(outcome.records.empty());
+        EXPECT_TRUE(outcome.payloads.empty());
         EXPECT_EQ(outcome.profiler_bytes, 0u);
         EXPECT_GT(outcome.result.steps_completed, 0u);
     }
@@ -150,13 +150,13 @@ TEST(SweepRunnerTest, FailingJobDoesNotPoisonTheSweep)
             EXPECT_EQ(outcomes[i].status, JobStatus::Failed);
             EXPECT_FALSE(outcomes[i].ok());
             EXPECT_FALSE(outcomes[i].error.empty());
-            EXPECT_TRUE(outcomes[i].records.empty());
+            EXPECT_TRUE(outcomes[i].payloads.empty());
         } else {
             // Every other job's outcome survives intact.
             EXPECT_EQ(outcomes[i].status, JobStatus::Ok);
             EXPECT_TRUE(outcomes[i].error.empty());
             EXPECT_GT(outcomes[i].result.steps_completed, 0u);
-            EXPECT_FALSE(outcomes[i].records.empty());
+            EXPECT_FALSE(outcomes[i].payloads.empty());
         }
     }
 }
@@ -203,7 +203,7 @@ TEST(SweepRunnerTest, PreemptedJobStitchesAttempts)
     // The stream carries attempt-boundary records for stitching.
     std::size_t boundaries = 0;
     std::uint32_t max_attempt = 0;
-    for (const auto &record : preempted.records) {
+    for (const auto &record : testutil::rowsOf(preempted.payloads)) {
         boundaries += record.attempt_boundary ? 1 : 0;
         max_attempt = std::max(max_attempt, record.attempt);
     }
@@ -213,11 +213,11 @@ TEST(SweepRunnerTest, PreemptedJobStitchesAttempts)
     // The analyzer stitches the attempts into one profile: same
     // step universe as the uninterrupted run, replay counted once.
     const AnalysisResult stitched =
-        TpuPointAnalyzer().analyze(preempted.records);
+        TpuPointAnalyzer().analyze(preempted.payloads);
     EXPECT_EQ(stitched.attempts, preempted.attempts);
     EXPECT_EQ(stitched.replayed_steps, preempted.replayed_steps);
     const AnalysisResult clean =
-        TpuPointAnalyzer().analyze(clean_outcomes[1].records);
+        TpuPointAnalyzer().analyze(clean_outcomes[1].payloads);
     // Every train step appears exactly once (the table is keyed by
     // step id). The stitched run may carry fewer eval rows than the
     // clean one: a restarted attempt does not re-run eval rounds
@@ -230,6 +230,48 @@ TEST(SweepRunnerTest, PreemptedJobStitchesAttempts)
     // Untouched jobs report single attempts.
     EXPECT_EQ(outcomes[0].attempts, 1u);
     EXPECT_EQ(outcomes[0].replayed_steps, 0u);
+}
+
+TEST(SweepRunnerTest, PreemptedPayloadsAnalyzeLikeTheirWrittenFile)
+{
+    // In-memory analysis of a resilient job's payloads (attempt
+    // boundaries included) must equal the tool path's analysis of
+    // the same bytes framed into a profile file.
+    auto jobs = smallJobs();
+    jobs.resize(2);
+    const auto clean = runWith(1, jobs);
+    jobs[1].config.preemption =
+        PreemptionSpec::at(clean[1].result.wall_time / 2);
+    const SweepOutcome preempted = runWith(1, jobs)[1];
+    ASSERT_GE(preempted.attempts, 2u);
+
+    const std::string path = testing::TempDir() +
+        "sweep_preempted_payloads.tpp";
+    {
+        std::ofstream out(path, std::ios::binary);
+        RecordStreamWriter writer(out);
+        for (const std::string &payload : preempted.payloads)
+            writer.append(payload);
+        writer.finish();
+    }
+    AnalysisResult from_file;
+    const runtime::PipelineReport report =
+        runtime::AnalysisPipeline().analyzeProfile(
+            path, &from_file, preempted.checkpoints);
+    std::remove(path.c_str());
+    ASSERT_TRUE(report.ok()) << report.message;
+    EXPECT_EQ(report.records, preempted.payloads.size());
+
+    const AnalysisResult in_memory = TpuPointAnalyzer().analyze(
+        preempted.payloads, preempted.checkpoints);
+    EXPECT_EQ(in_memory.attempts, preempted.attempts);
+    EXPECT_EQ(from_file.attempts, in_memory.attempts);
+    EXPECT_EQ(from_file.replayed_steps, in_memory.replayed_steps);
+    EXPECT_EQ(from_file.top3_coverage, in_memory.top3_coverage);
+    std::ostringstream file_json, memory_json;
+    writeAnalysisJson(from_file, file_json);
+    writeAnalysisJson(in_memory, memory_json);
+    EXPECT_EQ(file_json.str(), memory_json.str());
 }
 
 TEST(SweepRunnerTest, ProgressEventsArriveInOrderPerJob)
@@ -332,12 +374,7 @@ TEST(SweepRunnerTest, ProgressSinkNeverChangesResults)
     const auto observed = SweepRunner(options).run(jobs);
     ASSERT_EQ(plain.size(), observed.size());
     for (std::size_t i = 0; i < plain.size(); ++i) {
-        ASSERT_EQ(plain[i].records.size(),
-                  observed[i].records.size());
-        for (std::size_t r = 0; r < plain[i].records.size(); ++r) {
-            EXPECT_EQ(encodeProfileRecord(plain[i].records[r]),
-                      encodeProfileRecord(observed[i].records[r]));
-        }
+        EXPECT_EQ(plain[i].payloads, observed[i].payloads);
         EXPECT_EQ(plain[i].result.wall_time,
                   observed[i].result.wall_time);
     }
@@ -358,12 +395,7 @@ TEST(SweepRunnerTest, PreemptedSweepIsThreadCountInvariant)
         EXPECT_EQ(serial[i].attempts, parallel[i].attempts);
         EXPECT_EQ(serial[i].replayed_steps,
                   parallel[i].replayed_steps);
-        ASSERT_EQ(serial[i].records.size(),
-                  parallel[i].records.size());
-        for (std::size_t r = 0; r < serial[i].records.size(); ++r) {
-            EXPECT_EQ(encodeProfileRecord(serial[i].records[r]),
-                      encodeProfileRecord(parallel[i].records[r]));
-        }
+        EXPECT_EQ(serial[i].payloads, parallel[i].payloads);
     }
 }
 

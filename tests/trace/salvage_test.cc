@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "proto/serialize.hh"
+#include "tests/analyzer/synthetic.hh"
 #include "trace/record_stream.hh"
 
 namespace tpupoint {
@@ -301,7 +302,7 @@ TEST(SalvageTest, V3RetryFieldsRoundTripThroughBothReaders)
     {
         std::istringstream in(bytes);
         ProfileReader reader(in);
-        const auto records = reader.readAll();
+        const auto records = testutil::readAll(reader);
         ASSERT_EQ(records.size(), 4u);
         for (std::size_t i = 0; i < records.size(); ++i) {
             EXPECT_EQ(records[i].retries, 40 + i);
@@ -316,7 +317,7 @@ TEST(SalvageTest, V3RetryFieldsRoundTripThroughBothReaders)
     // lost.
     std::istringstream in(bytes);
     ProfileReader reader(in, /*salvage=*/true);
-    const auto records = reader.readAll();
+    const auto records = testutil::readAll(reader);
     ASSERT_EQ(records.size(), 4u);
     EXPECT_EQ(records[2].retries, 42u);
     EXPECT_FALSE(reader.sawDamage());
@@ -329,7 +330,7 @@ TEST(SalvageTest, DamagedV3ProfileSalvagesRetryFields)
 
     std::istringstream in(bytes);
     ProfileReader reader(in, /*salvage=*/true);
-    const auto records = reader.readAll();
+    const auto records = testutil::readAll(reader);
     ASSERT_EQ(records.size(), 4u);
     EXPECT_EQ(records[0].retries, 40u);
     EXPECT_EQ(records[1].sequence, 2u); // resynced past the damage
@@ -375,7 +376,7 @@ TEST(SalvageTest, ProfileReaderSalvagesDamagedProfiles)
 
     std::istringstream in(bytes);
     ProfileReader reader(in, /*salvage=*/true);
-    const auto records = reader.readAll();
+    const auto records = testutil::readAll(reader);
     ASSERT_EQ(records.size(), 4u);
     EXPECT_EQ(records[0].sequence, 0u);
     EXPECT_EQ(records[2].sequence, 3u);

@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "graph/fusion.hh"
+#include "tests/graph/total_flops.hh"
 #include "workloads/models.hh"
 
 namespace tpupoint {
@@ -75,8 +76,8 @@ TEST(ResnetModelTest, FlopsScaleWithResolution)
     const ModelGraphs small = buildResnet(8, 32, 10);
     const ModelGraphs large = buildResnet(8, 224, 10);
     // 224/32 = 7x linear -> ~49x flops.
-    EXPECT_GT(large.train.totalFlops(),
-              20 * small.train.totalFlops());
+    EXPECT_GT(testutil::totalFlops(large.train),
+              20 * testutil::totalFlops(small.train));
 }
 
 TEST(DcganModelTest, GeneratorAndTwoDiscriminatorPasses)
@@ -158,7 +159,8 @@ TEST_P(ModelFusionProperty, FusionShrinksGraphAndKeepsFlops)
     fused.validate();
     EXPECT_GT(stats.groups_formed, 0u);
     EXPECT_LT(fused.size(), graphs.train.size());
-    EXPECT_EQ(fused.totalFlops(), graphs.train.totalFlops());
+    EXPECT_EQ(testutil::totalFlops(fused),
+              testutil::totalFlops(graphs.train));
     EXPECT_LT(fused.totalBytes(), graphs.train.totalBytes());
     EXPECT_GT(fused.countKind(OpKind::Fusion), 0u);
 }

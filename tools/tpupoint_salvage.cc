@@ -49,10 +49,10 @@ main(int argc, char **argv)
     std::uint64_t salvaged = 0;
     ProfileReader reader(in, /*salvage=*/true);
     try {
-        ProfileWriter writer(out);
+        RecordStreamWriter writer(out);
         ProfileRecord record;
         while (reader.read(record)) {
-            writer.write(record);
+            writer.append(encodeProfileRecord(record));
             ++salvaged;
         }
         writer.finish();
