@@ -64,6 +64,18 @@ smoke_suite() {
         echo "smoke: bert-mrpc profile bytes moved" >&2
         return 1
     }
+    # Fault-free transfers take a folded path; an armed fault plan
+    # keeps the per-attempt path with its retries and backoff, so
+    # each sanitizer suite walks it here.
+    echo "== smoke: faulted bert-mrpc profile retries its storage reads"
+    "${build_dir}/tools/tpupoint-profile" --workload bert-mrpc \
+        --fault-error-rate 0.05 --fault-seed 7 \
+        --out "${work}/faulted.tpp" \
+        --metrics-out "${work}/faulted.metrics.json" > /dev/null
+    grep -Eq '"storage\.retries":[1-9]' "${work}/faulted.metrics.json" || {
+        echo "smoke: faulted profile shows no storage.retries" >&2
+        return 1
+    }
     # Tool outputs must not move either: analyze (three detectors,
     # --threads 1 and 4) and export (default, and a step range
     # without counters) over the committed bert-mrpc profile,

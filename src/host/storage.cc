@@ -138,8 +138,8 @@ StorageBucket::transfer(Attempt attempt)
         break;
     }
 
-    // Resource::use() would nest the continuation; holding the
-    // stream by hand keeps both closures inline.
+    // Acquiring and releasing the stream by hand keeps both
+    // closures inline: neither captures a continuation.
     streams.acquire([this, attempt]() {
         sim.schedule(attempt.held, [this, attempt]() {
             streams.release();
@@ -152,14 +152,7 @@ void
 StorageBucket::finishAttempt(Attempt attempt)
 {
     if (!FaultDecision{attempt.fault}.failed()) {
-        Operation &operation = operations[attempt.operation];
-        if (--operation.streams_left > 0)
-            return;
-        Done done = std::move(operation.done);
-        operation.next_free = free_operation;
-        free_operation = attempt.operation;
-        if (done)
-            done();
+        finishStreams(attempt.operation, 1);
         return;
     }
     const SimTime attempt_start = sim.now() - attempt.held;
@@ -191,29 +184,81 @@ StorageBucket::finishAttempt(Attempt attempt)
 }
 
 void
+StorageBucket::finishStreams(std::uint32_t operation, int count)
+{
+    Operation &entry = operations[operation];
+    entry.streams_left -= count;
+    if (entry.streams_left > 0)
+        return;
+    Done done = std::move(entry.done);
+    entry.next_free = free_operation;
+    free_operation = operation;
+    if (done)
+        done();
+}
+
+void
+StorageBucket::releaseAndFinish(std::uint32_t operation, int count)
+{
+    for (int i = 0; i < count; ++i)
+        streams.release();
+    finishStreams(operation, count);
+}
+
+void
+StorageBucket::start(std::uint64_t bytes, int stream_count, Done done,
+                     StepId step)
+{
+    const std::uint32_t operation = open(std::move(done), stream_count);
+    if (faults || !streams.tryAcquire(
+                      static_cast<std::size_t>(stream_count))) {
+        // Streams contend for the bounded pool, sample the plan and
+        // retry independently.
+        for (int i = 0; i < stream_count; ++i) {
+            transfer(Attempt{shareOf(bytes, stream_count, i), sim.now(),
+                             step, 0, operation});
+        }
+        return;
+    }
+    // Fault-free and uncontended: one grant hop in the slot of the
+    // per-stream grants, then one finish event per distinct share
+    // time (DESIGN §16). Only the last share differs.
+    const SimTime equal = transferTime(shareOf(bytes, stream_count, 0));
+    const SimTime last =
+        transferTime(shareOf(bytes, stream_count, stream_count - 1));
+    sim.schedule(0, [this, operation, stream_count, equal, last]() {
+        if (equal == last) {
+            sim.schedule(equal, [this, operation, stream_count]() {
+                releaseAndFinish(operation, stream_count);
+            });
+            return;
+        }
+        sim.schedule(equal, [this, operation, stream_count]() {
+            releaseAndFinish(operation, stream_count - 1);
+        });
+        sim.schedule(last, [this, operation]() {
+            releaseAndFinish(operation, 1);
+        });
+    });
+}
+
+void
 StorageBucket::read(std::uint64_t bytes, int parallel_streams,
                     Done done, StepId step)
 {
     if (parallel_streams < 1)
         fatal("StorageBucket::read: need at least one stream");
-    const int actual = std::min(parallel_streams,
-                                config.max_streams);
     bytes_read += bytes;
-
-    // Completion when the last stream finishes. Streams contend
-    // for the bounded pool and retry independently.
-    const std::uint32_t operation = open(std::move(done), actual);
-    for (int i = 0; i < actual; ++i) {
-        transfer(Attempt{shareOf(bytes, actual, i), sim.now(), step, 0,
-                         operation});
-    }
+    // The pool has at least one stream, so a read always finishes.
+    const int pool = static_cast<int>(streams.totalUnits());
+    start(bytes, std::min(parallel_streams, pool), std::move(done), step);
 }
 
 void
 StorageBucket::write(std::uint64_t bytes, Done done, StepId step)
 {
     bytes_written += bytes;
-    transfer(Attempt{bytes, sim.now(), step, 0, open(std::move(done), 1)});
+    start(bytes, 1, std::move(done), step);
 }
 
 } // namespace tpupoint

@@ -68,10 +68,18 @@ struct RetryPolicy
 
 /**
  * A persistent object-store bucket. Reads and writes acquire one of
- * a bounded pool of streams; each transfer costs latency plus
+ * a bounded pool of streams per share; each share costs latency plus
  * size/bandwidth. With a fault plan injected, each per-stream
  * attempt samples the plan and may error, spike or reset; failures
  * release the stream, back off per the retry policy, and reacquire.
+ *
+ * With no plan injected and every stream of a transfer free, the
+ * transfer takes its streams at once and retires in one finish
+ * event per distinct share time (at most two: the equal shares and
+ * the remainder share) instead of a grant and a finish per stream.
+ * Each callback keeps its timestamp and its order against every
+ * other event (DESIGN §16); a contended pool takes the per-stream
+ * path.
  */
 class StorageBucket
 {
@@ -129,6 +137,9 @@ class StorageBucket
     /** Time lost to failed attempts plus backoff. */
     SimTime retryTime() const { return retry_time; }
 
+    /** Streams not held by a transfer. */
+    std::size_t freeStreams() const { return streams.freeUnits(); }
+
     /** The injected plan, or nullptr. */
     FaultPlan *faultPlan() const { return faults; }
 
@@ -164,6 +175,22 @@ class StorageBucket
     /** Pool an operation of @p stream_count transfers; returns its
      * index. */
     std::uint32_t open(Done done, int stream_count);
+
+    /**
+     * Move @p bytes on @p stream_count streams for operation
+     * continuation @p done: folded when fault-free and uncontended,
+     * per stream otherwise.
+     */
+    void start(std::uint64_t bytes, int stream_count, Done done,
+               StepId step);
+
+    /** @p count streams of @p operation are done; the last one
+     * recycles the operation and runs its continuation. */
+    void finishStreams(std::uint32_t operation, int count);
+
+    /** A folded group of @p count streams ends: release them in
+     * stream order, then finish them. */
+    void releaseAndFinish(std::uint32_t operation, int count);
 
     /**
      * One per-stream transfer: sample the fault plan, hold a

@@ -26,10 +26,12 @@ namespace tpupoint {
  *
  * A consumer's continuation and its item wait together in
  * `handoffs` rather than in one closure (a closure holding a PopDone
- * could never be stored inline). Each handoff schedules one
- * zero-delay event that delivers the oldest waiting pair: same-time
- * events fire in scheduling order and time never runs backwards, so
- * the events fire in the order the pairs were queued.
+ * could never be stored inline), with the continuation of the
+ * producer the same handoff accepts, if any. Each handoff schedules
+ * one zero-delay event that runs both, in the order two back-to-back
+ * events would (DESIGN §16): same-time events fire in scheduling
+ * order and time never runs backwards, so the events fire in the
+ * order the handoffs were queued.
  */
 template <typename T>
 class BoundedQueue
@@ -64,8 +66,8 @@ class BoundedQueue
             // Hand the item straight to the parked consumer.
             PopDone consumer = std::move(waiting_consumers.front());
             waiting_consumers.pop_front();
-            deliver(std::move(consumer), std::move(item));
-            completePush(std::move(on_accepted));
+            deliver(std::move(consumer), std::move(item),
+                    std::move(on_accepted), /*accepted_first=*/false);
             return;
         }
         if (items.size() < max_items) {
@@ -88,8 +90,8 @@ class BoundedQueue
         if (!items.empty()) {
             T item = std::move(items.front());
             items.pop_front();
-            admitParkedProducer();
-            deliver(std::move(on_item), std::move(item));
+            deliver(std::move(on_item), std::move(item),
+                    admitParkedProducer(), /*accepted_first=*/true);
             return;
         }
         if (!waiting_producers.empty()) {
@@ -99,8 +101,8 @@ class BoundedQueue
             // handoff.
             auto [item, done] = std::move(waiting_producers.front());
             waiting_producers.pop_front();
-            completePush(std::move(done));
-            deliver(std::move(on_item), std::move(item));
+            deliver(std::move(on_item), std::move(item), std::move(done),
+                    /*accepted_first=*/true);
             return;
         }
         waiting_consumers.push_back(std::move(on_item));
@@ -131,7 +133,7 @@ class BoundedQueue
         max_items = new_capacity;
         while (!waiting_producers.empty() &&
                items.size() < max_items) {
-            admitParkedProducer();
+            completePush(admitParkedProducer());
         }
     }
 
@@ -148,15 +150,34 @@ class BoundedQueue
     }
 
   private:
-    /** Hand @p item to @p consumer at zero delay. */
-    void
-    deliver(PopDone consumer, T item)
+    /** A consumer's item, and the producer the handoff accepts. */
+    struct Handoff
     {
-        handoffs.push_back({std::move(consumer), std::move(item)});
+        PopDone consumer;
+        T item;
+        PushDone accepted;
+        bool accepted_first = false;
+    };
+
+    /**
+     * Hand @p item to @p consumer at zero delay, in the same event
+     * as @p accepted: before the consumer when @p accepted_first,
+     * after it otherwise.
+     */
+    void
+    deliver(PopDone consumer, T item, PushDone accepted,
+            bool accepted_first)
+    {
+        handoffs.push_back({std::move(consumer), std::move(item),
+                            std::move(accepted), accepted_first});
         sim.schedule(0, [this]() {
-            auto [fn, value] = std::move(handoffs.front());
+            Handoff handoff = std::move(handoffs.front());
             handoffs.pop_front();
-            fn(std::move(value));
+            if (handoff.accepted_first && handoff.accepted)
+                handoff.accepted();
+            handoff.consumer(std::move(handoff.item));
+            if (!handoff.accepted_first && handoff.accepted)
+                handoff.accepted();
         });
     }
 
@@ -167,16 +188,20 @@ class BoundedQueue
             sim.schedule(0, std::move(done));
     }
 
-    /** A slot freed up: admit the oldest parked producer, if any. */
-    void
+    /**
+     * A slot freed up: admit the oldest parked producer, if any.
+     * @return its continuation, for the caller to run; empty when
+     * no producer was admitted.
+     */
+    PushDone
     admitParkedProducer()
     {
         if (waiting_producers.empty() || items.size() >= max_items)
-            return;
+            return nullptr;
         auto [item, done] = std::move(waiting_producers.front());
         waiting_producers.pop_front();
         items.push_back(std::move(item));
-        completePush(std::move(done));
+        return std::move(done);
     }
 
     Simulator &sim;
@@ -184,7 +209,7 @@ class BoundedQueue
     Fifo<T> items;
     Fifo<std::pair<T, PushDone>> waiting_producers;
     Fifo<PopDone> waiting_consumers;
-    Fifo<std::pair<PopDone, T>> handoffs;
+    Fifo<Handoff> handoffs;
 };
 
 } // namespace tpupoint

@@ -63,13 +63,14 @@ EventQueue::cancel(EventId id)
         !slots[slot].fn)
         return false;
     // The heap entry stays behind as a tombstone: its generation no
-    // longer matches the slot's.
+    // longer matches the slot's. A tombstone on top is purged now.
     release(slot);
+    purgeDead();
     return true;
 }
 
 void
-EventQueue::purgeDead() const
+EventQueue::purgeDead()
 {
     while (!heap.empty() &&
            heap.front().generation != slots[heap.front().slot].generation) {
@@ -81,14 +82,12 @@ EventQueue::purgeDead() const
 SimTime
 EventQueue::nextTime() const
 {
-    purgeDead();
     return heap.empty() ? kTimeForever : heap.front().when;
 }
 
 std::pair<SimTime, EventQueue::Callback>
 EventQueue::pop()
 {
-    purgeDead();
     if (heap.empty())
         panic("EventQueue::pop on an empty queue");
     std::pop_heap(heap.begin(), heap.end(), later<Entry>);
@@ -96,6 +95,7 @@ EventQueue::pop()
     heap.pop_back();
     Callback fn = std::move(slots[entry.slot].fn);
     release(entry.slot);
+    purgeDead();
     return {entry.when, std::move(fn)};
 }
 

@@ -33,7 +33,10 @@ using EventId = std::uint64_t;
  * the heap holds only (timestamp, sequence, slot, generation).
  * Firing or cancelling an event frees its slot and bumps the slot's
  * generation, so a cancelled event's heap entry becomes a tombstone
- * (skipped on pop) and an id that outlived its event matches nothing.
+ * and an id that outlived its event matches nothing. Tombstones are
+ * purged whenever they reach the top of the heap (after a pop or a
+ * cancel), so the top entry is always live: one purge per popped
+ * event, and nextTime() and pop() read the top as it stands.
  */
 class EventQueue
 {
@@ -83,12 +86,12 @@ class EventQueue
     /** Free @p slot: drop its callback, retire its generation. */
     void release(std::uint32_t slot);
 
-    /** Discard heap entries whose events were cancelled. */
-    void purgeDead() const;
+    /** Discard cancelled entries from the top of the heap. */
+    void purgeDead();
 
     static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
-    mutable std::vector<Entry> heap;
+    std::vector<Entry> heap;
     std::vector<Slot> slots;
     std::uint32_t free_head = kNoSlot; ///< Free-list head.
     std::uint64_t next_sequence = 0;

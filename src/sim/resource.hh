@@ -14,8 +14,9 @@
 namespace tpupoint {
 
 /**
- * N interchangeable units acquired one at a time. acquire() invokes
- * its continuation when a unit is granted; release() returns one.
+ * N interchangeable units. acquire() invokes its continuation when a
+ * unit is granted; tryAcquire() takes several free units at once;
+ * release() returns one.
  */
 class Resource
 {
@@ -48,6 +49,22 @@ class Resource
         }
     }
 
+    /**
+     * Take @p units units at once, with no grant event, when that
+     * many are free; otherwise take nothing. A waiter queues only
+     * while no unit is free, so this never passes one. Each unit
+     * taken goes back through its own release().
+     * @return true when the units were taken.
+     */
+    bool
+    tryAcquire(std::size_t units)
+    {
+        if (free_units < units)
+            return false;
+        free_units -= units;
+        return true;
+    }
+
     /** Return one unit, waking the oldest waiter if any. */
     void
     release()
@@ -61,25 +78,6 @@ class Resource
         if (free_units >= total_units)
             panic("Resource::release: more releases than acquires");
         ++free_units;
-    }
-
-    /**
-     * Convenience: acquire, hold for @p duration, then release and
-     * invoke @p done. Its closures capture @p done, so they are too
-     * large to store inline; a hot path calls acquire() and
-     * release() itself.
-     */
-    void
-    use(SimTime duration, Granted done)
-    {
-        acquire([this, duration, done = std::move(done)]() mutable {
-            sim.schedule(duration, [this,
-                                    done = std::move(done)]() mutable {
-                release();
-                if (done)
-                    done();
-            });
-        });
     }
 
     /** Units not currently held. */

@@ -113,8 +113,12 @@ TEST(CallbackOwnershipTest, MoveOnlyCapturesReachEveryContinuation)
         seen.push_back(*p);
         resource.release();
     });
-    resource.use(5, [p = std::make_unique<int>(3), &seen] {
-        seen.push_back(*p);
+    resource.acquire([p = std::make_unique<int>(3), &seen, &sim,
+                      &resource]() mutable {
+        sim.schedule(5, [p = std::move(p), &seen, &resource] {
+            resource.release();
+            seen.push_back(*p);
+        });
     });
     queue.push(std::make_unique<int>(4),
                [p = std::make_unique<int>(5), &seen] {
@@ -176,17 +180,19 @@ TEST(CallbackOwnershipTest, ResourceClosuresDestroyedOnce)
     {
         Simulator sim;
         Resource resource(sim, 1);
-        resource.use(10, makeBig(&destroyed, &calls));
+        resource.acquire(makeBig(&destroyed, &calls)); // granted
         resource.acquire(makeBig(&destroyed, &calls)); // waits
         sim.run();
-        // The use fired; the acquire was granted and fired too.
+        EXPECT_EQ(calls, 1);
+        EXPECT_EQ(destroyed, 1);
+        resource.release(); // to the waiter
+        sim.run();
         EXPECT_EQ(calls, 2);
         EXPECT_EQ(destroyed, 2);
-        resource.release(); // the acquire's unit
+        resource.release();
         // Pending at teardown: one grant scheduled, one waiter.
-        resource.use(10, makeBig(&destroyed, &calls));
         resource.acquire(makeBig(&destroyed, &calls));
-        sim.runUntil(sim.now());
+        resource.acquire(makeBig(&destroyed, &calls));
         EXPECT_EQ(resource.waiting(), 1u);
     }
     EXPECT_EQ(calls, 2);

@@ -55,16 +55,29 @@ TEST(ResourceTest, OverReleasePanics)
     EXPECT_THROW(r.release(), std::logic_error);
 }
 
-TEST(ResourceTest, UseHoldsForDuration)
+/** Acquire a unit, hold it for @p duration, then release it and
+ * record the time in @p done_at. */
+void
+hold(Simulator &sim, Resource &r, SimTime duration, SimTime &done_at)
+{
+    r.acquire([&sim, &r, duration, &done_at] {
+        sim.schedule(duration, [&sim, &r, &done_at] {
+            r.release();
+            done_at = sim.now();
+        });
+    });
+}
+
+TEST(ResourceTest, HoldersQueueForASingleUnit)
 {
     Simulator sim;
     Resource r(sim, 1);
     SimTime first_done = 0, second_done = 0;
-    r.use(100, [&] { first_done = sim.now(); });
-    r.use(50, [&] { second_done = sim.now(); });
+    hold(sim, r, 100, first_done);
+    hold(sim, r, 50, second_done);
     sim.run();
     EXPECT_EQ(first_done, 100);
-    // The second use waits for the first to release.
+    // The second holder waits for the first to release.
     EXPECT_EQ(second_done, 150);
     EXPECT_EQ(r.freeUnits(), 1u);
 }
@@ -74,11 +87,43 @@ TEST(ResourceTest, ParallelUnitsOverlap)
     Simulator sim;
     Resource r(sim, 2);
     SimTime a = 0, b = 0;
-    r.use(100, [&] { a = sim.now(); });
-    r.use(100, [&] { b = sim.now(); });
+    hold(sim, r, 100, a);
+    hold(sim, r, 100, b);
     sim.run();
     EXPECT_EQ(a, 100);
     EXPECT_EQ(b, 100); // ran concurrently on two units
+}
+
+TEST(ResourceTest, TryAcquireTakesAllUnitsOrNone)
+{
+    Simulator sim;
+    Resource r(sim, 3);
+    EXPECT_TRUE(r.tryAcquire(2));
+    EXPECT_EQ(r.freeUnits(), 1u);
+    EXPECT_FALSE(r.tryAcquire(2));
+    EXPECT_EQ(r.freeUnits(), 1u);
+    // No grant event: the units are held on return.
+    EXPECT_TRUE(sim.idle());
+    r.release();
+    r.release();
+    EXPECT_EQ(r.freeUnits(), 3u);
+}
+
+TEST(ResourceTest, TryAcquireNeverPassesAWaiter)
+{
+    Simulator sim;
+    Resource r(sim, 1);
+    int granted = 0;
+    r.acquire([&] { ++granted; });
+    r.acquire([&] { ++granted; });
+    sim.run();
+    EXPECT_FALSE(r.tryAcquire(1));
+    r.release(); // to the waiter, not to a later tryAcquire
+    EXPECT_FALSE(r.tryAcquire(1));
+    sim.run();
+    EXPECT_EQ(granted, 2);
+    r.release();
+    EXPECT_TRUE(r.tryAcquire(1));
 }
 
 } // namespace
