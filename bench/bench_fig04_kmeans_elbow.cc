@@ -21,6 +21,7 @@
 #include "bench/common.hh"
 #include "core/strings.hh"
 #include "core/thread_pool.hh"
+#include "obs/pool_metrics.hh"
 
 using namespace tpupoint;
 
@@ -65,7 +66,7 @@ main(int argc, char **argv)
                       "Figure 4 + Section VI-A");
 
     const unsigned workers =
-        resolveThreadCount(benchutil::sweepThreads());
+        obs::resolveThreadCount(benchutil::sweepThreads());
     ThreadPoolOptions pool_options;
     pool_options.workers = workers;
     ThreadPool pool(pool_options);

@@ -9,6 +9,7 @@
 #include "core/json.hh"
 #include "core/logging.hh"
 #include "core/strings.hh"
+#include "obs/logger.hh"
 #include "obs/progress.hh"
 #include "profiler/profiler.hh"
 #include "runtime/sweep.hh"
@@ -122,8 +123,9 @@ sweepThreads()
         if (parseUint64(env, &parsed) && parsed > 0 &&
             parsed <= std::numeric_limits<unsigned>::max())
             return static_cast<unsigned>(parsed);
-        warn("ignoring TPUPOINT_SWEEP_THREADS='", env,
-             "': want a positive integer");
+        obs::logWarn("bench", "ignoring TPUPOINT_SWEEP_THREADS: "
+                              "want a positive integer",
+                     {{"value", env}});
     }
     return 0; // 0 = SweepRunner resolves TPUPOINT_THREADS / hw.
 }

@@ -120,7 +120,7 @@ class BenchReport
     bool enabled() const { return !path.empty(); }
 
     /** The `--threads N` value (0 = not given; resolve via
-     * sweepThreads() / resolveThreadCount()). */
+     * sweepThreads() / obs::resolveThreadCount()). */
     unsigned threads() const { return thread_count; }
 
     /**

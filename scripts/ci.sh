@@ -362,7 +362,8 @@ smoke_suite() {
         --status-out "${work}/obs.status.json" \
         --flight-out "${work}/obs.flight.json" \
         --slo-p99-ingest-us 60000000 --slo-max-lag-ms 600000 \
-        --poll-ms 20 --idle-ttl-ms 60000 &
+        --poll-ms 20 --idle-ttl-ms 60000 \
+        2> "${work}/obs.stderr" &
     local obs_pid=$!
     tries=0
     until [ -s "${work}/obs.status.json" ]; do
@@ -457,6 +458,22 @@ smoke_suite() {
         echo "smoke: shutdown left no flight dump" >&2
         return 1
     }
+    # TPUPOINT_LOG_FORMAT=jsonl makes the daemon's whole stderr
+    # JSONL: obs::Logger is the only emitter, so every line must
+    # parse on its own.
+    [ -s "${work}/obs.stderr" ] || {
+        echo "smoke: observability serve logged nothing" >&2
+        return 1
+    }
+    local line
+    while IFS= read -r line; do
+        printf '%s\n' "${line}" > "${work}/obs.line.json"
+        "${build_dir}/tools/tpupoint-validate-json" \
+            "${work}/obs.line.json" > /dev/null || {
+            echo "smoke: serve stderr line is not JSON: ${line}" >&2
+            return 1
+        }
+    done < "${work}/obs.stderr"
     rm -rf "${work}"
 }
 
@@ -570,9 +587,26 @@ row_record_gate() {
     fi
 }
 
+# obs::Logger is the only emitter of log lines; core/logging keeps
+# just fatal/panic (which throw) and the level threshold. Fail when
+# the legacy emitter or its bridge comes back.
+one_logger_gate() {
+    echo "== gate: obs::Logger is the only log emitter"
+    local stray
+    stray=$(grep -rnE \
+        '\b(inform|warn|debugLog)\(|setLogSink|LogSinkFn|Logger::(install|uninstall)' \
+        src tools bench examples || true)
+    if [ -n "${stray}" ]; then
+        echo "gate: legacy logging reappeared:" >&2
+        echo "${stray}" >&2
+        return 1
+    fi
+}
+
 sanitizers=${TPUPOINT_CI_SANITIZERS-"address thread undefined"}
 
 row_record_gate
+one_logger_gate
 # Every build is warning-free, so any new warning fails the gate.
 run_suite build -DTPUPOINT_WERROR=ON "$@"
 bench_smoke build

@@ -1,7 +1,6 @@
 #include "core/logging.hh"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -12,10 +11,6 @@ namespace tpupoint {
 namespace {
 
 std::atomic<LogLevel> global_threshold{LogLevel::Info};
-
-/** Serializes emission so parallel sweep workers cannot interleave
- * partial lines on stderr. */
-std::mutex emit_mutex;
 
 std::once_flag environment_once;
 
@@ -28,8 +23,6 @@ ensureEnvironmentLoaded()
                    []() { LogConfig::loadFromEnvironment(); });
 }
 
-std::atomic<LogSinkFn> global_sink{nullptr};
-
 } // namespace
 
 const char *
@@ -39,16 +32,8 @@ logLevelName(LogLevel level)
       case LogLevel::Debug: return "debug";
       case LogLevel::Info: return "info";
       case LogLevel::Warn: return "warn";
-      case LogLevel::Fatal: return "fatal";
-      case LogLevel::Panic: return "panic";
     }
     return "?";
-}
-
-void
-setLogSink(LogSinkFn sink)
-{
-    global_sink.store(sink, std::memory_order_release);
 }
 
 LogLevel
@@ -93,38 +78,15 @@ LogConfig::loadFromEnvironment()
     return true;
 }
 
-namespace detail {
-
-void
-logMessage(LogLevel level, const std::string &msg)
-{
-    ensureEnvironmentLoaded();
-    if (level < global_threshold.load(std::memory_order_relaxed))
-        return;
-    std::lock_guard<std::mutex> lock(emit_mutex);
-    const LogSinkFn sink =
-        global_sink.load(std::memory_order_acquire);
-    if (sink != nullptr) {
-        sink(level, msg);
-        return;
-    }
-    std::fprintf(stderr, "tpupoint: %s: %s\n",
-                 logLevelName(level), msg.c_str());
-}
-
-} // namespace detail
-
 void
 fatalError(const std::string &msg)
 {
-    detail::logMessage(LogLevel::Fatal, msg);
     throw std::runtime_error("tpupoint fatal: " + msg);
 }
 
 void
 panicError(const std::string &msg)
 {
-    detail::logMessage(LogLevel::Panic, msg);
     throw std::logic_error("tpupoint panic: " + msg);
 }
 

@@ -1,7 +1,11 @@
 /**
  * @file
- * gem5-flavoured status/error reporting: inform/warn for status,
- * fatal for user errors, panic for internal invariant violations.
+ * gem5-flavoured error reporting and the log threshold: fatal for
+ * user errors and panic for internal invariant violations, both of
+ * which throw and print nothing themselves (every catch site
+ * reports what(); an uncaught throw reaches std::terminate, which
+ * prints it). LogConfig holds the level threshold obs::Logger, the
+ * toolchain's one emitter, filters its stream by.
  */
 
 #ifndef TPUPOINT_CORE_LOGGING_HH
@@ -12,14 +16,15 @@
 
 namespace tpupoint {
 
-/** Severity of a log message. */
-enum class LogLevel { Debug, Info, Warn, Fatal, Panic };
+/** Severity of a log event (fatal/panic throw instead). */
+enum class LogLevel { Debug, Info, Warn };
 
 /**
- * Global log verbosity control. Messages below the threshold are
- * suppressed. Defaults to Info; the TPUPOINT_LOG_LEVEL environment
- * variable (debug/info/warn) overrides the default on first use,
- * and tests lower it explicitly to keep output clean.
+ * Global log verbosity control: obs::Logger suppresses stream
+ * events below the threshold. Defaults to Info; the
+ * TPUPOINT_LOG_LEVEL environment variable (debug/info/warn)
+ * overrides the default on first use, and tests raise it
+ * explicitly to keep output clean.
  */
 class LogConfig
 {
@@ -47,24 +52,7 @@ class LogConfig
 /** Printable level name ("debug", "info", ...). */
 const char *logLevelName(LogLevel level);
 
-/**
- * Installable structured-log sink. When set, every message that
- * clears the threshold is handed to the sink instead of the default
- * "tpupoint: level: msg" stderr line — the hook obs::Logger uses to
- * upgrade the whole toolchain's legacy inform()/warn() traffic to
- * structured emission without core/ depending on obs/. The sink
- * runs under the emission lock, so implementations must not call
- * back into logMessage().
- */
-using LogSinkFn = void (*)(LogLevel level, const std::string &msg);
-
-/** Install @p sink (nullptr restores the default stderr line). */
-void setLogSink(LogSinkFn sink);
-
 namespace detail {
-
-/** Emit one formatted message to stderr (internal). */
-void logMessage(LogLevel level, const std::string &msg);
 
 /** Fold a parameter pack into one string via operator<<. */
 template <typename... Args>
@@ -78,33 +66,6 @@ concatenate(Args &&...args)
 }
 
 } // namespace detail
-
-/** Informative status message; no connotation of incorrectness. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::logMessage(LogLevel::Info,
-                       detail::concatenate(std::forward<Args>(args)...));
-}
-
-/** Debug-level message, suppressed unless verbosity is raised. */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    detail::logMessage(LogLevel::Debug,
-                       detail::concatenate(std::forward<Args>(args)...));
-}
-
-/** Something may not be modelled perfectly but execution continues. */
-template <typename... Args>
-void
-warn(Args &&...args)
-{
-    detail::logMessage(LogLevel::Warn,
-                       detail::concatenate(std::forward<Args>(args)...));
-}
 
 /**
  * Unrecoverable condition caused by the caller (bad configuration,

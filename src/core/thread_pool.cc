@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <limits>
-
-#include "core/logging.hh"
-#include "core/strings.hh"
 
 namespace tpupoint {
 
@@ -17,27 +12,6 @@ steadyNowNs()
                std::chrono::steady_clock::now()
                    .time_since_epoch())
         .count();
-}
-
-unsigned
-resolveThreadCount(unsigned requested)
-{
-    if (requested > 0)
-        return requested;
-    if (const char *env = std::getenv("TPUPOINT_THREADS")) {
-        // Strict parse: "banana" or an overflowing value must not
-        // silently become some thread count. A bad setting is
-        // warned about once per resolution and ignored.
-        std::uint64_t parsed = 0;
-        if (parseUint64(env, &parsed) && parsed > 0 &&
-            parsed <= std::numeric_limits<unsigned>::max()) {
-            return static_cast<unsigned>(parsed);
-        }
-        warn("ignoring TPUPOINT_THREADS='", env,
-             "': want a positive integer");
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
 }
 
 TaskScope::TaskScope(const ThreadPoolHooks &pool_hooks,

@@ -98,7 +98,7 @@ struct ThreadPoolOptions
      * Worker threads. 0 or 1 = inline mode: no threads are
      * spawned and submit() executes in the caller. Resolve
      * user-facing "0 = hardware concurrency" semantics with
-     * resolveThreadCount() before constructing.
+     * obs::resolveThreadCount() before constructing.
      */
     unsigned workers = 1;
 
@@ -133,15 +133,6 @@ class TaskScope
 
 /** Steady-clock nanoseconds (the time base of TaskTiming). */
 std::int64_t steadyNowNs();
-
-/**
- * Resolve a user-facing thread count: @p requested when positive,
- * else the TPUPOINT_THREADS environment variable when set to a
- * positive integer, else std::thread::hardware_concurrency()
- * (minimum 1). This is the one place the `--threads` default
- * semantics live.
- */
-unsigned resolveThreadCount(unsigned requested);
 
 /** The shared work-stealing executor. */
 class ThreadPool

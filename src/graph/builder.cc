@@ -378,13 +378,6 @@ GraphBuilder::transpose(NodeId x, const std::vector<int> &perm,
 }
 
 NodeId
-GraphBuilder::copy(NodeId x, const std::string &name)
-{
-    return emit(OpKind::Copy, name, {x}, shapeOf(x), typeOf(x), 0,
-                2 * bytesOf(x), false);
-}
-
-NodeId
 GraphBuilder::concat(const std::vector<NodeId> &parts,
                      std::size_t axis, const std::string &name)
 {
@@ -422,19 +415,6 @@ GraphBuilder::slice(NodeId x, std::int64_t count,
     TensorShape out(std::move(out_dims));
     return emit(OpKind::Slice, name, {x}, out, typeOf(x), 0,
                 2 * out.numBytes(typeOf(x)), false);
-}
-
-NodeId
-GraphBuilder::pad(NodeId x, std::int64_t amount,
-                  const std::string &name)
-{
-    const TensorShape &in = shapeOf(x);
-    if (in.rank() != 4)
-        fatal("pad: expected NHWC input for ", name);
-    TensorShape out({in.dim(0), in.dim(1) + 2 * amount,
-                     in.dim(2) + 2 * amount, in.dim(3)});
-    return emit(OpKind::Pad, name, {x}, out, typeOf(x), 0,
-                bytesOf(x) + out.numBytes(typeOf(x)), false);
 }
 
 NodeId

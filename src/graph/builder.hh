@@ -129,9 +129,6 @@ class GraphBuilder
     NodeId transpose(NodeId x, const std::vector<int> &perm,
                      const std::string &name);
 
-    /** Device-to-device copy. */
-    NodeId copy(NodeId x, const std::string &name);
-
     /** Concatenate along @p axis; shapes must agree elsewhere. */
     NodeId concat(const std::vector<NodeId> &parts, std::size_t axis,
                   const std::string &name);
@@ -139,10 +136,6 @@ class GraphBuilder
     /** Contiguous slice of @p count rows along the first axis. */
     NodeId slice(NodeId x, std::int64_t count,
                  const std::string &name);
-
-    /** Pad the spatial dims by @p amount on each side. */
-    NodeId pad(NodeId x, std::int64_t amount,
-               const std::string &name);
 
     /** Embedding lookup: ids [b, s] -> [b, s, width]. */
     NodeId gather(NodeId ids, std::int64_t width,

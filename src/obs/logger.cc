@@ -21,13 +21,6 @@ steadyNowNs()
         .count();
 }
 
-/** core/logging sink trampoline (legacy inform/warn traffic). */
-void
-coreSink(LogLevel level, const std::string &msg)
-{
-    Logger::global().log(level, "core", msg);
-}
-
 } // namespace
 
 bool
@@ -111,18 +104,6 @@ std::uint64_t
 Logger::emitted() const
 {
     return emit_count.load(std::memory_order_relaxed);
-}
-
-void
-Logger::install()
-{
-    setLogSink(&coreSink);
-}
-
-void
-Logger::uninstall()
-{
-    setLogSink(nullptr);
 }
 
 void

@@ -1,12 +1,14 @@
 /**
  * @file
- * Structured logging for the toolchain's long-running components.
- * core/logging's inform()/warn() free functions answer "print a
- * line a human reads at a terminal"; a fleet daemon needs the other
- * contract — every event machine-parseable, attributable to a
- * component, carrying its context (session, job, attempt) as
- * key/value fields, and rate-limited per call site so a wedged
- * session cannot flood the log. obs::Logger is that emitter:
+ * Structured logging: the toolchain's one emitter. Every log line
+ * any tool, daemon or bench prints comes through obs::Logger, so a
+ * fleet daemon gets one contract everywhere — every event
+ * machine-parseable, attributable to a component, carrying its
+ * context (session, job, attempt) as key/value fields, and
+ * rate-limited per call site so a wedged session cannot flood the
+ * log. core/logging keeps only the error path (fatal/panic throw;
+ * their catch sites report what()) and the level threshold this
+ * logger reads:
  *
  *  - two wire formats, selected by TPUPOINT_LOG_FORMAT or
  *    setFormat(): "text" (one human line, `key=value` suffix) and
@@ -21,11 +23,7 @@
  *  - LogSite gives each call site an independent token-bucket-ish
  *    limiter: the first event passes, repeats inside the interval
  *    are counted, and the next admitted event carries a
- *    `suppressed=N` field instead of N spam lines;
- *  - install() routes core/logging's legacy traffic (every
- *    existing inform/warn/fatal in the tree) through this logger
- *    under component "core", so one flag upgrade makes the whole
- *    process structured.
+ *    `suppressed=N` field instead of N spam lines.
  */
 
 #ifndef TPUPOINT_OBS_LOGGER_HH
@@ -173,15 +171,6 @@ class Logger
 
     /** Events written to the stream (post-threshold). */
     std::uint64_t emitted() const;
-
-    /**
-     * Route core/logging's inform()/warn()/fatal() traffic through
-     * the global logger under component "core". Idempotent.
-     */
-    static void install();
-
-    /** Restore core/logging's default stderr line (tests). */
-    static void uninstall();
 
   private:
     void emit(LogLevel level, std::string_view component,

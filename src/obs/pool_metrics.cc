@@ -1,5 +1,11 @@
 #include "obs/pool_metrics.hh"
 
+#include <cstdlib>
+#include <limits>
+#include <thread>
+
+#include "core/strings.hh"
+#include "obs/logger.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 
@@ -55,6 +61,28 @@ instrumentedPoolHooks(const std::string &pool_name)
     };
     hooks.on_steal = [&steals]() { steals.add(1); };
     return hooks;
+}
+
+unsigned
+resolveThreadCount(unsigned requested)
+{
+    if (requested > 0)
+        return requested;
+    if (const char *env = std::getenv("TPUPOINT_THREADS")) {
+        // Strict parse: "banana" or an overflowing value must not
+        // silently become some thread count. A bad setting is
+        // warned about once per resolution and ignored.
+        std::uint64_t parsed = 0;
+        if (parseUint64(env, &parsed) && parsed > 0 &&
+            parsed <= std::numeric_limits<unsigned>::max()) {
+            return static_cast<unsigned>(parsed);
+        }
+        logWarn("core", "ignoring TPUPOINT_THREADS: want a "
+                        "positive integer",
+                {{"value", env}});
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
 }
 
 } // namespace obs

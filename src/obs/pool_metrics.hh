@@ -8,6 +8,8 @@
  * SpanBuffer. Like every obs instrument, the hooks measure wall
  * time only — they never touch simulated time or seeded streams,
  * so instrumented and bare pools produce bit-identical results.
+ * resolveThreadCount() lives here too: it warns about a bad
+ * TPUPOINT_THREADS through obs::Logger.
  */
 
 #ifndef TPUPOINT_OBS_POOL_METRICS_HH
@@ -27,6 +29,15 @@ namespace obs {
  * relaxed-atomic updates.
  */
 ThreadPoolHooks instrumentedPoolHooks(const std::string &pool_name);
+
+/**
+ * Resolve a user-facing thread count: @p requested when positive,
+ * else the TPUPOINT_THREADS environment variable when set to a
+ * positive integer, else std::thread::hardware_concurrency()
+ * (minimum 1). This is the one place the `--threads` default
+ * semantics live.
+ */
+unsigned resolveThreadCount(unsigned requested);
 
 } // namespace obs
 } // namespace tpupoint

@@ -134,12 +134,6 @@ TraceSpan::arg(std::string key, std::uint64_t value)
 }
 
 TraceSpan &
-TraceSpan::arg(std::string key, std::int64_t value)
-{
-    return arg(std::move(key), std::to_string(value));
-}
-
-TraceSpan &
 TraceSpan::arg(std::string key, double value)
 {
     char buf[32];

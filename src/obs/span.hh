@@ -102,7 +102,6 @@ class TraceSpan
     /** Attach one key=value argument. */
     TraceSpan &arg(std::string key, std::string value);
     TraceSpan &arg(std::string key, std::uint64_t value);
-    TraceSpan &arg(std::string key, std::int64_t value);
     TraceSpan &arg(std::string key, double value);
 
     /** Close and record the span before scope exit. Idempotent. */

@@ -101,7 +101,7 @@ AnalysisPipeline::AnalysisPipeline(const PipelineOptions &options)
         active_pool = opts.pool;
     } else {
         ThreadPoolOptions pool_opts;
-        pool_opts.workers = resolveThreadCount(opts.threads);
+        pool_opts.workers = obs::resolveThreadCount(opts.threads);
         pool_opts.hooks = obs::instrumentedPoolHooks("analysis");
         owned_pool = std::make_unique<ThreadPool>(pool_opts);
         active_pool = owned_pool.get();

@@ -53,7 +53,7 @@ struct PipelineOptions
 
     /**
      * Worker threads for the pipeline-owned pool; 0 resolves via
-     * resolveThreadCount() (TPUPOINT_THREADS, else hardware
+     * obs::resolveThreadCount() (TPUPOINT_THREADS, else hardware
      * concurrency). 1 runs everything inline — the serial path.
      * Ignored when `pool` is set.
      */

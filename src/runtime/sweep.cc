@@ -216,7 +216,7 @@ jobStatusName(JobStatus status)
 
 SweepRunner::SweepRunner(const SweepOptions &options)
     : opts(options),
-      thread_count(resolveThreadCount(options.threads))
+      thread_count(obs::resolveThreadCount(options.threads))
 {
 }
 

@@ -89,7 +89,7 @@ struct SweepOptions
     /**
      * Worker threads; 0 resolves through the process-wide knob:
      * TPUPOINT_THREADS if set, else hardware concurrency (see
-     * resolveThreadCount()). Ignored when `pool` is given.
+     * obs::resolveThreadCount()). Ignored when `pool` is given.
      */
     unsigned threads = 0;
 

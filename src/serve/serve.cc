@@ -273,7 +273,7 @@ SessionManager::SessionManager(const ServeOptions &options)
         active_pool = opts.pool;
     } else {
         ThreadPoolOptions pool_opts;
-        pool_opts.workers = resolveThreadCount(opts.threads);
+        pool_opts.workers = obs::resolveThreadCount(opts.threads);
         pool_opts.hooks = obs::instrumentedPoolHooks("serve");
         owned_pool = std::make_unique<ThreadPool>(pool_opts);
         active_pool = owned_pool.get();

@@ -218,7 +218,7 @@ struct ServeOptions
 
     /**
      * Workers for the manager-owned pool; 0 resolves via
-     * resolveThreadCount(). Ignored when `pool` is lent.
+     * obs::resolveThreadCount(). Ignored when `pool` is lent.
      */
     unsigned threads = 0;
 

@@ -41,16 +41,6 @@ FaultSpec::uniform(double error_rate, double spike_rate,
     return spec;
 }
 
-const char *
-preemptionKindName(PreemptionKind kind)
-{
-    switch (kind) {
-      case PreemptionKind::Eviction: return "eviction";
-      case PreemptionKind::Maintenance: return "maintenance";
-    }
-    panic("preemptionKindName: unknown kind");
-}
-
 bool
 PreemptionSpec::enabled() const
 {

@@ -124,9 +124,6 @@ enum class PreemptionKind : std::uint8_t {
     Maintenance, ///< Host maintenance event; the device restarts.
 };
 
-/** Printable preemption-kind name. */
-const char *preemptionKindName(PreemptionKind kind);
-
 /** One scheduled device interruption, keyed to simulated time. */
 struct PreemptionEvent
 {

@@ -39,18 +39,6 @@ putU64(std::ostream &out, std::uint64_t v)
 
 } // namespace
 
-const char *
-streamStatusName(StreamStatus status)
-{
-    switch (status) {
-      case StreamStatus::Ok: return "ok";
-      case StreamStatus::End: return "end";
-      case StreamStatus::Truncated: return "truncated";
-      case StreamStatus::Corrupt: return "corrupt";
-    }
-    panic("streamStatusName: unknown status");
-}
-
 RecordStreamWriter::RecordStreamWriter(
     std::ostream &out, const RecordStreamOptions &options)
     : stream(out), opts(options)

@@ -46,9 +46,6 @@ enum class StreamStatus {
     Corrupt,   ///< Structural damage (marker, checksum, counts).
 };
 
-/** Printable status name. */
-const char *streamStatusName(StreamStatus status);
-
 /** Chunk-sizing knobs for the writer. */
 struct RecordStreamOptions
 {

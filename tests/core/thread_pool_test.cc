@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,26 +17,6 @@
 
 namespace tpupoint {
 namespace {
-
-TEST(ResolveThreadCountTest, RequestedWinsOverEverything)
-{
-    ::setenv("TPUPOINT_THREADS", "7", 1);
-    EXPECT_EQ(resolveThreadCount(3), 3u);
-    ::unsetenv("TPUPOINT_THREADS");
-}
-
-TEST(ResolveThreadCountTest, EnvironmentFillsInZero)
-{
-    ::setenv("TPUPOINT_THREADS", "5", 1);
-    EXPECT_EQ(resolveThreadCount(0), 5u);
-    ::unsetenv("TPUPOINT_THREADS");
-}
-
-TEST(ResolveThreadCountTest, FallsBackToHardwareMinimumOne)
-{
-    ::unsetenv("TPUPOINT_THREADS");
-    EXPECT_GE(resolveThreadCount(0), 1u);
-}
 
 TEST(ThreadPoolTest, ZeroWorkersIsInlineInCallingThread)
 {

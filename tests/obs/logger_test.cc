@@ -1,4 +1,4 @@
-/** @file Structured logger: formats, rate limiting, core capture. */
+/** @file Structured logger: formats, rate limiting, flight mirror. */
 
 #include <gtest/gtest.h>
 
@@ -72,7 +72,6 @@ struct LoggerTest : ::testing::Test
     }
     void TearDown() override
     {
-        Logger::uninstall();
         LogConfig::setThreshold(LogLevel::Info);
     }
 };
@@ -190,30 +189,6 @@ TEST_F(LoggerTest, LogLimitedAnnotatesSuppressedRuns)
     EXPECT_EQ(captured.logger.emitted(), 2u);
     EXPECT_EQ(slow_site.suppressed(), 1u);
     EXPECT_EQ(captured.text().find("second"), std::string::npos);
-}
-
-TEST_F(LoggerTest, InstallCapturesLegacyCoreTraffic)
-{
-    std::FILE *sink = std::tmpfile();
-    ASSERT_NE(sink, nullptr);
-    Logger::global().setStream(sink);
-    Logger::global().setFormat(LogFormat::Text);
-    Logger::install();
-    warn("spool directory vanished");
-    Logger::uninstall();
-    Logger::global().setStream(nullptr);
-
-    std::fflush(sink);
-    std::rewind(sink);
-    std::string out;
-    char buffer[512];
-    std::size_t n = 0;
-    while ((n = std::fread(buffer, 1, sizeof(buffer), sink)) > 0)
-        out.append(buffer, n);
-    std::fclose(sink);
-    EXPECT_NE(out.find("[core] spool directory vanished"),
-              std::string::npos)
-        << out;
 }
 
 TEST_F(LoggerTest, MirrorsEveryEventToEnabledFlightRecorder)

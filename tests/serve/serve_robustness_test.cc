@@ -16,11 +16,15 @@
 #include <filesystem>
 #include <string>
 
+#include "analyzer/detector.hh"
 #include "core/io_faults.hh"
 #include "core/json.hh"
+#include "core/logging.hh"
+#include "obs/flight_recorder.hh"
 #include "obs/metrics.hh"
 #include "serve/journal.hh"
 #include "serve/serve.hh"
+#include "tests/obs/stderr_capture.hh"
 #include "tests/serve/spool_fixture.hh"
 
 namespace tpupoint {
@@ -166,6 +170,75 @@ TEST_F(ServeRobustnessTest, RepeatedIngestErrorsQuarantine)
     EXPECT_EQ(
         snapshot.counterOr("serve.sessions_quarantined"), 2u);
     EXPECT_EQ(snapshot.counterOr("serve.ingest_errors"), 6u);
+}
+
+/** A detector whose finalize fails the way a user error does. */
+class FatalFinalizeDetector : public PhaseDetector
+{
+  public:
+    explicit FatalFinalizeDetector(PhaseAlgorithm kind)
+        : which(kind)
+    {
+    }
+
+    PhaseAlgorithm algorithm() const override { return which; }
+    const char *name() const override { return "fatal-finalize"; }
+    bool needsFeatures() const override { return false; }
+    void observeSteps(const std::vector<StepDelta> &) override {}
+    void reset() override {}
+    StreamingSnapshot snapshot() const override { return {}; }
+
+    DetectorResult
+    finalize(const StepTable &, const FeatureMatrix *,
+             const AnalyzerOptions &, ThreadPool *) override
+    {
+        fatal("detector exploded at step ", 17);
+    }
+
+  private:
+    PhaseAlgorithm which;
+};
+
+// Under TPUPOINT_LOG_FORMAT=json the daemon's stderr is JSONL and
+// nothing else: a finalize that throws fatal() quarantines the
+// session, and the one structured warning carries the reason. The
+// error path itself prints nothing, so the reason is never doubled
+// and no plain-text line breaks a log shipper's parse.
+TEST_F(ServeRobustnessTest, FatalFinalizeLogsOneJsonReason)
+{
+    obs::FlightRecorder::global().disable();
+    ManagedSpool spool("robust_fatal_finalize");
+    const PhaseAlgorithm algorithm =
+        spool.options.analyzer.algorithm;
+    registerDetector(algorithm, [algorithm](const AnalyzerOptions &) {
+        return std::make_unique<FatalFinalizeDetector>(algorithm);
+    });
+    spool.start();
+    writeFile(spool.dir + "/doomed.tpp", analyzableStream());
+    testutil::JsonStderrCapture captured;
+    spool.manager->poll();
+    const std::string text = captured.text();
+    registerDetector(algorithm, nullptr);
+
+    const std::string reason = "detector exploded at step 17";
+    EXPECT_EQ(spool.status("doomed").state,
+              serve::SessionState::Quarantined);
+    EXPECT_NE(spool.status("doomed").error.find(reason),
+              std::string::npos);
+    const auto lines = captured.lines();
+    ASSERT_FALSE(lines.empty());
+    for (const std::string &line : lines) {
+        std::string why;
+        EXPECT_TRUE(validateJson(line, &why)) << line << ": "
+                                              << why;
+    }
+    const std::size_t first = text.find(reason);
+    EXPECT_NE(first, std::string::npos) << text;
+    EXPECT_EQ(text.find(reason, first + 1), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("\"msg\":\"session quarantined\""),
+              std::string::npos)
+        << text;
 }
 
 TEST_F(ServeRobustnessTest, OneTransientErrorDoesNotQuarantine)

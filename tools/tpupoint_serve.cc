@@ -506,11 +506,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // One flag upgrade makes every legacy inform()/warn() in the
-    // process a structured event under component "core";
-    // TPUPOINT_LOG_FORMAT=json turns the whole stream into JSONL.
-    obs::Logger::install();
-
     obs::FlightRecorder &flight = obs::FlightRecorder::global();
     const bool flight_armed = !serve_options.flight_path.empty();
     if (flight_armed) {
