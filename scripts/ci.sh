@@ -603,10 +603,28 @@ one_logger_gate() {
     fi
 }
 
+# Settings the paper fixes (k = 1..15, the data-derived DBSCAN eps,
+# one tuner policy) and sweep paths a deterministic job never needs
+# (retries, derived seeds) are constants or gone, not options. Fail
+# when one of the retired names comes back.
+retired_knob_gate() {
+    echo "== gate: retired option values stay retired"
+    local stray
+    stray=$(grep -rnE \
+        '\b(TunerOptions|OptimizerOptions|job_retries|derive_seeds|seed_salt|jobSeed|include_counts|include_durations|kmeans_k_min|kmeans_k_max|dbscan_eps|infeed_queue_depth|trace_overhead_per_op)\b|\bKind::Retry\b' \
+        src tools bench examples || true)
+    if [ -n "${stray}" ]; then
+        echo "gate: retired option reappeared:" >&2
+        echo "${stray}" >&2
+        return 1
+    fi
+}
+
 sanitizers=${TPUPOINT_CI_SANITIZERS-"address thread undefined"}
 
 row_record_gate
 one_logger_gate
+retired_knob_gate
 # Every build is warning-free, so any new warning fails the gate.
 run_suite build -DTPUPOINT_WERROR=ON "$@"
 bench_smoke build

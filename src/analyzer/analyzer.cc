@@ -193,8 +193,7 @@ AnalysisResult
 AnalysisSession::finalize(
     const std::vector<CheckpointInfo> &checkpoints)
 {
-    ThreadPoolOptions pool_opts;
-    pool_opts.workers = opts.threads;
+    ThreadPoolOptions pool_opts; // One worker: inline.
     pool_opts.hooks = obs::instrumentedPoolHooks("analysis");
     ThreadPool pool(pool_opts);
     return finalize(checkpoints, pool);

@@ -52,27 +52,11 @@ struct AnalyzerOptions
      */
     std::vector<PhaseAlgorithm> extra_algorithms;
 
-    /**
-     * Worker threads for finalize(): detectors run concurrently
-     * and the k-means / DBSCAN sweeps fan out per setting. The
-     * default 1 executes inline on the calling thread — the
-     * historical serial path — and any thread count produces
-     * bit-identical results (see DESIGN.md section 10).
-     */
-    unsigned threads = 1;
-
     /** OLS similarity threshold (Equation 1; default 70%). */
     double ols_threshold = 0.70;
 
-    /** k-means sweep range (Section IV-A: 1..15). */
-    int kmeans_k_min = 1;
-    int kmeans_k_max = 15;
-
     /** Fixed k (0 = pick with the elbow method). */
     int kmeans_fixed_k = 0;
-
-    /** DBSCAN eps (0 = derive from the data). */
-    double dbscan_eps = 0.0;
 
     /** Fixed min-samples (0 = sweep 5..180 step 25 + elbow). */
     std::size_t dbscan_fixed_min_samples = 0;
@@ -261,8 +245,9 @@ class AnalysisSession
     }
 
     /**
-     * Run phase detection over everything ingested. The session
-     * is consumed; a fresh one is needed for another analysis.
+     * Run phase detection over everything ingested, inline on the
+     * calling thread. The session is consumed; a fresh one is
+     * needed for another analysis.
      * @param checkpoints The run's checkpoint registry, used for
      *     phase/checkpoint association (may be empty).
      */
@@ -270,12 +255,13 @@ class AnalysisSession
         const std::vector<CheckpointInfo> &checkpoints = {});
 
     /**
-     * finalize() on a caller-provided pool instead of one built
-     * from options().threads — lets a process share a single pool
-     * (and a single --threads knob) across sessions, sweeps, and
-     * jobs. The pool only schedules; it never feeds randomness or
-     * simulated time into detection, so results are bit-identical
-     * for any worker count.
+     * finalize() on a caller-provided pool: detectors run
+     * concurrently and the k-means / DBSCAN sweeps fan out per
+     * setting. Lets a process share a single pool (and a single
+     * --threads knob) across sessions, sweeps, and jobs. The pool
+     * only schedules; it never feeds randomness or simulated time
+     * into detection, so results are bit-identical for any worker
+     * count (see DESIGN.md section 10).
      */
     AnalysisResult finalize(
         const std::vector<CheckpointInfo> &checkpoints,

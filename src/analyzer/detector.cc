@@ -13,6 +13,10 @@ namespace tpupoint {
 
 namespace {
 
+/** The k-means sweep range (Section IV-A: k = 1..15). */
+constexpr int kKMin = 1;
+constexpr int kKMax = 15;
+
 /** Top-3 coverage over snapshot phases: 3 largest durations /
  * total duration (the streaming analogue of topPhaseCoverage). */
 double
@@ -269,9 +273,8 @@ class KMeansDetector final : public PhaseDetector
             out.kmeans.k_values = {options.kmeans_fixed_k};
             out.kmeans.ssd_curve = {out.kmeans.best.ssd};
         } else {
-            out.kmeans = kMeansSweep(
-                features->matrix(), options.kmeans_k_min,
-                options.kmeans_k_max, options.seed, pool);
+            out.kmeans = kMeansSweep(features->matrix(), kKMin, kKMax,
+                                     options.seed, pool);
         }
         out.phases =
             phasesFromLabels(table, out.kmeans.best.labels);
@@ -340,16 +343,13 @@ class KMeansDetector final : public PhaseDetector
         keys.erase(std::unique(keys.begin(), keys.end()),
                    keys.end());
 
-        const std::size_t dims_per_op =
-            (opts.features.include_counts ? 1 : 0) +
-            (opts.features.include_durations ? 1 : 0);
-        if (keys.empty() || dims_per_op == 0)
+        if (keys.empty())
             return std::vector<int>(rows.size(), 0);
 
-        Matrix matrix(rows.size(), keys.size() * dims_per_op);
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-            fillRow(matrix, r, *rows[r], keys, dims_per_op);
-        }
+        // Two dims per op, as FeatureMatrix: count, then duration.
+        Matrix matrix(rows.size(), keys.size() * 2);
+        for (std::size_t r = 0; r < rows.size(); ++r)
+            fillRow(matrix, r, *rows[r], keys);
 
         if (opts.kmeans_fixed_k > 0) {
             Rng rng(opts.seed);
@@ -358,15 +358,13 @@ class KMeansDetector final : public PhaseDetector
         }
         // Snapshots run inline (pool nullptr): bounded work, and
         // the serve poll loop must not stall its ingest pool.
-        return kMeansSweep(matrix, opts.kmeans_k_min,
-                           opts.kmeans_k_max, opts.seed, nullptr)
+        return kMeansSweep(matrix, kKMin, kKMax, opts.seed, nullptr)
             .best.labels;
     }
 
     void
     fillRow(Matrix &matrix, std::size_t r, const SampleRow &row,
-            const std::vector<std::uint64_t> &keys,
-            std::size_t dims_per_op) const
+            const std::vector<std::uint64_t> &keys) const
     {
         const auto fold = [&](OpStatsSpan entries,
                               std::uint64_t side) {
@@ -377,27 +375,20 @@ class KMeansDetector final : public PhaseDetector
                 const auto it = std::lower_bound(keys.begin(),
                                                  keys.end(), key);
                 const std::size_t col =
-                    static_cast<std::size_t>(it - keys.begin()) *
-                    dims_per_op;
+                    static_cast<std::size_t>(it - keys.begin()) * 2;
                 const auto max_it = maxima.find(key);
                 const MaxVals vals = max_it == maxima.end()
                     ? MaxVals{}
                     : max_it->second;
-                std::size_t d = col;
-                if (opts.features.include_counts) {
-                    double v = static_cast<double>(entry.count);
-                    if (opts.features.normalize && vals.count > 0)
-                        v /= static_cast<double>(vals.count);
-                    matrix.at(r, d++) = v;
-                }
-                if (opts.features.include_durations) {
-                    double v = static_cast<double>(
-                        entry.total_duration);
-                    if (opts.features.normalize &&
-                        vals.duration > 0)
-                        v /= static_cast<double>(vals.duration);
-                    matrix.at(r, d) = v;
-                }
+                double count = static_cast<double>(entry.count);
+                if (vals.count > 0)
+                    count /= static_cast<double>(vals.count);
+                double duration =
+                    static_cast<double>(entry.total_duration);
+                if (vals.duration > 0)
+                    duration /= static_cast<double>(vals.duration);
+                matrix.at(r, col) = count;
+                matrix.at(r, col + 1) = duration;
             }
         };
         fold(row.host, 0);
@@ -461,9 +452,7 @@ class DbscanDetector final : public PhaseDetector
         DetectorResult out;
         out.algorithm = PhaseAlgorithm::Dbscan;
         if (options.dbscan_fixed_min_samples > 0) {
-            const double eps = options.dbscan_eps > 0
-                ? options.dbscan_eps
-                : suggestEps(features->matrix(), pool);
+            const double eps = suggestEps(features->matrix(), pool);
             out.dbscan.best = dbscanCluster(
                 features->matrix(), eps,
                 options.dbscan_fixed_min_samples, pool);
@@ -476,9 +465,9 @@ class DbscanDetector final : public PhaseDetector
             out.dbscan.cluster_counts = {
                 out.dbscan.best.clusters};
         } else {
-            out.dbscan = dbscanSweep(
-                features->matrix(), options.dbscan_eps, 5, 180, 25,
-                pool);
+            // eps 0: derived from the data (Section IV-A).
+            out.dbscan = dbscanSweep(features->matrix(), 0.0, 5, 180,
+                                     25, pool);
         }
         out.phases =
             phasesFromLabels(table, out.dbscan.best.labels);

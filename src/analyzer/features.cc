@@ -76,11 +76,9 @@ FeatureMatrix::build(const StepTable &table,
     assignColumns(host_column, "host:", out.labels);
     assignColumns(tpu_column, "tpu:", out.labels);
 
-    const std::size_t dims_per_op =
-        (options.include_counts ? 1u : 0u) +
-        (options.include_durations ? 1u : 0u);
+    // Two dims per op: invocation count, then total duration.
     const std::size_t raw_dims =
-        std::max<std::size_t>(out.labels.size() * dims_per_op, 1);
+        std::max<std::size_t>(out.labels.size() * 2, 1);
 
     out.data.resize(table.size(), raw_dims);
     for (std::size_t r = 0; r < table.size(); ++r) {
@@ -88,41 +86,33 @@ FeatureMatrix::build(const StepTable &table,
         auto fill = [&](OpStatsSpan ops,
                         const std::vector<std::uint32_t> &column) {
             for (const ColumnarOpStats &entry : ops) {
-                std::size_t d = column[entry.op] * dims_per_op;
-                if (options.include_counts) {
-                    row[d] = static_cast<double>(entry.count);
-                    ++d;
-                }
-                if (options.include_durations) {
-                    row[d] = static_cast<double>(
-                        entry.total_duration);
-                }
+                double *dims = row + column[entry.op] * 2;
+                dims[0] = static_cast<double>(entry.count);
+                dims[1] = static_cast<double>(entry.total_duration);
             }
         };
         fill(table.hostOps(r), host_column);
         fill(table.tpuOps(r), tpu_column);
     }
 
-    if (options.normalize && out.data.rows() > 0) {
-        // Per-dimension max scaling keeps counts and durations
-        // commensurable.
-        FeatureVector maxima(raw_dims, 0.0);
-        for (std::size_t r = 0; r < out.data.rows(); ++r) {
-            const double *row = out.data.rowPtr(r);
-            for (std::size_t d = 0; d < raw_dims; ++d)
-                maxima[d] = std::max(maxima[d], std::abs(row[d]));
-        }
-        // An all-zero column divides by 1.0, which is exact: the
-        // loop needs no per-cell branch and no cell changes bits.
-        for (double &divisor : maxima) {
-            if (!(divisor > 0))
-                divisor = 1.0;
-        }
-        for (std::size_t r = 0; r < out.data.rows(); ++r) {
-            double *row = out.data.rowPtr(r);
-            for (std::size_t d = 0; d < raw_dims; ++d)
-                row[d] /= maxima[d];
-        }
+    // Per-dimension max scaling keeps counts and durations
+    // commensurable.
+    FeatureVector maxima(raw_dims, 0.0);
+    for (std::size_t r = 0; r < out.data.rows(); ++r) {
+        const double *row = out.data.rowPtr(r);
+        for (std::size_t d = 0; d < raw_dims; ++d)
+            maxima[d] = std::max(maxima[d], std::abs(row[d]));
+    }
+    // An all-zero column divides by 1.0, which is exact: the loop
+    // needs no per-cell branch and no cell changes bits.
+    for (double &divisor : maxima) {
+        if (!(divisor > 0))
+            divisor = 1.0;
+    }
+    for (std::size_t r = 0; r < out.data.rows(); ++r) {
+        double *row = out.data.rowPtr(r);
+        for (std::size_t d = 0; d < raw_dims; ++d)
+            row[d] /= maxima[d];
     }
 
     if (raw_dims > options.max_dimensions &&

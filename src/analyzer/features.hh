@@ -24,12 +24,12 @@
 
 namespace tpupoint {
 
-/** Feature-extraction options. */
+/**
+ * Feature-extraction options. Every op contributes two dims, its
+ * invocation count and its total duration, each scaled to [0, 1].
+ */
 struct FeatureOptions
 {
-    bool include_counts = true;     ///< Invocation-count dims.
-    bool include_durations = true;  ///< Total-duration dims.
-    bool normalize = true;          ///< Scale each dim to [0, 1].
     std::size_t max_dimensions = 100; ///< PCA cap (the paper's 100).
     std::uint64_t pca_seed = 0x50434121; // "PCA!"
 };

@@ -22,10 +22,8 @@ StorageBucket::injectFaults(FaultPlan *plan,
 {
     if (policy.max_attempts < 1)
         fatal("StorageBucket: retry policy needs >= 1 attempt");
-    if (policy.jitter < 0 || policy.jitter > 1)
-        fatal("StorageBucket: retry jitter must lie in [0, 1]");
-    if (policy.backoff_multiplier < 1)
-        fatal("StorageBucket: backoff multiplier must be >= 1");
+    checkBackoff("StorageBucket", policy.backoff_multiplier,
+                 policy.jitter);
     faults = plan;
     retry_policy = policy;
 }
@@ -58,25 +56,6 @@ StorageBucket::splitShares(std::uint64_t bytes, int streams)
     for (int i = 0; i < streams; ++i)
         shares.push_back(shareOf(bytes, streams, i));
     return shares;
-}
-
-SimTime
-StorageBucket::backoffDelay(int attempt)
-{
-    double delay =
-        static_cast<double>(retry_policy.initial_backoff);
-    for (int i = 1; i < attempt; ++i)
-        delay *= retry_policy.backoff_multiplier;
-    delay = std::min(delay,
-                     static_cast<double>(retry_policy.max_backoff));
-    if (faults && retry_policy.jitter > 0) {
-        // Deterministic jitter from the plan's own stream: one
-        // seed fixes the whole backoff schedule.
-        const double swing =
-            retry_policy.jitter * (2.0 * faults->jitter() - 1.0);
-        delay *= 1.0 + swing;
-    }
-    return static_cast<SimTime>(delay);
 }
 
 void
@@ -162,7 +141,10 @@ StorageBucket::finishAttempt(Attempt attempt)
               ") after ", attempt.attempt,
               " attempts; retry budget exhausted");
     }
-    const SimTime backoff = backoffDelay(attempt.attempt);
+    const SimTime backoff = jitteredBackoff(
+        retry_policy.initial_backoff, retry_policy.backoff_multiplier,
+        retry_policy.max_backoff, retry_policy.jitter,
+        attempt.attempt - 1, faults);
     if (retry_policy.op_timeout > 0 &&
         sim.now() + backoff - attempt.op_start >
             retry_policy.op_timeout) {

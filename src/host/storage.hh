@@ -202,9 +202,6 @@ class StorageBucket
     /** The attempt's stream time is over: complete or retry. */
     void finishAttempt(Attempt attempt);
 
-    /** Jittered, capped exponential backoff after @p attempt. */
-    SimTime backoffDelay(int attempt);
-
     void emitRetry(SimTime start, SimTime duration, StepId step);
 
     Simulator &sim;

@@ -17,7 +17,6 @@ progressKindName(ProgressEvent::Kind kind)
 {
     switch (kind) {
       case ProgressEvent::Kind::Start: return "start";
-      case ProgressEvent::Kind::Retry: return "retry";
       case ProgressEvent::Kind::Finish: return "finish";
     }
     panic("progressKindName: unknown kind");
@@ -56,8 +55,6 @@ ProgressReporter::operator()(const ProgressEvent &event)
         w.field("event", progressKindName(event.kind));
         w.field("job", static_cast<std::uint64_t>(event.item));
         w.field("total", static_cast<std::uint64_t>(event.total));
-        w.field("attempt",
-                static_cast<std::uint64_t>(event.attempt));
         if (event.kind == ProgressEvent::Kind::Finish) {
             w.field("status", event.status);
             w.field("wall_s", event.wall_seconds);
@@ -70,8 +67,6 @@ ProgressReporter::operator()(const ProgressEvent &event)
                 static_cast<std::uint64_t>(event.preempted));
         w.field("failed",
                 static_cast<std::uint64_t>(event.failed));
-        w.field("retried",
-                static_cast<std::uint64_t>(event.retried));
         w.endObject();
         stream << '\n';
         stream.flush();
@@ -90,11 +85,9 @@ ProgressReporter::operator()(const ProgressEvent &event)
                       event.succeeded, event.preempted,
                       event.failed);
     } else {
-        std::snprintf(line, sizeof(line),
-                      "[%zu/%zu] job %zu %s (attempt %u)",
+        std::snprintf(line, sizeof(line), "[%zu/%zu] job %zu %s",
                       event.finished(), event.total, event.item,
-                      progressKindName(event.kind),
-                      event.attempt);
+                      progressKindName(event.kind));
     }
     stream << '\r' << line << "          " << std::flush;
     line_open = true;

@@ -2,7 +2,7 @@
  * @file
  * Progress reporting for long multi-job operations (the parallel
  * SweepRunner above all). The producer invokes a ProgressSink on
- * every item start/retry/finish with running totals; the bundled
+ * every item start and finish with running totals; the bundled
  * ProgressReporter renders those events either as a single
  * in-place status line (interactive terminals) or as one JSON
  * object per line (pipes, CI logs), so a multi-minute sweep is
@@ -24,16 +24,12 @@ struct ProgressEvent
 {
     enum class Kind : std::uint8_t {
         Start,  ///< An item began executing.
-        Retry,  ///< An item failed and is being re-run.
         Finish, ///< An item reached a terminal status.
     };
 
     Kind kind = Kind::Start;
     std::size_t item = 0;  ///< Item (job) index.
     std::size_t total = 0; ///< Items in the whole operation.
-
-    /** 1-based try number for this item. */
-    unsigned attempt = 1;
 
     /** Terminal status name ("ok", "preempted", "failed"); only
      * meaningful for Finish events. */
@@ -47,7 +43,6 @@ struct ProgressEvent
     std::size_t succeeded = 0;
     std::size_t preempted = 0;
     std::size_t failed = 0;
-    std::size_t retried = 0;
 
     /** Items in a terminal state. */
     std::size_t
@@ -57,7 +52,7 @@ struct ProgressEvent
     }
 };
 
-/** Printable event-kind name ("start", "retry", "finish"). */
+/** Printable event-kind name ("start", "finish"). */
 const char *progressKindName(ProgressEvent::Kind kind);
 
 /**

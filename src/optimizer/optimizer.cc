@@ -4,10 +4,21 @@
 
 namespace tpupoint {
 
+namespace {
+
+/**
+ * Post-processing time charged when the run completes (the reason
+ * very short workloads "can actually take a performance hit" from
+ * the optimizer — Section VII-C).
+ */
+constexpr SimTime kPostProcessingBase = 15 * kSec;
+constexpr SimTime kPostProcessingPerRecord = 10 * kMsec;
+
+} // namespace
+
 TpuPointOptimizer::TpuPointOptimizer(Simulator &simulator,
-                                     TrainingSession &session_ref,
-                                     const OptimizerOptions &options)
-    : sim(simulator), session(session_ref), opts(options)
+                                     TrainingSession &session_ref)
+    : sim(simulator), session(session_ref)
 {
 }
 
@@ -25,13 +36,12 @@ TpuPointOptimizer::start()
 
     // (2) Online profiling with records buffered in host memory
     // (the analyzer flag is false on this path — Section III-B).
-    profiler = std::make_unique<TpuPointProfiler>(
-        sim, session, opts.profiler);
+    profiler = std::make_unique<TpuPointProfiler>(sim, session);
     profiler->start(/*analyzer=*/false);
 
     // (3) The online tuner with output-quality control.
-    tuner = std::make_unique<OnlineTuner>(
-        sim, session, *profiler, analysis.adjustable, opts.tuner);
+    tuner = std::make_unique<OnlineTuner>(sim, session, *profiler,
+                                          analysis.adjustable);
     tuner->start();
 }
 
@@ -57,9 +67,8 @@ TpuPointOptimizer::postProcessingTime() const
 {
     const std::uint64_t records =
         profiler ? profiler->payloads().size() : 0;
-    return opts.post_processing_base +
-        static_cast<SimTime>(records) *
-        opts.post_processing_per_record;
+    return kPostProcessingBase +
+        static_cast<SimTime>(records) * kPostProcessingPerRecord;
 }
 
 double
@@ -73,8 +82,7 @@ OptimizationOutcome::speedup() const
 
 OptimizationOutcome
 runOptimizationExperiment(const RuntimeWorkload &workload,
-                          const SessionConfig &base,
-                          const OptimizerOptions &options)
+                          const SessionConfig &base)
 {
     OptimizationOutcome outcome;
     outcome.initial_config = base.pipeline;
@@ -91,7 +99,7 @@ runOptimizationExperiment(const RuntimeWorkload &workload,
         // With TPUPoint-Optimizer attached.
         Simulator sim;
         TrainingSession session(sim, base, workload);
-        TpuPointOptimizer optimizer(sim, session, options);
+        TpuPointOptimizer optimizer(sim, session);
         optimizer.start();
         session.start(nullptr);
         sim.run();

@@ -20,21 +20,6 @@
 
 namespace tpupoint {
 
-/** Optimizer configuration. */
-struct OptimizerOptions
-{
-    TunerOptions tuner;
-    ProfilerOptions profiler;
-
-    /**
-     * Post-processing time charged when the run completes (the
-     * reason very short workloads "can actually take a performance
-     * hit" from the optimizer — Section VII-C).
-     */
-    SimTime post_processing_base = 15 * kSec;
-    SimTime post_processing_per_record = 10 * kMsec;
-};
-
 /**
  * One optimizer instance drives one TrainingSession. Construct
  * after the session, call start() before the simulator runs.
@@ -43,8 +28,7 @@ class TpuPointOptimizer
 {
   public:
     TpuPointOptimizer(Simulator &simulator,
-                      TrainingSession &session,
-                      const OptimizerOptions &options = {});
+                      TrainingSession &session);
 
     /**
      * Run program analysis, instrument the pipeline, start the
@@ -71,7 +55,6 @@ class TpuPointOptimizer
   private:
     Simulator &sim;
     TrainingSession &session;
-    OptimizerOptions opts;
     ProgramAnalysis analysis;
     std::unique_ptr<TpuPointProfiler> profiler;
     std::unique_ptr<OnlineTuner> tuner;
@@ -98,8 +81,7 @@ struct OptimizationOutcome
  * with TPUPoint-Optimizer attached — and report both.
  */
 OptimizationOutcome runOptimizationExperiment(
-    const RuntimeWorkload &workload, const SessionConfig &base,
-    const OptimizerOptions &options = {});
+    const RuntimeWorkload &workload, const SessionConfig &base);
 
 } // namespace tpupoint
 

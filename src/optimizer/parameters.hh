@@ -64,6 +64,13 @@ bool isValidConfig(const PipelineConfig &config,
                    const DatasetSpec &dataset,
                    const HostSpec &host);
 
+/**
+ * Relative improvement a trial must show to be kept (Section VII-B's
+ * accept/revert rule, shared by the online tuner and the checkpoint
+ * search).
+ */
+inline constexpr double kMinImprovement = 0.03;
+
 } // namespace tpupoint
 
 #endif // TPUPOINT_OPTIMIZER_PARAMETERS_HH

@@ -53,7 +53,7 @@ searchFromCheckpoint(const TrialRunner &runner,
                      const PipelineConfig &initial,
                      const std::vector<TunableParam> &adjustable,
                      const DatasetSpec &dataset,
-                     const HostSpec &host, double min_improvement)
+                     const HostSpec &host)
 {
     TrialSearchResult result;
     result.best_config = initial;
@@ -81,7 +81,7 @@ searchFromCheckpoint(const TrialRunner &runner,
                 ++result.trials;
                 const bool improved = trial.seconds_per_step <
                     result.best_seconds_per_step *
-                        (1.0 - min_improvement);
+                        (1.0 - kMinImprovement);
                 result.log.push_back(
                     std::string(improved ? "accepted "
                                          : "rejected ") +

@@ -86,15 +86,14 @@ struct TrialSearchResult
 /**
  * Coordinate-descent search over @p adjustable using checkpoint
  * trials only: the same accept/revert policy as the online tuner
- * (keep moving while the trial improves by @p min_improvement),
+ * (keep moving while the trial improves by kMinImprovement),
  * but each measurement is an isolated replay from the checkpoint —
  * no full training run is ever needed.
  */
 TrialSearchResult searchFromCheckpoint(
     const TrialRunner &runner, const PipelineConfig &initial,
     const std::vector<TunableParam> &adjustable,
-    const DatasetSpec &dataset, const HostSpec &host,
-    double min_improvement = 0.03);
+    const DatasetSpec &dataset, const HostSpec &host);
 
 } // namespace tpupoint
 

@@ -10,6 +10,23 @@ namespace tpupoint {
 
 namespace {
 
+// The hill-climbing policy of Section VII-B.
+
+/** Steps skipped after applying a change before measuring. */
+constexpr std::uint64_t kSettleSteps = 5;
+
+/** Steps in one measurement window. */
+constexpr std::uint64_t kWindowSteps = 30;
+
+/** Phase share that marks the performance-critical phase. */
+constexpr double kCriticalShare = 0.5;
+
+/** How often the tuner polls the profiler's records. */
+constexpr SimTime kPollInterval = 500 * kMsec;
+
+/** OLS threshold for the tuner's phase tracking. */
+constexpr double kOlsThreshold = 0.70;
+
 /** The common operator pattern of Section VI (Observations 3-4). */
 bool
 matchesCommonPattern(const PhaseOpTimes &phase)
@@ -66,10 +83,9 @@ PhaseOpTimes::top(std::size_t n) const
 OnlineTuner::OnlineTuner(Simulator &simulator,
                          TrainingSession &session_ref,
                          TpuPointProfiler &profiler_ref,
-                         const std::vector<TunableParam> &adjustable,
-                         const TunerOptions &options)
+                         const std::vector<TunableParam> &adjustable)
     : sim(simulator), session(session_ref), profiler(profiler_ref),
-      opts(options), params(adjustable)
+      params(adjustable)
 {
     status.initial_config = session.pipeline().config();
     status.best_config = status.initial_config;
@@ -89,8 +105,7 @@ OnlineTuner::start()
         [this](StepId step, SimTime step_time) {
             onStep(step, step_time);
         });
-    poll_event = sim.schedule(opts.poll_interval,
-                              [this]() { pollRecords(); });
+    poll_event = sim.schedule(kPollInterval, [this]() { pollRecords(); });
     note("tuner armed: waiting for the performance-critical phase");
 }
 
@@ -130,7 +145,7 @@ OnlineTuner::pollRecords()
                                        record.tpuOps(i), step_keys);
             if (have_prev_step &&
                 OnlineLinearScan::keySimilarity(prev_keys, step_keys) <
-                    opts.ols_threshold) {
+                    kOlsThreshold) {
                 // Phase boundary: reset the running phase.
                 current_phase_time = 0;
                 phase_ops.clear();
@@ -144,7 +159,7 @@ OnlineTuner::pollRecords()
                 const bool dominant = observed_time > 0 &&
                     static_cast<double>(current_phase_time) /
                         static_cast<double>(observed_time) >
-                        opts.critical_share;
+                        kCriticalShare;
                 const bool pattern = matchesCommonPattern(phase_ops);
                 if (dominant || pattern) {
                     status.critical_phase_detected = true;
@@ -161,8 +176,8 @@ OnlineTuner::pollRecords()
     }
 
     if (state != State::Done && !session.finished()) {
-        poll_event = sim.schedule(opts.poll_interval,
-                                  [this]() { pollRecords(); });
+        poll_event =
+            sim.schedule(kPollInterval, [this]() { pollRecords(); });
     }
 }
 
@@ -184,7 +199,7 @@ OnlineTuner::onStep(StepId step, SimTime step_time)
       case State::Done:
         return;
       case State::Settle:
-        if (++steps_in_state >= opts.settle_steps) {
+        if (++steps_in_state >= kSettleSteps) {
             state = State::Measure;
             steps_in_state = 0;
             window_accum = 0.0;
@@ -192,7 +207,7 @@ OnlineTuner::onStep(StepId step, SimTime step_time)
         return;
       case State::Measure:
         window_accum += static_cast<double>(step_time);
-        if (++steps_in_state >= opts.window_steps) {
+        if (++steps_in_state >= kWindowSteps) {
             windowComplete(window_accum);
         }
         return;
@@ -259,7 +274,7 @@ OnlineTuner::windowComplete(double window_time)
 
     ++status.trials;
     const bool improved = window_time <
-        best_window_time * (1.0 - opts.min_improvement);
+        best_window_time * (1.0 - kMinImprovement);
     if (improved && guard.consistent()) {
         best_window_time = window_time;
         status.best_config = pending_config;

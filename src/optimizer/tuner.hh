@@ -30,28 +30,6 @@
 
 namespace tpupoint {
 
-/** Tuning knobs. */
-struct TunerOptions
-{
-    /** Steps skipped after applying a change before measuring. */
-    std::uint64_t settle_steps = 5;
-
-    /** Steps in one measurement window. */
-    std::uint64_t window_steps = 30;
-
-    /** Required relative improvement to keep a change. */
-    double min_improvement = 0.03;
-
-    /** Phase share that marks the performance-critical phase. */
-    double critical_share = 0.5;
-
-    /** How often the tuner polls the profiler's records. */
-    SimTime poll_interval = 500 * kMsec;
-
-    /** OLS threshold for the tuner's phase tracking. */
-    double ols_threshold = 0.70;
-};
-
 /** One operator of the tuner's running phase, as it is ranked. */
 struct PhaseOp
 {
@@ -113,8 +91,7 @@ class OnlineTuner
 
     OnlineTuner(Simulator &simulator, TrainingSession &session,
                 TpuPointProfiler &profiler,
-                const std::vector<TunableParam> &adjustable,
-                const TunerOptions &options = {});
+                const std::vector<TunableParam> &adjustable);
 
     /** Install callbacks and begin watching for the critical
      * phase. */
@@ -146,7 +123,6 @@ class OnlineTuner
     Simulator &sim;
     TrainingSession &session;
     TpuPointProfiler &profiler;
-    TunerOptions opts;
     std::vector<TunableParam> params;
     OutputQualityGuard guard;
 

@@ -5,6 +5,16 @@
 
 namespace tpupoint {
 
+namespace {
+
+/**
+ * Per-op instrumentation cost while profiling is active (the source
+ * of the <10 % overhead Section VII-C reports).
+ */
+constexpr SimTime kTraceOverheadPerOp = 120;
+
+} // namespace
+
 TpuPointProfiler::TpuPointProfiler(Simulator &simulator,
                                    TrainingSession &session_ref,
                                    const ProfilerOptions &options)
@@ -66,7 +76,7 @@ TpuPointProfiler::start(bool analyzer)
         spool = std::make_unique<RecordSpool>(sink, opts.spool);
     }
     session.traceHub().attach(&collector);
-    session.tpu().setTraceOverhead(opts.trace_overhead_per_op);
+    session.tpu().setTraceOverhead(kTraceOverheadPerOp);
     scheduleNextRequest();
 }
 
@@ -82,11 +92,6 @@ TpuPointProfiler::scheduleNextRequest()
             if (session.finished()) {
                 // The TensorFlow application completed; issue the
                 // final request and terminate the threads.
-                stop();
-                return;
-            }
-            if (opts.breakpoint &&
-                session.currentStep() >= opts.breakpoint) {
                 stop();
                 return;
             }

@@ -48,15 +48,6 @@ struct ProfilerOptions
     SimTime profile_interval = 1 * kSec;
 
     /**
-     * Per-op instrumentation cost while profiling is active (the
-     * source of the <10 % overhead Section VII-C reports).
-     */
-    SimTime trace_overhead_per_op = 120;
-
-    /** Stop profiling when this step completes (0 = whole run). */
-    StepId breakpoint = 0;
-
-    /**
      * Keep harvested records' payloads in host memory
      * (payloads()). The
      * optimizer and the in-process analyze examples need this;

@@ -134,8 +134,8 @@ AnalysisPipeline::streamProfile(const std::string &path,
                 hook(record);
         }
         chargeSalvageMetrics(reader);
-        chargeIngestMetrics(opts.session_label, report.events,
-                            reader.bytesRead(),
+        // The batch CLIs keep the unlabeled ingest-rate gauge.
+        chargeIngestMetrics("", report.events, reader.bytesRead(),
                             secondsSince(start));
         report.saw_damage = reader.sawDamage();
         report.chunks_dropped = reader.chunksDropped();

@@ -40,18 +40,6 @@ struct PipelineOptions
     bool salvage = false;
 
     /**
-     * Session label for ingest metrics. Empty (the batch CLIs)
-     * keeps the historical unlabeled
-     * `analyzer.ingest_bytes_per_sec` gauge; non-empty (one label
-     * per concurrent serve session) lands the rate in
-     * `analyzer.ingest_bytes_per_sec{session=LABEL}` instead, so
-     * concurrent sessions never clobber one another's gauge. The
-     * aggregate `analyzer.ingest_pass_bytes_per_sec` histogram
-     * records every pass either way.
-     */
-    std::string session_label;
-
-    /**
      * Worker threads for the pipeline-owned pool; 0 resolves via
      * obs::resolveThreadCount() (TPUPOINT_THREADS, else hardware
      * concurrency). 1 runs everything inline — the serial path.

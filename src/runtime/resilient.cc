@@ -19,28 +19,10 @@ ResilientRunner::ResilientRunner(Simulator &simulator,
 {
     if (opts.max_attempts < 1)
         fatal("ResilientRunner: attempt budget needs >= 1 attempt");
-    if (opts.backoff_multiplier < 1)
-        fatal("ResilientRunner: backoff multiplier must be >= 1");
-    if (opts.jitter < 0 || opts.jitter > 1)
-        fatal("ResilientRunner: jitter must lie in [0, 1]");
+    checkBackoff("ResilientRunner", opts.backoff_multiplier,
+                 opts.jitter);
     if (opts.initial_backoff < 0)
         fatal("ResilientRunner: backoff must be non-negative");
-}
-
-SimTime
-ResilientRunner::backoffDelay(std::uint32_t restart_index)
-{
-    double delay = static_cast<double>(opts.initial_backoff);
-    for (std::uint32_t i = 0; i < restart_index; ++i)
-        delay *= opts.backoff_multiplier;
-    delay = std::min(delay, static_cast<double>(opts.max_backoff));
-    if (opts.jitter > 0) {
-        // Deterministic jitter from the preemption plan's own
-        // stream: one seed fixes the whole restart schedule.
-        const double swing = opts.jitter * (2.0 * plan.jitter() - 1.0);
-        delay *= 1.0 + swing;
-    }
-    return static_cast<SimTime>(delay);
 }
 
 ResilientResult
@@ -162,7 +144,10 @@ ResilientRunner::run()
         // Capped, jittered restart backoff (RetryPolicy semantics):
         // provisioning a replacement TPU takes real wall time,
         // charged to the same sim clock the attempts run on.
-        const SimTime delay = backoffDelay(attempt);
+        const SimTime delay = jitteredBackoff(
+            opts.initial_backoff, opts.backoff_multiplier,
+            opts.max_backoff, opts.jitter, static_cast<int>(attempt),
+            &plan);
         sim.schedule(delay, []() {});
         sim.run();
         out.backoff_time += delay;

@@ -142,8 +142,6 @@ class ResilientRunner
     PreemptionPlan &preemptionPlan() { return plan; }
 
   private:
-    SimTime backoffDelay(std::uint32_t restart_index);
-
     Simulator &sim;
     SessionConfig base_config;
     RuntimeWorkload work;

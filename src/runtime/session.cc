@@ -34,9 +34,7 @@ TrainingSession::TrainingSession(Simulator &simulator,
             workload_def.train_schedule.infeed_bytes,
             session_config.pipeline, Rng(session_config.seed),
             &hub),
-      infeed_q(simulator,
-               std::max<std::size_t>(
-                   session_config.infeed_queue_depth, 1)),
+      infeed_q(simulator, 2),
       outfeed_q(simulator, 4),
       core(simulator, session_config.device, infeed_q, outfeed_q),
       infeed(simulator, input.output(), infeed_q,

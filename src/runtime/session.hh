@@ -50,14 +50,11 @@ struct SessionConfig
      * partial result when an interruption has landed. */
     PreemptionSpec preemption;
 
-    /** On-device infeed buffer depth (batches). */
-    std::size_t infeed_queue_depth = 2;
-
     /** Resume training from this global step (checkpoint restart). */
     StepId start_step = 0;
 
-    /** Stop early at this step; 0 disables (profiler breakpoint /
-     * optimizer trial runs). */
+    /** Stop early at this step; 0 disables (optimizer trial
+     * runs). */
     StepId stop_at_step = 0;
 
     /** Seed for all simulated variability. */

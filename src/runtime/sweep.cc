@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <mutex>
 
 #include "core/logging.hh"
@@ -22,14 +21,13 @@ namespace {
  * a fresh attempt-stamped profiler covers each one, with
  * attempt-boundary records interleaved for the analyzer. */
 SweepOutcome
-runResilientJob(const SweepJob &job, std::size_t index,
-                const SessionConfig &config)
+runResilientJob(const SweepJob &job, std::size_t index)
 {
     SweepOutcome outcome;
     outcome.job_index = index;
 
     Simulator sim;
-    ResilientRunner runner(sim, config, job.workload,
+    ResilientRunner runner(sim, job.config, job.workload,
                            job.resilience);
     std::unique_ptr<TpuPointProfiler> profiler;
 
@@ -85,18 +83,13 @@ runResilientJob(const SweepJob &job, std::size_t index,
 
 /** One complete, self-contained session: build, run, harvest. */
 SweepOutcome
-runJob(const SweepJob &job, std::size_t index,
-       std::uint64_t seed_override, bool use_override)
+runJob(const SweepJob &job, std::size_t index)
 {
-    SessionConfig config = job.config;
-    if (use_override)
-        config.seed = seed_override;
-
-    if (config.preemption.enabled())
-        return runResilientJob(job, index, config);
+    if (job.config.preemption.enabled())
+        return runResilientJob(job, index);
 
     Simulator sim;
-    TrainingSession session(sim, config, job.workload);
+    TrainingSession session(sim, job.config, job.workload);
     std::unique_ptr<TpuPointProfiler> profiler;
     if (job.profile) {
         profiler = std::make_unique<TpuPointProfiler>(
@@ -120,6 +113,16 @@ runJob(const SweepJob &job, std::size_t index,
     return outcome;
 }
 
+SweepOutcome
+failedOutcome(std::size_t index, std::string error)
+{
+    SweepOutcome failed;
+    failed.job_index = index;
+    failed.status = JobStatus::Failed;
+    failed.error = std::move(error);
+    return failed;
+}
+
 /**
  * Owns the sweep's running totals and serializes ProgressSink
  * invocations, so worker threads emit progress without coordinating
@@ -141,23 +144,12 @@ class ProgressBroker
             return;
         std::lock_guard<std::mutex> lock(guard);
         ++started;
-        emit(obs::ProgressEvent::Kind::Start, index, 1, "", 0);
+        emit(obs::ProgressEvent::Kind::Start, index, "", 0);
     }
 
     void
-    jobRetried(std::size_t index, unsigned attempt)
-    {
-        if (!sink)
-            return;
-        std::lock_guard<std::mutex> lock(guard);
-        ++retried;
-        emit(obs::ProgressEvent::Kind::Retry, index, attempt, "",
-             0);
-    }
-
-    void
-    jobFinished(std::size_t index, unsigned attempt,
-                JobStatus status, double wall_seconds)
+    jobFinished(std::size_t index, JobStatus status,
+                double wall_seconds)
     {
         if (!sink)
             return;
@@ -167,27 +159,25 @@ class ProgressBroker
           case JobStatus::Preempted: ++preempted; break;
           case JobStatus::Failed: ++failed; break;
         }
-        emit(obs::ProgressEvent::Kind::Finish, index, attempt,
+        emit(obs::ProgressEvent::Kind::Finish, index,
              jobStatusName(status), wall_seconds);
     }
 
   private:
     void
     emit(obs::ProgressEvent::Kind kind, std::size_t index,
-         unsigned attempt, const char *status, double wall_seconds)
+         const char *status, double wall_seconds)
     {
         obs::ProgressEvent event;
         event.kind = kind;
         event.item = index;
         event.total = total;
-        event.attempt = attempt;
         event.status = status;
         event.wall_seconds = wall_seconds;
         event.started = started;
         event.succeeded = succeeded;
         event.preempted = preempted;
         event.failed = failed;
-        event.retried = retried;
         sink(event);
     }
 
@@ -198,7 +188,6 @@ class ProgressBroker
     std::size_t succeeded = 0;
     std::size_t preempted = 0;
     std::size_t failed = 0;
-    std::size_t retried = 0;
 };
 
 } // namespace
@@ -220,20 +209,6 @@ SweepRunner::SweepRunner(const SweepOptions &options)
 {
 }
 
-std::uint64_t
-SweepRunner::jobSeed(std::uint64_t base, std::uint64_t salt,
-                     std::size_t index)
-{
-    // splitmix64: the finalizer scrambles even adjacent indices
-    // into unrelated seeds.
-    std::uint64_t z = base ^ (salt * 0x9e3779b97f4a7c15ULL) ^
-        (static_cast<std::uint64_t>(index) + 1);
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 std::vector<SweepOutcome>
 SweepRunner::run(const std::vector<SweepJob> &jobs) const
 {
@@ -241,59 +216,23 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
     if (jobs.empty())
         return outcomes;
 
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
     ProgressBroker progress(opts.progress, jobs.size());
     auto &registry = obs::MetricsRegistry::global();
 
     auto run_index = [&](std::size_t index) {
-        const unsigned tries = opts.job_retries + 1;
-        unsigned tries_used = 1;
         progress.jobStarted(index);
         const auto job_begin = std::chrono::steady_clock::now();
         obs::TraceSpan job_span("sweep.job");
         job_span.arg("job", static_cast<std::uint64_t>(index));
-        for (unsigned t = 0; t < tries; ++t) {
-            tries_used = t + 1;
-            std::exception_ptr err;
-            try {
-                outcomes[index] = runJob(
-                    jobs[index], index,
-                    jobSeed(jobs[index].config.seed,
-                            opts.seed_salt, index),
-                    opts.derive_seeds);
-            } catch (...) {
-                err = std::current_exception();
-            }
-            if (!err)
-                break;
-            if (t + 1 < tries) {
-                // Per-job retry budget remains; announce the
-                // upcoming try before it begins.
-                registry.counter("sweep.jobs_retried").add(1);
-                progress.jobRetried(index, t + 2);
-                continue;
-            }
-            // Failure isolation: the job's outcome carries its
-            // own status and message; the rest of the sweep is
+        try {
+            outcomes[index] = runJob(jobs[index], index);
+        } catch (const std::exception &e) {
+            // Failure isolation: the job's outcome carries its own
+            // status and message; the rest of the sweep is
             // unaffected.
-            SweepOutcome failed;
-            failed.job_index = index;
-            failed.status = JobStatus::Failed;
-            failed.attempts = tries;
-            try {
-                std::rethrow_exception(err);
-            } catch (const std::exception &e) {
-                failed.error = e.what();
-            } catch (...) {
-                failed.error = "unknown error";
-            }
-            outcomes[index] = std::move(failed);
-            if (opts.strict) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error)
-                    first_error = err;
-            }
+            outcomes[index] = failedOutcome(index, e.what());
+        } catch (...) {
+            outcomes[index] = failedOutcome(index, "unknown error");
         }
         const JobStatus status = outcomes[index].status;
         switch (status) {
@@ -312,11 +251,8 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
                 std::chrono::steady_clock::now() - job_begin)
                 .count();
         job_span.arg("status", jobStatusName(status));
-        job_span.arg("tries",
-                     static_cast<std::uint64_t>(tries_used));
         job_span.finish();
-        progress.jobFinished(index, tries_used, status,
-                             wall_seconds);
+        progress.jobFinished(index, status, wall_seconds);
     };
 
     // Jobs never throw out of run_index (failure isolation above),
@@ -336,11 +272,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
         ThreadPool job_pool(pool_opts);
         runtime::poolMap(&job_pool, jobs.size(), run_index);
     }
-
-    // Strict mode keeps the pre-isolation contract: any job
-    // failure fails the whole sweep.
-    if (opts.strict && first_error)
-        std::rethrow_exception(first_error);
     return outcomes;
 }
 

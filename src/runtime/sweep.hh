@@ -4,8 +4,8 @@
  * a thread pool. Each job gets its own Simulator, TrainingSession
  * and TpuPointProfiler, so sessions share nothing and results are
  * bit-identical whatever the thread count or scheduling order —
- * the per-job seed is derived from the job's position in the
- * sweep, never from the worker that happens to execute it. This is
+ * each job runs with its own configured seed, never with anything
+ * of the worker that happens to execute it. This is
  * what turns the Table-I/figure benchmarks' serial per-workload
  * loops into one parallel sweep.
  */
@@ -102,34 +102,7 @@ struct SweepOptions
     ThreadPool *pool = nullptr;
 
     /**
-     * Derive a distinct deterministic seed for each job from its
-     * configured seed, @ref seed_salt and the job index. Off by
-     * default so a sweep reproduces the serial loops it replaces
-     * byte for byte; turn on when the same workload appears many
-     * times and the runs should differ.
-     */
-    bool derive_seeds = false;
-
-    /** Extra entropy mixed into derived seeds. */
-    std::uint64_t seed_salt = 0;
-
-    /**
-     * Rethrow the first job exception after the pool joins,
-     * discarding every outcome — the pre-failure-isolation
-     * behaviour, for callers that treat any job failure as a sweep
-     * failure. Off by default: failures land in their job's
-     * SweepOutcome and the rest of the sweep survives.
-     */
-    bool strict = false;
-
-    /** Extra times a Failed job is re-run before it is recorded as
-     * Failed (0 = no retries). Deterministic jobs fail the same
-     * way every time; this is for jobs whose failure is injected
-     * or environmental. */
-    unsigned job_retries = 0;
-
-    /**
-     * Invoked on every job start/retry/finish with running totals
+     * Invoked on every job start and finish with running totals
      * (obs::ProgressReporter renders a status line or JSONL).
      * Invocations are serialized under the runner's own mutex, so
      * the sink needs no locking; it must not throw. The callback
@@ -158,20 +131,11 @@ class SweepRunner
     /**
      * Run every job; blocks until all complete. A throwing job
      * records JobStatus::Failed in its own outcome and the rest of
-     * the sweep is returned intact; with SweepOptions::strict the
-     * first exception is rethrown after the pool joins instead.
+     * the sweep is returned intact. Jobs are deterministic, so a
+     * failed job is not re-run: it would fail the same way.
      */
     std::vector<SweepOutcome> run(
         const std::vector<SweepJob> &jobs) const;
-
-    /**
-     * The seed job @p index runs with under derive_seeds: a
-     * splitmix64 mix of @p base, @p salt and the index. Thread
-     * count and scheduling never enter the derivation.
-     */
-    static std::uint64_t jobSeed(std::uint64_t base,
-                                 std::uint64_t salt,
-                                 std::size_t index);
 
   private:
     SweepOptions opts;

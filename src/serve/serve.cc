@@ -495,8 +495,17 @@ SessionManager::scanSpool(std::int64_t now)
     namespace fs = std::filesystem;
     std::error_code ec;
     fs::directory_iterator it(opts.spool_dir, ec);
-    if (ec)
-        return; // Spool not there yet: nothing to discover.
+    if (ec) {
+        // Nothing to discover. The producer may create the spool
+        // later, but a mistyped path never appears: say so, once
+        // per interval rather than once per poll.
+        static obs::LogSite missing_site(10000);
+        obs::Logger::global().logLimited(
+            missing_site, LogLevel::Warn, "serve",
+            "cannot open spool directory",
+            {{"path", opts.spool_dir}, {"error", ec.message()}});
+        return;
+    }
     std::vector<std::string> fresh;
     for (const auto &entry : it) {
         if (!entry.is_regular_file(ec) || ec)

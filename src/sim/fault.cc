@@ -208,4 +208,13 @@ FaultPlan::summary() const
     return out;
 }
 
+void
+checkBackoff(const char *who, double multiplier, double jitter)
+{
+    if (multiplier < 1)
+        fatal(who, ": backoff multiplier must be >= 1");
+    if (jitter < 0 || jitter > 1)
+        fatal(who, ": jitter must lie in [0, 1]");
+}
+
 } // namespace tpupoint

@@ -19,6 +19,7 @@
 #ifndef TPUPOINT_SIM_FAULT_HH
 #define TPUPOINT_SIM_FAULT_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -290,6 +291,31 @@ class FaultPlan
     std::uint64_t sampled = 0;
     std::array<std::uint64_t, 4> counts{};
 };
+
+/**
+ * The backoff storage retries (RetryPolicy) and preemption restarts
+ * (ResilientOptions) share: min(initial * multiplier^exponent, max),
+ * scaled by 1 +/- @p jitter with the swing drawn from @p plan's own
+ * stream, so one seed fixes the whole schedule. Nothing is drawn
+ * when @p plan is null or @p jitter is 0.
+ */
+template <typename Plan>
+SimTime
+jitteredBackoff(SimTime initial, double multiplier, SimTime max,
+                double jitter, int exponent, Plan *plan)
+{
+    double delay = static_cast<double>(initial);
+    for (int i = 0; i < exponent; ++i)
+        delay *= multiplier;
+    delay = std::min(delay, static_cast<double>(max));
+    if (plan && jitter > 0)
+        delay *= 1.0 + jitter * (2.0 * plan->jitter() - 1.0);
+    return static_cast<SimTime>(delay);
+}
+
+/** Fatal, naming @p who, unless @p multiplier >= 1 and @p jitter
+ * lies in [0, 1]. */
+void checkBackoff(const char *who, double multiplier, double jitter);
 
 } // namespace tpupoint
 

@@ -8,6 +8,7 @@
 
 #include "analyzer/analyzer.hh"
 #include "analyzer/detector.hh"
+#include "core/thread_pool.hh"
 #include "tests/analyzer/synthetic.hh"
 
 namespace tpupoint {
@@ -68,9 +69,10 @@ TEST(DetectorTest, MultiAlgorithmRunProducesOneDetectionEach)
     options.algorithm = PhaseAlgorithm::KMeans;
     options.extra_algorithms = {PhaseAlgorithm::Dbscan,
                                 PhaseAlgorithm::OnlineLinearScan};
-    options.threads = 4;
+    ThreadPool pool(4u);
     const AnalysisResult result =
-        TpuPointAnalyzer(options).analyze(syntheticPayloads());
+        TpuPointAnalyzer(options).analyze(syntheticPayloads(), {},
+                                          pool);
 
     ASSERT_EQ(result.detections.size(), 3u);
     EXPECT_EQ(result.detections[0].algorithm,

@@ -66,37 +66,29 @@ keyedBuild(const StepTable &table, const FeatureOptions &options)
             column_of.emplace(key(id, side), u);
     }
 
-    const std::size_t dims_per_op = (options.include_counts ? 1u : 0u) +
-                                    (options.include_durations ? 1u : 0u);
     const std::size_t raw_dims =
-        std::max<std::size_t>(out.labels.size() * dims_per_op, 1);
+        std::max<std::size_t>(out.labels.size() * 2, 1);
     out.data.resize(table.size(), raw_dims);
     for (std::size_t r = 0; r < table.size(); ++r) {
         const auto fill = [&](OpStatsSpan ops, std::uint64_t side) {
             for (const ColumnarOpStats &entry : ops) {
-                std::size_t d = column_of.at(key(entry.op, side)) *
-                                dims_per_op;
-                if (options.include_counts)
-                    out.data.at(r, d++) =
-                        static_cast<double>(entry.count);
-                if (options.include_durations)
-                    out.data.at(r, d) =
-                        static_cast<double>(entry.total_duration);
+                const std::size_t d = column_of.at(key(entry.op, side)) * 2;
+                out.data.at(r, d) = static_cast<double>(entry.count);
+                out.data.at(r, d + 1) =
+                    static_cast<double>(entry.total_duration);
             }
         };
         fill(table.hostOps(r), 0);
         fill(table.tpuOps(r), 1);
     }
 
-    if (options.normalize && table.size() > 0) {
-        for (std::size_t d = 0; d < raw_dims; ++d) {
-            double maximum = 0.0;
+    for (std::size_t d = 0; d < raw_dims; ++d) {
+        double maximum = 0.0;
+        for (std::size_t r = 0; r < table.size(); ++r)
+            maximum = std::max(maximum, std::abs(out.data.at(r, d)));
+        if (maximum > 0)
             for (std::size_t r = 0; r < table.size(); ++r)
-                maximum = std::max(maximum, std::abs(out.data.at(r, d)));
-            if (maximum > 0)
-                for (std::size_t r = 0; r < table.size(); ++r)
-                    out.data.at(r, d) /= maximum;
-        }
+                out.data.at(r, d) /= maximum;
     }
     if (raw_dims > options.max_dimensions && table.size() > 1) {
         Rng rng(options.pca_seed);
@@ -162,26 +154,12 @@ TEST(FeaturesTest, TwoDimensionsPerOp)
     EXPECT_EQ(features.rawDimensions().size(), 2u);
 }
 
-TEST(FeaturesTest, CountsOnlyOption)
-{
-    auto record = makeRecord({makeStep(0, {"fusion", "MatMul"})});
-    const StepTable table = testutil::tableOf({record});
-    FeatureOptions options;
-    options.include_durations = false;
-    const FeatureMatrix features =
-        FeatureMatrix::build(table, options);
-    EXPECT_EQ(features.dimensions(), 2u);
-}
-
 TEST(FeaturesTest, MissingOpsAreZero)
 {
     auto record = makeRecord({makeStep(0, {"fusion", "MatMul"}),
                               makeStep(1, {"fusion"})});
     const StepTable table = testutil::tableOf({record});
-    FeatureOptions options;
-    options.normalize = false;
-    const FeatureMatrix features =
-        FeatureMatrix::build(table, options);
+    const FeatureMatrix features = FeatureMatrix::build(table);
     // Step 1 lacks MatMul: some dimension must be exactly zero.
     const Matrix &data = features.matrix();
     bool has_zero = false;
@@ -245,27 +223,10 @@ TEST(FeaturesTest, BuildMatchesKeyedOracle)
 {
     std::vector<std::pair<std::string, FeatureOptions>> cases;
     cases.emplace_back("default", FeatureOptions{});
-    FeatureOptions counts_only;
-    counts_only.include_durations = false;
-    cases.emplace_back("counts only", counts_only);
-    FeatureOptions durations_only;
-    durations_only.include_counts = false;
-    cases.emplace_back("durations only", durations_only);
-    FeatureOptions neither;
-    neither.include_counts = neither.include_durations = false;
-    cases.emplace_back("no dims", neither);
-    FeatureOptions raw;
-    raw.normalize = false;
-    cases.emplace_back("normalize off", raw);
     // 18 ops x 2 = 36 raw dimensions: these force PCA.
     FeatureOptions pca;
     pca.max_dimensions = 6;
     cases.emplace_back("pca", pca);
-    FeatureOptions pca_raw_counts = pca;
-    pca_raw_counts.normalize = false;
-    pca_raw_counts.include_durations = false;
-    cases.emplace_back("pca, counts only, normalize off",
-                       pca_raw_counts);
 
     for (const std::size_t steps : {1, 2, 7, 60, 301}) {
         const StepTable table = mixedTable(steps, 31 + steps);

@@ -23,6 +23,7 @@
 
 #include "analyzer/compare.hh"
 #include "analyzer/visualization.hh"
+#include "core/thread_pool.hh"
 #include "obs/trace_export.hh"
 #include "profiler/profiler.hh"
 #include "proto/serialize.hh"
@@ -129,9 +130,10 @@ analyzeAll(const std::vector<std::string> &payloads,
     options.algorithm = PhaseAlgorithm::OnlineLinearScan;
     options.extra_algorithms = {PhaseAlgorithm::KMeans,
                                 PhaseAlgorithm::Dbscan};
-    options.threads = threads;
     options.features.max_dimensions = max_dimensions;
-    return TpuPointAnalyzer(options).analyze(payloads, checkpoints);
+    ThreadPool pool(threads);
+    return TpuPointAnalyzer(options).analyze(payloads, checkpoints,
+                                             pool);
 }
 
 std::string
@@ -203,10 +205,10 @@ TEST(GoldenOutput, PcaReducedAnalysis)
     options.features.max_dimensions = 8;
     std::string json;
     for (const unsigned threads : {1u, 8u}) {
-        options.threads = threads;
+        ThreadPool pool(threads);
         const AnalysisResult analysis =
             TpuPointAnalyzer(options).analyze(run.payloads,
-                                              run.checkpoints);
+                                              run.checkpoints, pool);
         EXPECT_TRUE(analysis.detections.size() == 2);
         const std::string produced = analysisJson(analysis);
         if (threads == 1) {
@@ -227,10 +229,10 @@ TEST(GoldenOutput, DbscanPrimaryAnalysis)
     options.algorithm = PhaseAlgorithm::Dbscan;
     std::string json;
     for (const unsigned threads : {1u, 2u, 8u}) {
-        options.threads = threads;
+        ThreadPool pool(threads);
         const AnalysisResult analysis =
             TpuPointAnalyzer(options).analyze(run.payloads,
-                                              run.checkpoints);
+                                              run.checkpoints, pool);
         const std::string produced = analysisJson(analysis);
         if (threads == 1) {
             json = produced;
@@ -309,7 +311,6 @@ TEST(GoldenOutput, StreamingAgreementAcrossTableIWorkloads)
             testutil::columnar(run.payloads);
         for (const unsigned threads : {1u, 2u, 8u}) {
             AnalyzerOptions opts = batch_opts;
-            opts.threads = threads;
             opts.streaming = true;
             AnalysisSession session(opts);
             for (const ColumnarRecord &record : stream)
@@ -319,8 +320,9 @@ TEST(GoldenOutput, StreamingAgreementAcrossTableIWorkloads)
             EXPECT_TRUE(mid.snapshots[0].exact);
             EXPECT_TRUE(mid.snapshots[1].sampled);
 
+            ThreadPool pool(threads);
             const AnalysisResult streamed =
-                session.finalize(run.checkpoints);
+                session.finalize(run.checkpoints, pool);
             EXPECT_EQ(analysisJson(streamed), batch_json)
                 << "streaming output diverges at --threads "
                 << threads;
@@ -366,14 +368,14 @@ TEST(GoldenOutput, SalvagedAnalysis)
         options.algorithm = PhaseAlgorithm::OnlineLinearScan;
         options.extra_algorithms = {PhaseAlgorithm::KMeans,
                                     PhaseAlgorithm::Dbscan};
-        options.threads = threads;
         AnalysisSession session(options);
         ColumnarRecord record;
         while (reader.read(record))
             session.ingest(record);
         EXPECT_TRUE(reader.sawDamage());
+        ThreadPool pool(threads);
         const AnalysisResult analysis =
-            session.finalize(run.checkpoints);
+            session.finalize(run.checkpoints, pool);
         const std::string produced = analysisJson(analysis);
         if (threads == 1) {
             json = produced;

@@ -49,8 +49,8 @@ analyzeWith(const std::vector<std::string> &payloads,
     options.algorithm = PhaseAlgorithm::KMeans;
     options.extra_algorithms = {PhaseAlgorithm::Dbscan,
                                 PhaseAlgorithm::OnlineLinearScan};
-    options.threads = threads;
-    return TpuPointAnalyzer(options).analyze(payloads);
+    ThreadPool pool(threads);
+    return TpuPointAnalyzer(options).analyze(payloads, {}, pool);
 }
 
 /** Every field a thread count could possibly perturb. */
@@ -129,7 +129,6 @@ TEST(ParallelDeterminismTest, CallerPoolMatchesOwnedPool)
     const auto records = profiledPayloads();
     AnalyzerOptions options;
     options.algorithm = PhaseAlgorithm::KMeans;
-    options.threads = 1;
     const AnalysisResult owned =
         TpuPointAnalyzer(options).analyze(records);
 

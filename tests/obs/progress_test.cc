@@ -27,8 +27,6 @@ TEST(ProgressTest, KindNamesAreStable)
 {
     EXPECT_STREQ(progressKindName(ProgressEvent::Kind::Start),
                  "start");
-    EXPECT_STREQ(progressKindName(ProgressEvent::Kind::Retry),
-                 "retry");
     EXPECT_STREQ(progressKindName(ProgressEvent::Kind::Finish),
                  "finish");
 }
@@ -39,7 +37,6 @@ TEST(ProgressTest, FinishedSumsTerminalStates)
     event.succeeded = 2;
     event.preempted = 1;
     event.failed = 3;
-    event.retried = 9; // retries are not terminal
     EXPECT_EQ(event.finished(), 6u);
 }
 

@@ -27,8 +27,7 @@ struct Rig
     std::unique_ptr<TpuPointProfiler> profiler;
     std::unique_ptr<OnlineTuner> tuner;
 
-    explicit Rig(const PipelineConfig &pipeline,
-                 const TunerOptions &options = TunerOptions{})
+    explicit Rig(const PipelineConfig &pipeline)
     {
         config.pipeline = pipeline;
         session = std::make_unique<TrainingSession>(
@@ -37,8 +36,7 @@ struct Rig
             sim, *session);
         profiler->start(/*analyzer=*/false);
         tuner = std::make_unique<OnlineTuner>(
-            sim, *session, *profiler, allTunableParams(),
-            options);
+            sim, *session, *profiler, allTunableParams());
     }
 
     void
@@ -84,8 +82,7 @@ TEST(TunerTest, KeepsDefaultsWhenNoImprovementExists)
     TrainingSession session(sim, config, w);
     TpuPointProfiler profiler(sim, session);
     profiler.start(false);
-    OnlineTuner tuner(sim, session, profiler,
-                      allTunableParams(), TunerOptions{});
+    OnlineTuner tuner(sim, session, profiler, allTunableParams());
     tuner.start();
     session.start(nullptr);
     sim.run();
@@ -107,8 +104,7 @@ TEST(TunerTest, HonorsRestrictedParameterSet)
     // Replace the tuner with one that may only touch prefetch.
     rig.tuner = std::make_unique<OnlineTuner>(
         rig.sim, *rig.session, *rig.profiler,
-        std::vector<TunableParam>{TunableParam::PrefetchDepth},
-        TunerOptions{});
+        std::vector<TunableParam>{TunableParam::PrefetchDepth});
     rig.run();
     const OnlineTuner::Report &report = rig.tuner->report();
     // Untouched parameters stay at their initial values.

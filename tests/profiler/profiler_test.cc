@@ -105,31 +105,6 @@ TEST(ProfilerTest, ProfilingAddsBoundedOverhead)
               1.10 * static_cast<double>(plain));
 }
 
-TEST(ProfilerTest, BreakpointStopsProfilingEarly)
-{
-    Simulator sim;
-    const RuntimeWorkload w = smallWorkload(100);
-    TrainingSession session(sim, SessionConfig{}, w);
-    ProfilerOptions options;
-    options.breakpoint = 20;
-    // Breakpoints are checked when profile responses arrive, so
-    // use a fine-grained interval for a sharp stop.
-    options.profile_interval = 20 * kMsec;
-    TpuPointProfiler profiler(sim, session, options);
-    profiler.start(true);
-    session.start(nullptr);
-    sim.run();
-    EXPECT_FALSE(profiler.running());
-    // The session itself ran to the end regardless.
-    EXPECT_EQ(session.result().steps_completed, 100u);
-    // Only early steps were profiled.
-    StepId max_step = 0;
-    for (const auto &r : testutil::rowsOf(profiler.payloads()))
-        for (const auto &s : r.steps)
-            max_step = std::max(max_step, s.step);
-    EXPECT_LT(max_step, 60u);
-}
-
 TEST(ProfilerTest, WriteRecordsRoundTrips)
 {
     Simulator sim;

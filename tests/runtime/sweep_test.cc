@@ -107,30 +107,6 @@ TEST(SweepRunnerTest, UnprofiledJobsCarryNoRecords)
     }
 }
 
-TEST(SweepRunnerTest, DerivedSeedsDependOnIndexNotThreads)
-{
-    // The seed is a pure function of (base, salt, index) — the
-    // worker that happens to run the job can never perturb it.
-    const std::uint64_t a = SweepRunner::jobSeed(1, 2, 3);
-    EXPECT_EQ(a, SweepRunner::jobSeed(1, 2, 3));
-    EXPECT_NE(a, SweepRunner::jobSeed(1, 2, 4));
-    EXPECT_NE(a, SweepRunner::jobSeed(1, 3, 3));
-    EXPECT_NE(a, SweepRunner::jobSeed(2, 2, 3));
-
-    auto jobs = smallJobs();
-    SweepOptions options;
-    options.threads = 3;
-    options.derive_seeds = true;
-    options.seed_salt = 42;
-    const auto first = SweepRunner(options).run(jobs);
-    const auto second = SweepRunner(options).run(jobs);
-    ASSERT_EQ(first.size(), second.size());
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        EXPECT_EQ(first[i].result.wall_time,
-                  second[i].result.wall_time);
-    }
-}
-
 TEST(SweepRunnerTest, EmptyJobListIsFine)
 {
     EXPECT_TRUE(SweepRunner().run({}).empty());
@@ -159,27 +135,6 @@ TEST(SweepRunnerTest, FailingJobDoesNotPoisonTheSweep)
             EXPECT_FALSE(outcomes[i].payloads.empty());
         }
     }
-}
-
-TEST(SweepRunnerTest, StrictModeRethrowsTheFirstFailure)
-{
-    auto jobs = smallJobs();
-    jobs[2].config.preemption.rate_per_hour = -1.0;
-    SweepOptions options;
-    options.strict = true;
-    EXPECT_THROW(SweepRunner(options).run(jobs),
-                 std::runtime_error);
-}
-
-TEST(SweepRunnerTest, JobRetriesDoNotMaskDeterministicFailures)
-{
-    auto jobs = smallJobs();
-    jobs[0].config.preemption.rate_per_hour = -1.0;
-    SweepOptions options;
-    options.job_retries = 2;
-    const auto outcomes = SweepRunner(options).run(jobs);
-    EXPECT_EQ(outcomes[0].status, JobStatus::Failed);
-    EXPECT_EQ(outcomes[1].status, JobStatus::Ok);
 }
 
 TEST(SweepRunnerTest, PreemptedJobStitchesAttempts)
@@ -325,41 +280,33 @@ TEST(SweepRunnerTest, ProgressEventsArriveInOrderPerJob)
     EXPECT_EQ(last.succeeded, ok);
     EXPECT_EQ(last.preempted, preempted);
     EXPECT_EQ(last.failed, failed);
-    EXPECT_EQ(last.retried, 0u);
     EXPECT_EQ(last.finished(), jobs.size());
 }
 
-TEST(SweepRunnerTest, ProgressReportsRetriesAndFailures)
+TEST(SweepRunnerTest, ProgressReportsFailures)
 {
     auto jobs = smallJobs();
     jobs[1].config.preemption.rate_per_hour = -1.0;
     std::vector<obs::ProgressEvent> events;
     SweepOptions options;
     options.threads = 1;
-    options.job_retries = 2;
     options.progress = [&events](const obs::ProgressEvent &e) {
         events.push_back(e);
     };
     const auto outcomes = SweepRunner(options).run(jobs);
     ASSERT_EQ(outcomes[1].status, JobStatus::Failed);
 
-    // Job 1: start (attempt 1), two retries (attempts 2, 3), then
-    // a failed finish; the retry totals accumulate.
+    // Job 1: one start, then a failed finish; the failure lands in
+    // the running totals.
     std::vector<const obs::ProgressEvent *> job1;
     for (const auto &event : events) {
         if (event.item == 1)
             job1.push_back(&event);
     }
-    ASSERT_EQ(job1.size(), 4u);
+    ASSERT_EQ(job1.size(), 2u);
     EXPECT_EQ(job1[0]->kind, obs::ProgressEvent::Kind::Start);
-    EXPECT_EQ(job1[0]->attempt, 1u);
-    EXPECT_EQ(job1[1]->kind, obs::ProgressEvent::Kind::Retry);
-    EXPECT_EQ(job1[1]->attempt, 2u);
-    EXPECT_EQ(job1[2]->kind, obs::ProgressEvent::Kind::Retry);
-    EXPECT_EQ(job1[2]->attempt, 3u);
-    EXPECT_EQ(job1[3]->kind, obs::ProgressEvent::Kind::Finish);
-    EXPECT_STREQ(job1[3]->status, "failed");
-    EXPECT_EQ(events.back().retried, 2u);
+    EXPECT_EQ(job1[1]->kind, obs::ProgressEvent::Kind::Finish);
+    EXPECT_STREQ(job1[1]->status, "failed");
     EXPECT_EQ(events.back().failed, 1u);
     EXPECT_EQ(events.back().succeeded, jobs.size() - 1);
 }

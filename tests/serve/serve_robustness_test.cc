@@ -241,6 +241,29 @@ TEST_F(ServeRobustnessTest, FatalFinalizeLogsOneJsonReason)
         << text;
 }
 
+TEST_F(ServeRobustnessTest, MissingSpoolWarnsOnceAsJson)
+{
+    obs::FlightRecorder::global().disable();
+    ManagedSpool spool("robust_missing_spool");
+    const std::string missing = spool.dir + "/no/such/dir";
+    spool.options.spool_dir = missing;
+    spool.start();
+    testutil::JsonStderrCapture captured;
+    for (int i = 0; i < 5; ++i) {
+        spool.manager->poll();
+        spool.now += 20;
+    }
+    const auto lines = captured.lines();
+    EXPECT_TRUE(spool.manager->sessions().empty());
+    ASSERT_EQ(lines.size(), 1u);
+    std::string why;
+    EXPECT_TRUE(validateJson(lines[0], &why)) << lines[0] << ": "
+                                              << why;
+    EXPECT_NE(lines[0].find("\"level\":\"warn\""), std::string::npos)
+        << lines[0];
+    EXPECT_NE(lines[0].find(missing), std::string::npos) << lines[0];
+}
+
 TEST_F(ServeRobustnessTest, OneTransientErrorDoesNotQuarantine)
 {
     ManagedSpool spool("robust_transient");
